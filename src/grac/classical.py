@@ -17,12 +17,14 @@ import numpy as np
 
 from .errors import (
     CardinalityMismatchError,
+    InvalidInputError,
     WidthMismatchError,
     WidthOutOfRangeError,
 )
-from .mubs import BooleanFn, FunctionSet, ParityLabel, parity
+from .mubs import BooleanFn, FunctionSet, ParityLabel, parity, sign_matrix
 
-ENUM_MAX_WIDTH = 4  # exhaustive search covers all 2^(2^n) encodings
+# Widest set searched exactly; the see-saws add a classical start only up to here.
+ENUM_MAX_WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -161,51 +163,77 @@ def best_decoding(encoding: BooleanFn, fset: FunctionSet) -> tuple[dict, Rationa
     return decoding, Rational(wins, m * len(fset))
 
 
-def _parity_matrix(fset: FunctionSet) -> np.ndarray:
-    """(2^n, k) matrix of f_y(x) values."""
-    m = 1 << fset.n
-    xs = np.arange(m, dtype=np.uint32)
-    rs = np.array(fset.ints, dtype=np.uint32)
-    return (np.bitwise_count(xs[:, None] & rs[None, :]) & 1).astype(np.int64)
+def _optimal_tables(h: np.ndarray, limit: int) -> np.ndarray:
+    """First `limit` encoding tables, ascending, optimal for some row of h.
+
+    Each row is h_s = Σ_y s_y g[·, y] for an optimal sign vector s.  It fixes
+    bit x of the table to [h_s(x) < 0] (to [h_s(x) > 0] for -s) and leaves it
+    free where h_s(x) = 0.  The members of such a cube ascend as
+    fixed + deposit(i, free) for i = 0, 1, ..., so the first `limit` members
+    of every cube include the first `limit` of their union.
+    """
+    m = h.shape[1]
+    weights = 1 << np.arange(m)
+    fixed = np.concatenate([(h < 0) @ weights, (h > 0) @ weights])
+    if limit == 1:  # the see-saw starts' case: each cube's least member is fixed
+        return fixed.min(keepdims=True)
+    is_free = np.tile(h == 0, (2, 1))
+    size = 1 << is_free.sum(axis=1)
+    count = min(limit, int(size.max()))
+    nbits = (count - 1).bit_length()
+    # weight of each cube's j-th free bit; the sentinel past its last free bit
+    # only meets index bits that are zero, since i < size there
+    free_w = np.sort(np.where(is_free, weights, 1 << m), axis=1)[:, :nbits]
+    i = np.arange(count)
+    members = fixed + ((i[:, None] >> np.arange(nbits)) & 1) @ free_w.T
+    tables = np.sort(members[i[:, None] < size])
+    return tables[np.diff(tables, prepend=-1) != 0][:limit]
 
 
 def classical_optimum(
     fset: FunctionSet, max_strategies: int = 16
 ) -> tuple[Rational, list[ClassicalStrategy]]:
-    """Exact classical optimum by scanning every encoding with its best decoding.
+    """Exact classical optimum by enumerating decoding signs.
 
-    Enumerates all 2^(2^n) encodings (width capped at 4), counting wins for
-    the majority decode of each in one vectorized pass.  Returns the optimum
-    and the optimal strategies in ascending encoding-table order, capped at
-    max_strategies since optima are typically far from unique.
+    Given the encoding ω(x), question y scores best with z = ω ⊕ c_y: a
+    constant guess wins exactly half of a balanced question, never more.
+    With g[x, y] = (-1)^{f_y(x)} this gives
+
+        wins = (2^n k + max_s Σ_x |Σ_y s_y g[x, y]|) / 2
+
+    over sign vectors s ∈ {±1}^k with s_0 = +1, which costs
+    O(2^(k-1) · 2^n) additions instead of a scan over all 2^(2^n) encodings.
+    An encoding is optimal iff ω(x) = [h_s(x) < 0], h_s = Σ_y s_y g[·, y],
+    wherever h_s(x) ≠ 0, for some optimal s or its negation.  Returns the
+    optimum and the optimal strategies, each with its best_decoding, in
+    ascending encoding-table order, capped at max_strategies since optima
+    are typically far from unique.  Width is capped at ENUM_MAX_WIDTH.
     """
+    if max_strategies < 1:
+        raise InvalidInputError(f"max_strategies must be at least 1, got {max_strategies}")
     n = fset.n
     if n > ENUM_MAX_WIDTH:
         raise WidthOutOfRangeError(
-            f"exhaustive search only runs for width <= {ENUM_MAX_WIDTH}, got {n}"
+            f"exact search only runs for width <= {ENUM_MAX_WIDTH}, got {n}"
         )
     m = 1 << n
-    half = m // 2
-    n_enc = 1 << m
-    tables = np.arange(n_enc, dtype=np.uint32)
-    bits = ((tables[:, None] >> np.arange(m, dtype=np.uint32)[None, :]) & 1).astype(
-        np.int64
-    )  # (n_enc, m): bit x of each encoding
-    fmat = _parity_matrix(fset)  # (m, k)
-    n1 = bits.sum(axis=1)  # inputs sent as ω=1, per encoding
-    n11 = bits @ fmat  # (n_enc, k): ω=1 and f_y=1
-    n10 = n1[:, None] - n11
-    n01 = half - n11  # questions are balanced parities
-    n00 = m - n1[:, None] - half + n11
-    wins = np.maximum(n00, n01).sum(axis=1) + np.maximum(n10, n11).sum(axis=1)
-    best = int(wins.max())
-    winners = np.flatnonzero(wins == best)[:max_strategies]
+    k = len(fset)
+    g = sign_matrix(fset)
+    # h[i] = h_s for every s with s_0 = +1, built by doubling over the labels
+    h = np.empty((1 << (k - 1), m))
+    h[0] = g[:, 0]
+    for j in range(1, k):
+        half = 1 << (j - 1)
+        h[half : 2 * half] = h[:half] - g[:, j]
+        h[:half] += g[:, j]
+    score = np.abs(h).sum(axis=1)
+    best = score.max()
     strategies = []
-    for t in winners:
+    for t in _optimal_tables(h[score == best], max_strategies):
         enc = BooleanFn(n, int(t))
         dec, _ = best_decoding(enc, fset)
         strategies.append(ClassicalStrategy(enc, dec))
-    return Rational(best, m * len(fset)), strategies
+    return Rational((m * k + int(best)) // 2, m * k), strategies
 
 
 # ---------------------------------------------------------------------------

@@ -16,24 +16,22 @@ maximally entangled state and rank-2 projective effects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classical import ClassicalStrategy, classical_optimum
-from .errors import DimensionMismatchError, InvalidEffectError, WidthMismatchError
-from .mubs import FunctionSet
+from .errors import (
+    DimensionMismatchError,
+    InvalidEffectError,
+    InvalidInputError,
+    WidthMismatchError,
+)
+from .mubs import FunctionSet, sign_matrix
 
 _ATOL = 1e-10
 LOCAL_DIMS = (2, 3, 4)
-
-
-def parity_table(fset: FunctionSet) -> np.ndarray:
-    """(2^n, k) table of f_y(x) as 0/1 floats."""
-    m = 1 << fset.n
-    xs = np.arange(m, dtype=np.uint32)
-    rs = np.array(fset.ints, dtype=np.uint32)
-    return (np.bitwise_count(xs[:, None] & rs[None, :]) & 1).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,7 @@ def evaluate_eacc(strategy: EACCStrategy, fset: FunctionSet) -> float:
             f"strategy covers labels {strategy.labels}, set has {fset.ints}"
         )
     validate_strategy(strategy)
-    ftab = parity_table(fset)
+    ftab = 0.5 * (1.0 - sign_matrix(fset))
     bsum = _bob_sums(strategy.bob, ftab)
     da, db = strategy.dims
     big = np.einsum("xoij,xokl->ikjl", strategy.alice, bsum).reshape(da * db, da * db)
@@ -207,7 +205,7 @@ def eacc_to_bell(strategy: EACCStrategy, fset: FunctionSet) -> BellValueReport:
     da, db = strategy.dims
     m = 1 << fset.n
     k = len(fset)
-    ftab = parity_table(fset).astype(np.int64)
+    ftab = (0.5 * (1.0 - sign_matrix(fset))).astype(np.int64)
     rho = strategy.state.reshape(da, db, da, db)
     # Bob-side operator left behind by Alice's outcome u on input x:
     # ka[x, u][j, k] = Σ_{a,b} ρ[(a,j),(b,k)] A^x_u[b,a]
@@ -311,13 +309,15 @@ def eacc_seesaw(
             f"local dimension must be one of {LOCAL_DIMS}, got {local_dim}"
         )
     if restarts < 1:
-        raise ValueError("need at least one restart")
+        raise InvalidInputError("need at least one restart")
     if max_iters < 1:
-        raise ValueError("need at least one iteration")
+        raise InvalidInputError("need at least one iteration")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInputError(f"tolerance must be finite and positive, got {tol!r}")
     d = local_dim
     m = 1 << fset.n
     k = len(fset)
-    ftab = parity_table(fset)
+    ftab = 0.5 * (1.0 - sign_matrix(fset))
     m0, m1 = 1.0 - ftab, ftab
     rank = (d + 1) // 2
 

@@ -39,3 +39,7 @@ class DimensionMismatchError(GracError):
 
 class InvalidEffectError(GracError):
     """A measurement effect or state violates positivity or completeness."""
+
+
+class InvalidInputError(GracError, ValueError):
+    """An argument or a serialized strategy lies outside its valid domain."""

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import (
     NotBalancedError,
     WidthMismatchError,
@@ -190,6 +192,15 @@ def is_mubs(fset: FunctionSet) -> bool:
             if not are_mutually_unbiased(fns[i], fns[j]):
                 return False
     return True
+
+
+def sign_matrix(fset: FunctionSet) -> np.ndarray:
+    """(2^n, k) matrix of (-1)^{f_y(x)}, one row per input x."""
+    m = 1 << fset.n
+    xs = np.arange(m, dtype=np.uint32)
+    rs = np.array(fset.ints, dtype=np.uint32)
+    par = np.bitwise_count(xs[:, None] & rs[None, :]) & 1
+    return 1.0 - 2.0 * par.astype(np.float64)
 
 
 def full_mubs(n: int) -> FunctionSet:

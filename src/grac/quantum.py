@@ -20,19 +20,10 @@ import numpy as np
 
 from .backends import run_seesaw
 from .classical import ENUM_MAX_WIDTH, classical_optimum
-from .errors import WidthMismatchError
-from .mubs import FunctionSet, parity
+from .errors import InvalidInputError, WidthMismatchError
+from .mubs import FunctionSet, parity, sign_matrix
 
 _UNIT_TOL = 1e-12
-
-
-def sign_matrix(fset: FunctionSet) -> np.ndarray:
-    """(2^n, k) matrix of (-1)^{f_y(x)}."""
-    m = 1 << fset.n
-    xs = np.arange(m, dtype=np.uint32)
-    rs = np.array(fset.ints, dtype=np.uint32)
-    par = np.bitwise_count(xs[:, None] & rs[None, :]) & 1
-    return 1.0 - 2.0 * par.astype(np.float64)
 
 
 def _channel_matrix(channel) -> np.ndarray:
@@ -101,6 +92,8 @@ class PMStrategy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PMStrategy":
+        if not d["preparations"]:
+            raise InvalidInputError("preparations must not be empty")
         preps = {int(b, 2): tuple(v) for b, v in d["preparations"].items()}
         n = len(next(iter(d["preparations"])))
         meas = {int(b, 2): tuple(v) for b, v in d["measurements"].items()}
@@ -206,11 +199,11 @@ def seesaw(
     available, plus any caller-provided warm starts.
     """
     if restarts < 1:
-        raise ValueError("need at least one restart")
+        raise InvalidInputError("need at least one restart")
     if max_iters < 1:
-        raise ValueError("need at least one iteration")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+        raise InvalidInputError("need at least one iteration")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInputError(f"tolerance must be finite and positive, got {tol!r}")
     k = len(fset)
     starts = [
         _random_unit_rows(np.random.default_rng((seed, i)), k) for i in range(restarts)

@@ -1,15 +1,21 @@
 """Exact classical optima, explicit strategies, and RAC lifts."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grac import (
     BooleanFn,
     CardinalityMismatchError,
     ClassicalStrategy,
     FunctionSet,
+    GracError,
+    InvalidInputError,
     QuadrupleClass,
     RACStrategy,
     Rational,
@@ -28,6 +34,7 @@ from grac import (
     per_label_wins,
     rac_optimum,
     rac_value,
+    sign_matrix,
 )
 
 
@@ -149,6 +156,14 @@ def test_classical_optimum_width_cap():
         classical_optimum(full_mubs(5))
 
 
+def test_classical_optimum_rejects_max_strategies_below_one():
+    for bad in (0, -1):
+        with pytest.raises(InvalidInputError):
+            classical_optimum(full_mubs(3), max_strategies=bad)
+    assert issubclass(InvalidInputError, GracError)
+    assert issubclass(InvalidInputError, ValueError)
+
+
 def test_evaluate_width_mismatch():
     fset = full_mubs(3)
     strat = ClassicalStrategy(majority_encoding(2), identity_decoding(fset))
@@ -235,3 +250,64 @@ def test_grac_optimum_dominates_lifted_rac():
         _, lifted = best_lift(optimal_rac_strategy(len(ints)), fset)
         optimum, _ = classical_optimum(fset, max_strategies=1)
         assert optimum.wins >= lifted.wins
+
+
+# ---------------------------------------------------------------------------
+# Reference: the exhaustive encoding scan that classical_optimum replaced.
+
+def _scan_optimum(fset, max_strategies):
+    """Score all 2^(2^n) encodings with their majority decode in one pass."""
+    n = fset.n
+    m = 1 << n
+    half = m // 2
+    tables = np.arange(1 << m, dtype=np.uint32)
+    bits = ((tables[:, None] >> np.arange(m, dtype=np.uint32)[None, :]) & 1).astype(
+        np.int64
+    )  # (2^m, m): bit x of each encoding
+    fmat = ((1 - sign_matrix(fset)) // 2).astype(np.int64)  # (m, k) of f_y(x)
+    n1 = bits.sum(axis=1)  # inputs sent as ω=1, per encoding
+    n11 = bits @ fmat  # (2^m, k): ω=1 and f_y=1
+    n10 = n1[:, None] - n11
+    n01 = half - n11  # questions are balanced parities
+    n00 = m - n1[:, None] - half + n11
+    wins = np.maximum(n00, n01).sum(axis=1) + np.maximum(n10, n11).sum(axis=1)
+    best = int(wins.max())
+    strategies = []
+    for t in np.flatnonzero(wins == best)[:max_strategies]:
+        enc = BooleanFn(n, int(t))
+        strategies.append(ClassicalStrategy(enc, best_decoding(enc, fset)[0]))
+    return Rational(best, m * len(fset)), strategies
+
+
+def _assert_matches_scan(fset, limits):
+    """classical_optimum equals the scan, value and strategies, at each limit."""
+    value, reference = _scan_optimum(fset, max(limits))
+    for limit in limits:
+        got, strategies = classical_optimum(fset, max_strategies=limit)
+        assert got == value
+        assert [s.to_dict() for s in strategies] == [s.to_dict() for s in reference[:limit]]
+
+
+def test_sign_search_matches_scan_on_all_width3_subsets():
+    for k in range(1, 8):
+        for combo in combinations(range(1, 8), k):
+            _assert_matches_scan(FunctionSet.from_ints(3, combo), (1, 16, 1000))
+
+
+def test_sign_search_matches_scan_on_width4_sample():
+    rng = random.Random("width-4 oracle sample")
+    for k in range(2, 16):
+        fset = FunctionSet.from_ints(4, rng.sample(range(1, 16), k))
+        _assert_matches_scan(fset, (1, 16, 200))
+    # Here the optimal sign vectors leave one or two inputs free, so the cubes
+    # differ in size; a limit past all 2752 optima must return each one once.
+    _assert_matches_scan(FunctionSet.from_ints(4, range(1, 13)), (5000,))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    labels=st.sets(st.integers(1, 15), min_size=1, max_size=15),
+    limit=st.integers(1, 64),
+)
+def test_sign_search_matches_scan_property(labels, limit):
+    _assert_matches_scan(FunctionSet.from_ints(4, sorted(labels)), (limit,))

@@ -62,6 +62,15 @@ def test_module_error_exit_code(capsys):
     assert set(payload) == {"error", "message"}
 
 
+def test_classical_max_strategies_below_one_is_module_error(capsys):
+    for bad in ("0", "-1"):
+        rc = cli.main(["classical", "--labels", "all", "--max-strategies", bad])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "InvalidInputError"
+
+
 def test_json_artifact_and_reproducibility(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

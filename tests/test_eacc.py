@@ -8,6 +8,7 @@ from grac import (
     EACCStrategy,
     FunctionSet,
     InvalidEffectError,
+    InvalidInputError,
     WidthMismatchError,
     classical_embed,
     classical_optimum,
@@ -148,3 +149,10 @@ def test_eacc_open_quadruple_needs_dimension_four():
     validate_strategy(strat)
     rep = eacc_to_bell(strat, fset)
     assert rep.bell_value == pytest.approx(rep.eacc_value, abs=1e-10)
+
+
+def test_eacc_seesaw_rejects_bad_tolerance():
+    fset = representative_set(2)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError):
+            eacc_seesaw(fset, restarts=1, tol=bad)

@@ -7,6 +7,7 @@ import pytest
 
 from grac import (
     FunctionSet,
+    InvalidInputError,
     PMStrategy,
     WidthMismatchError,
     classical_optimum,
@@ -162,3 +163,14 @@ def test_seesaw_argument_validation():
         seesaw(fset, max_iters=0)
     with pytest.raises(ValueError):
         seesaw(fset, tol=0.0)
+
+
+def test_seesaw_rejects_non_finite_tolerance():
+    for bad in (float("nan"), float("inf"), -1e-10):
+        with pytest.raises(InvalidInputError):
+            seesaw(full_mubs(3), tol=bad)
+
+
+def test_pm_strategy_from_dict_rejects_empty_preparations():
+    with pytest.raises(InvalidInputError):
+        PMStrategy.from_dict({"preparations": {}, "measurements": {}})

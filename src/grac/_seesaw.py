@@ -9,9 +9,6 @@ where Lam(r) = D r is a (symmetric-free, general 3x3) channel acting on the
 prepared states.  Each half-step is closed form: the optimal r_x points along
 D^T V_x and the optimal v_y along sum_x g[x,y] D r_x, so the objective never
 decreases.  Everything runs batched over restarts.
-
-Both backends (this module and the compiled twin) implement exactly this
-contract; keep them in lockstep.
 """
 
 from __future__ import annotations

@@ -89,7 +89,7 @@ def critical_depolarizing(
     against S_C gives lambda = 1 - (S_C - 1/2)/(S_Q - 1/2).  Zero when the
     set offers no quantum advantage.
     """
-    s_c = classical_optimum(fset)[0].value
+    s_c = classical_optimum(fset, max_strategies=1)[0].value
     s_q = seesaw(fset, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed).value
     if s_q <= s_c:
         return 0.0
@@ -117,10 +117,8 @@ class SweepResult:
 
 
 def _optimize_at(fset, bmap, cls_start, warm, restarts, max_iters, tol, seed):
-    extra = [cls_start]
-    if warm is not None:
-        extra.append(warm)
-    report = seesaw(
+    extra = [cls_start] if warm is None else [cls_start, warm]
+    return seesaw(
         fset,
         restarts=restarts,
         max_iters=max_iters,
@@ -129,7 +127,6 @@ def _optimize_at(fset, bmap, cls_start, warm, restarts, max_iters, tol, seed):
         channel=bmap,
         extra_starts=extra,
     )
-    return report
 
 
 def dephasing_sweep(
@@ -152,7 +149,7 @@ def dephasing_sweep(
     if grid is None:
         grid = np.linspace(0.0, 0.5, 101)
     grid = [float(g) for g in grid]
-    s_c = classical_optimum(fset)[0]
+    s_c = classical_optimum(fset, max_strategies=1)[0]
     cls_start = classical_start_vectors(fset, axis)
     values = []
     warm = None
@@ -166,21 +163,6 @@ def dephasing_sweep(
         warm = report.best_strategy.meas_array(fset)
     ratio = tuple(v / s_c.value for v in values)
     return SweepResult(tuple(grid), tuple(values), s_c, ratio)
-
-
-def _value_at(fset, lam, axis, cls_start, warms, restarts, max_iters, tol, seed):
-    bmap = BlochMap.dephasing(lam, axis)
-    extra = [cls_start] + [w for w in warms if w is not None]
-    report = seesaw(
-        fset,
-        restarts=restarts,
-        max_iters=max_iters,
-        tol=tol,
-        seed=seed,
-        channel=bmap,
-        extra_starts=extra,
-    )
-    return report.value, report.best_strategy.meas_array(fset)
 
 
 def crossing_window(
@@ -230,13 +212,11 @@ def crossing_window(
     cls_a = classical_start_vectors(set_a, axis)
     cls_b = classical_start_vectors(set_b, axis)
 
-    def diff_at(lam, warm_a, warm_b, j):
-        va, _ = _value_at(
-            set_a, lam, axis, cls_a, [warm_a], restarts, max_iters, tol, seed + 7919 * j
-        )
-        vb, _ = _value_at(
-            set_b, lam, axis, cls_b, [warm_b], restarts, max_iters, tol, seed + 7919 * j + 1
-        )
+    def diff_at(lam, j):
+        bmap = BlochMap.dephasing(lam, axis)
+        seed_j = seed + 7919 * j
+        va = _optimize_at(set_a, bmap, cls_a, None, restarts, max_iters, tol, seed_j).value
+        vb = _optimize_at(set_b, bmap, cls_b, None, restarts, max_iters, tol, seed_j + 1).value
         return va - vb
 
     def refine(inside_i, outside_i):
@@ -245,7 +225,7 @@ def crossing_window(
         while abs(hi - lo) > refine_tol:
             mid = 0.5 * (lo + hi)
             j += 1
-            if diff_at(mid, None, None, j) > 0:
+            if diff_at(mid, j) > 0:
                 lo = mid
             else:
                 hi = mid

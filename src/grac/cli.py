@@ -38,18 +38,7 @@ def parse_label_spec(n: int, spec: str) -> FunctionSet:
         qclass = None
         if ":" in body:
             body, qclass = body.split(":", 1)
-        k = int(body)
-        if k == 4:
-            if qclass not in ("xor-closed", "open"):
-                raise ValueError(
-                    "cardinality 4 is ambiguous: use k=4:xor-closed or k=4:open"
-                )
-            ints = (1, 2, 4, 7) if qclass == "xor-closed" else (1, 2, 3, 4)
-        else:
-            if qclass is not None:
-                raise ValueError("a class suffix only applies to k=4")
-            ints = tuple(range(1, k + 1))
-        return FunctionSet.from_ints(n, ints)
+        return FunctionSet.from_ints(n, tables_mod.representative_labels(int(body), qclass))
     fset = FunctionSet.from_bitstrings(spec)
     if fset.n != n:
         raise ValueError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalStrategy, classical_optimum
+from .classical import ENUM_MAX_WIDTH, ClassicalStrategy, classical_optimum
 from .errors import (
     DimensionMismatchError,
     InvalidEffectError,
@@ -327,7 +327,7 @@ def eacc_seesaw(
         rng = np.random.default_rng((seed, i))
         a_list.append(_haar_rank_projectors(rng, m, d, rank))
         b_list.append(_haar_rank_projectors(rng, 2 * k, d, rank).reshape(2, k, d, d))
-    if fset.n <= 4:
+    if fset.n <= ENUM_MAX_WIDTH:
         _, strategies = classical_optimum(fset, max_strategies=1)
         emb = classical_embed(strategies[0], fset, local_dim=d)
         a_list.append(emb.alice[:, 0])

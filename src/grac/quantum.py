@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import run_seesaw
+from ._seesaw import run_seesaw
 from .classical import ENUM_MAX_WIDTH, classical_optimum
 from .errors import InvalidInputError, WidthMismatchError
 from .mubs import FunctionSet, parity, sign_matrix

@@ -37,27 +37,23 @@ from .quantum import seesaw
 
 TABLE_IDS = ("I", "II", "Q", "III", "IV")
 
-_REPRESENTATIVES = {
-    ("k=2", None): (1, 2),
-    ("k=3", None): (1, 2, 3),
-    ("k=4", "xor-closed"): (1, 2, 4, 7),
-    ("k=4", "open"): (1, 2, 3, 4),
-    ("k=5", None): (1, 2, 3, 4, 5),
-    ("k=6", None): (1, 2, 3, 4, 5, 6),
-    ("k=7", None): (1, 2, 3, 4, 5, 6, 7),
-}
+
+def representative_labels(k: int, quad_class: str | None = None) -> tuple[int, ...]:
+    """Labels of the lex-smallest set of a cardinality: 1..k, or 1,2,4,7 if xor-closed.
+
+    The class is required at cardinality 4 and refused elsewhere.  The labels
+    are the same at every width, so the CLI applies them at --n.
+    """
+    if k == 4 and quad_class not in ("xor-closed", "open"):
+        raise ValueError("cardinality 4 needs a class: k=4:xor-closed or k=4:open")
+    if k != 4 and quad_class is not None:
+        raise ValueError("a quadruple class only applies to cardinality 4")
+    return (1, 2, 4, 7) if quad_class == "xor-closed" else tuple(range(1, k + 1))
 
 
 def representative_set(k: int, quad_class: str | None = None) -> FunctionSet:
     """Lex-smallest width-3 question set of a given cardinality (and class for k=4)."""
-    if k == 4 and quad_class not in ("xor-closed", "open"):
-        raise ValueError("cardinality 4 needs quad_class 'xor-closed' or 'open'")
-    if k != 4 and quad_class is not None:
-        raise ValueError("quad_class only applies to cardinality 4")
-    key = (f"k={k}", quad_class)
-    if key not in _REPRESENTATIVES:
-        raise ValueError(f"no representative for cardinality {k}")
-    return FunctionSet.from_ints(3, _REPRESENTATIVES[key])
+    return FunctionSet.from_ints(3, representative_labels(k, quad_class))
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,7 @@ def table_two() -> TableReport:
     for (kname, qclass), ref in _TABLE_II_GRAC.items():
         k = int(kname.split("=")[1])
         fset = representative_set(k, qclass)
-        val = classical_optimum(fset)[0]
+        val = classical_optimum(fset, max_strategies=1)[0]
         delta = 0.0 if val.as_fraction() == ref else val.value - float(ref)
         cname = f" ({qclass})" if qclass else ""
         rows.append(TableRow(f"GRAC {kname}{cname}", val.value, float(ref), delta, str(val)))

@@ -35,7 +35,7 @@ from grac import (
     representative_set,
     seesaw,
 )
-from grac.backends import run_seesaw
+from grac.quantum import run_seesaw
 from grac.channels import BlochMap
 from grac.quantum import sign_matrix
 from grac.tables import table_one

@@ -7,7 +7,7 @@ import pytest
 
 from grac import cli
 from grac.mubs import FunctionSet
-from grac.tables import TableReport, TableRow
+from grac.tables import TableReport, TableRow, representative_set
 
 
 def test_parse_label_spec_all():
@@ -23,6 +23,11 @@ def test_parse_label_spec_cardinality():
         cli.parse_label_spec(3, "k=4")  # class is required at cardinality 4
     with pytest.raises(ValueError):
         cli.parse_label_spec(3, "k=3:open")
+    pairs = [(2, None), (3, None), (4, "xor-closed"), (4, "open"), (5, None), (6, None), (7, None)]
+    for k, qclass in pairs:
+        spec = f"k={k}:{qclass}" if qclass else f"k={k}"
+        assert cli.parse_label_spec(3, spec) == representative_set(k, qclass)
+    assert cli.parse_label_spec(4, "k=4:xor-closed") == FunctionSet.from_ints(4, (1, 2, 4, 7))
 
 
 def test_parse_label_spec_bitstrings():

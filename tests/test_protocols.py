@@ -11,7 +11,7 @@ from grac import (
     reference_protocol,
     reference_value,
 )
-from grac.backends import run_seesaw
+from grac.quantum import run_seesaw
 from grac.quantum import sign_matrix
 
 

@@ -19,6 +19,7 @@ from grac import (
     seesaw,
     sign_matrix,
 )
+from grac.quantum import run_seesaw
 
 
 def test_sign_matrix_small():
@@ -174,3 +175,35 @@ def test_seesaw_rejects_non_finite_tolerance():
 def test_pm_strategy_from_dict_rejects_empty_preparations():
     with pytest.raises(InvalidInputError):
         PMStrategy.from_dict({"preparations": {}, "measurements": {}})
+
+
+def _random_kernel_problem(seed, k=4, restarts=6):
+    rng = np.random.default_rng(seed)
+    fset = FunctionSet.from_ints(3, tuple(rng.choice(range(1, 8), size=k, replace=False)))
+    signs = sign_matrix(fset)
+    v0 = rng.standard_normal((restarts, k, 3))
+    v0 /= np.linalg.norm(v0, axis=2, keepdims=True)
+    dmat = np.eye(3)
+    return signs, dmat, v0
+
+
+def test_kernel_deterministic():
+    signs, dmat, v0 = _random_kernel_problem(11)
+    out1 = run_seesaw(signs, dmat, v0.copy(), 500, 1e-10)
+    out2 = run_seesaw(signs, dmat, v0.copy(), 500, 1e-10)
+    for a, b in zip(out1, out2):
+        assert np.array_equal(np.asarray(a), np.asarray(b))
+
+
+def test_kernel_monotone_steps_reported():
+    signs, dmat, v0 = _random_kernel_problem(3, k=6, restarts=8)
+    _, _, min_deltas, _, _, _ = run_seesaw(signs, dmat, v0, 2000, 1e-10)
+    assert (np.asarray(min_deltas) > -1e-9).all()
+
+
+def test_kernel_single_start_accepted():
+    signs, dmat, v0 = _random_kernel_problem(5, k=3, restarts=1)
+    vals, iters, _, rvecs, vvecs, conv = run_seesaw(signs, dmat, v0[0], 1000, 1e-10)
+    assert np.asarray(vals).shape == (1,)
+    assert np.asarray(rvecs).shape == (1, 8, 3)
+    assert np.asarray(vvecs).shape == (1, 3, 3)

@@ -1,25 +1,116 @@
-"""Alternating-optimization kernel for one-qubit parity-guessing strategies.
+"""Shared see-saw driver, its report, and the one-qubit kernel built on it.
 
-Bloch-vector picture: with preparations r_x, measurement vectors v_y and
-sign matrix g[x,y] = (-1)^{f_y(x)}, the average success is
+Both optimizers alternate closed-form half-steps over a batch of restarts,
+so neither half-step can lower the objective.  `alternate` is the one loop
+that runs them: it keeps per-restart values, iteration counts, the smallest
+half-step improvement and convergence, and freezes a restart once its
+improvement over a full step falls below tol.  `run_seesaw` (prepare and
+measure) and `grac.eacc.eacc_seesaw` (entanglement-assisted) supply only
+their half-steps, and both return a `SeesawReport`.
+
+Bloch-vector picture of the one-qubit kernel: with preparations r_x,
+measurement vectors v_y and sign matrix g[x,y] = (-1)^{f_y(x)}, the average
+success is
 
     s = 1/2 + (1/(2 m k)) * sum_x Lam(r_x) . sum_y g[x,y] v_y
 
 where Lam(r) = D r is a (symmetric-free, general 3x3) channel acting on the
 prepared states.  Each half-step is closed form: the optimal r_x points along
-D^T V_x and the optimal v_y along sum_x g[x,y] D r_x, so the objective never
-decreases.  Everything runs batched over restarts.
+D^T V_x and the optimal v_y along sum_x g[x,y] D r_x.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+from .errors import InvalidInputError
+
+if TYPE_CHECKING:
+    from .eacc import EACCStrategy
+    from .quantum import PMStrategy
 
 _EPS = 1e-12  # vectors shorter than this keep their previous direction
 
 
+@dataclass(frozen=True)
+class SeesawReport:
+    """Best restart of a see-saw run."""
+
+    value: float
+    iterations: int
+    restarts_used: int
+    converged: bool
+    best_strategy: PMStrategy | EACCStrategy
+    seed: int
+    min_step_delta: float
+
+
+def check_budget(restarts: int, max_iters: int, tol: float) -> None:
+    """Reject a see-saw budget that cannot run or cannot stop."""
+    if restarts < 1:
+        raise InvalidInputError("need at least one restart")
+    if max_iters < 1:
+        raise InvalidInputError("need at least one iteration")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInputError(f"tolerance must be finite and positive, got {tol!r}")
+
+
+def alternate(step, state, max_iters, tol):
+    """Iterate step over a batch of restarts until every restart converges.
+
+    Parameters
+    ----------
+    step : callable taking the arrays of state, returning (new_state, halves):
+        the new arrays in the same order and the (R,) objective after each
+        half-step
+    state : tuple of arrays with one leading row per restart; the rows of
+        restarts still running are updated in place
+    max_iters : iteration cap per restart
+    tol : freeze a restart once its per-iteration improvement drops below tol
+
+    Returns
+    -------
+    values : (R,) final objective per restart
+    iters : (R,) iterations actually used
+    min_deltas : (R,) smallest half-step improvement seen (monotonicity check)
+    converged : (R,) bool
+    """
+    n_restarts = state[0].shape[0]
+    values = np.full(n_restarts, -1.0)
+    min_deltas = np.full(n_restarts, np.inf)
+    iters = np.zeros(n_restarts, dtype=np.int64)
+    converged = np.zeros(n_restarts, dtype=bool)
+    active = np.ones(n_restarts, dtype=bool)
+
+    for it in range(1, max_iters + 1):
+        new_state, halves = step(*state)
+        step_min = halves[0] - values
+        for before, after in zip(halves, halves[1:]):
+            step_min = np.minimum(step_min, after - before)
+        improve = halves[-1] - values
+        upd = active
+        # Masked copies in place of arr[upd] = new[upd]: on batches of a few
+        # rows the fancy-indexed gather and scatter cost more than the step.
+        for arr, new in zip(state, new_state):
+            np.copyto(arr, new, where=upd.reshape((-1,) + (1,) * (arr.ndim - 1)))
+        np.minimum(min_deltas, step_min, out=min_deltas, where=upd)
+        np.copyto(values, halves[-1], where=upd)
+        iters[upd] = it
+        done = upd & (improve < tol)
+        converged |= done
+        active = active & ~done
+        if not active.any():
+            break
+
+    return values, iters, min_deltas, converged
+
+
 def run_seesaw(signs, dmat, v0, max_iters=10000, tol=1e-10):
-    """Run batched see-saw iterations.
+    """Run batched one-qubit see-saw iterations.
 
     Parameters
     ----------
@@ -46,15 +137,9 @@ def run_seesaw(signs, dmat, v0, max_iters=10000, tol=1e-10):
     n_restarts, k, _ = v.shape
     m = signs.shape[0]
     scale = 1.0 / (2.0 * m * k)
-
     r = np.zeros((n_restarts, m, 3))
-    values = np.full(n_restarts, -1.0)
-    min_deltas = np.full(n_restarts, np.inf)
-    iters = np.zeros(n_restarts, dtype=np.int64)
-    converged = np.zeros(n_restarts, dtype=bool)
-    active = np.ones(n_restarts, dtype=bool)
 
-    for it in range(1, max_iters + 1):
+    def step(r, v):
         big_v = np.matmul(signs, v)  # (R, m, 3): sum_y g[x,y] v_y
         u = np.matmul(big_v, dmat)  # rows hold D^T V_x
         unorm = np.linalg.norm(u, axis=2, keepdims=True)
@@ -65,19 +150,7 @@ def run_seesaw(signs, dmat, v0, max_iters=10000, tol=1e-10):
         wnorm = np.linalg.norm(w, axis=2, keepdims=True)
         v_new = np.where(wnorm > _EPS, w / np.where(wnorm > _EPS, wnorm, 1.0), v)
         value2 = 0.5 + scale * np.einsum("rkc,rkc->r", v_new, w)
+        return (r_new, v_new), (value1, value2)
 
-        step_min = np.minimum(value1 - values, value2 - value1)
-        improve = value2 - values
-        upd = active
-        r[upd] = r_new[upd]
-        v[upd] = v_new[upd]
-        min_deltas[upd] = np.minimum(min_deltas[upd], step_min[upd])
-        values[upd] = value2[upd]
-        iters[upd] = it
-        done = upd & (improve < tol)
-        converged |= done
-        active = active & ~done
-        if not active.any():
-            break
-
+    values, iters, min_deltas, converged = alternate(step, (r, v), max_iters, tol)
     return values, iters, min_deltas, r, v, converged

@@ -110,18 +110,8 @@ def identity_decoding(fset: FunctionSet, invert: tuple[int, ...] = ()) -> dict:
 
 def evaluate_classical(strategy: ClassicalStrategy, fset: FunctionSet) -> Rational:
     """Exact average-success count of a strategy on a question set."""
-    if strategy.encoding.n != fset.n:
-        raise WidthMismatchError(
-            f"encoding width {strategy.encoding.n} != set width {fset.n}"
-        )
-    m = 1 << fset.n
-    wins = 0
-    for lab in fset:
-        for x in range(m):
-            omega = strategy.encoding(x)
-            if strategy.decode(lab.r, omega) == parity(lab.r, x):
-                wins += 1
-    return Rational(wins, m * len(fset))
+    wins = sum(w.wins for w in per_label_wins(strategy, fset).values())
+    return Rational(wins, (1 << fset.n) * len(fset))
 
 
 def per_label_wins(strategy: ClassicalStrategy, fset: FunctionSet) -> dict[int, Rational]:

@@ -216,27 +216,26 @@ def _grid(points: int):
 
 def _cmd_eacc(args) -> int:
     fset = parse_label_spec(args.n, args.labels)
-    value, strategy, info = eacc_seesaw(
+    report = eacc_seesaw(
         fset,
         local_dim=args.local_dim,
         restarts=args.restarts,
         max_iters=args.max_iters,
         tol=args.tol,
         seed=args.seed,
-        full_output=True,
     )
     payload = {
         "n": fset.n,
         "labels": [lab.bitstring() for lab in fset],
         "local_dim": args.local_dim,
-        "value": value,
-        "iterations": info["iterations"],
-        "converged": info["converged"],
-        "strategy": strategy.to_dict(),
+        "value": report.value,
+        "iterations": report.iterations,
+        "converged": report.converged,
+        "strategy": report.best_strategy.to_dict(),
     }
     summary = (
-        f"eacc value {value:.9f} at local dimension {args.local_dim} "
-        f"({info['iterations']} iterations, converged={info['converged']})"
+        f"eacc value {report.value:.9f} at local dimension {args.local_dim} "
+        f"({report.iterations} iterations, converged={report.converged})"
     )
     print(summary)
     _emit(args, payload, summary)

@@ -16,16 +16,15 @@ maximally entangled state and rank-2 projective effects.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._seesaw import SeesawReport, alternate, check_budget
 from .classical import ENUM_MAX_WIDTH, ClassicalStrategy, classical_optimum
 from .errors import (
     DimensionMismatchError,
     InvalidEffectError,
-    InvalidInputError,
     WidthMismatchError,
 )
 from .mubs import FunctionSet, sign_matrix
@@ -155,11 +154,25 @@ def validate_strategy(strategy: EACCStrategy) -> None:
             _check_effect_pair(strategy.bob[omega, j], f"bob effect (ω={omega}, label={r})")
 
 
-def _bob_sums(bob: np.ndarray, ftab: np.ndarray) -> np.ndarray:
-    """Bsum[x, ω] = Σ_y B^{ω,y}_{f_y(x)}, shape (m, 2, dB, dB)."""
-    return np.einsum("xy,oyab->xoab", 1.0 - ftab, bob[:, :, 0]) + np.einsum(
-        "xy,oyab->xoab", ftab, bob[:, :, 1]
+def _bob_sums(bob: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """Bsum[..., x, ω] = Σ_y B^{ω,y}_{f_y(x)}, shape (..., m, 2, dB, dB).
+
+    m0 = 1 - f and m1 = f are the (m, k) tables of the two outcomes; leading
+    axes of bob (restarts) carry through.
+    """
+    return np.einsum("xy,...oyab->...xoab", m0, bob[..., 0, :, :]) + np.einsum(
+        "xy,...oyab->...xoab", m1, bob[..., 1, :, :]
     )
+
+
+def _joint_operator(alice: np.ndarray, bsum: np.ndarray) -> np.ndarray:
+    """Σ_{x,ω} A^x_ω ⊗ Bsum[x, ω] on the Alice ⊗ Bob space, row-major.
+
+    The success is Tr(ρ ·) of this over 2^n k; leading axes carry through.
+    """
+    da, db = alice.shape[-1], bsum.shape[-1]
+    big = np.einsum("...xoij,...xokl->...ikjl", alice, bsum)
+    return big.reshape(big.shape[:-4] + (da * db, da * db))
 
 
 def evaluate_eacc(strategy: EACCStrategy, fset: FunctionSet) -> float:
@@ -172,9 +185,7 @@ def evaluate_eacc(strategy: EACCStrategy, fset: FunctionSet) -> float:
         )
     validate_strategy(strategy)
     ftab = 0.5 * (1.0 - sign_matrix(fset))
-    bsum = _bob_sums(strategy.bob, ftab)
-    da, db = strategy.dims
-    big = np.einsum("xoij,xokl->ikjl", strategy.alice, bsum).reshape(da * db, da * db)
+    big = _joint_operator(strategy.alice, _bob_sums(strategy.bob, 1.0 - ftab, ftab))
     m, k = ftab.shape
     return float(np.einsum("ij,ji->", strategy.state, big).real) / (m * k)
 
@@ -295,25 +306,20 @@ def eacc_seesaw(
     max_iters: int = 3000,
     tol: float = 1e-10,
     seed: int = 0,
-    full_output: bool = False,
-):
+) -> SeesawReport:
     """Best entanglement-assisted value found by alternating optimization.
 
     Restart i draws rank-ceil(d/2) Haar projector effects from the generator
     seeded with (seed, i); one extra start embeds an optimal classical
-    strategy so the result never falls below the classical optimum.  Returns
-    (value, EACCStrategy), plus a diagnostics dict when full_output is set.
+    strategy so the result never falls below the classical optimum.  Each
+    iteration moves the state, then Alice's effects, then Bob's.  Returns
+    the best restart as a SeesawReport holding an EACCStrategy.
     """
     if local_dim not in LOCAL_DIMS:
         raise DimensionMismatchError(
             f"local dimension must be one of {LOCAL_DIMS}, got {local_dim}"
         )
-    if restarts < 1:
-        raise InvalidInputError("need at least one restart")
-    if max_iters < 1:
-        raise InvalidInputError("need at least one iteration")
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidInputError(f"tolerance must be finite and positive, got {tol!r}")
+    check_budget(restarts, max_iters, tol)
     d = local_dim
     m = 1 << fset.n
     k = len(fset)
@@ -339,22 +345,12 @@ def eacc_seesaw(
     eye = np.eye(d, dtype=np.complex128)
     aeff = np.stack([a0, eye - a0], axis=2)  # (R, m, 2, d, d)
     beff = np.stack([b0, eye - b0], axis=3)  # (R, 2, k, 2, d, d)
-
-    values = np.full(n_restarts, -1.0)
-    iters = np.zeros(n_restarts, dtype=np.int64)
-    min_deltas = np.full(n_restarts, np.inf)
-    converged = np.zeros(n_restarts, dtype=bool)
-    active = np.ones(n_restarts, dtype=bool)
     psi = np.zeros((n_restarts, d * d), dtype=np.complex128)
     scale = 1.0 / (m * k)
 
-    for it in range(1, max_iters + 1):
-        bsum = np.einsum("xy,royab->rxoab", m0, beff[:, :, :, 0]) + np.einsum(
-            "xy,royab->rxoab", m1, beff[:, :, :, 1]
-        )
-        big = np.einsum("rxoij,rxokl->rikjl", aeff, bsum).reshape(
-            n_restarts, d * d, d * d
-        )
+    def step(_psi, aeff, beff):
+        bsum = _bob_sums(beff, m0, m1)
+        big = _joint_operator(aeff, bsum)
         big = 0.5 * (big + np.conj(np.swapaxes(big, -1, -2)))
         w, vecs = np.linalg.eigh(big)
         psi_new = vecs[:, :, -1]
@@ -381,34 +377,19 @@ def eacc_seesaw(
             np.einsum("royjk,roykj->r", l0, beff_new[:, :, :, 0])
             + np.einsum("royjk,roykj->r", l1, beff_new[:, :, :, 1])
         ).real * scale
+        return (psi_new, aeff_new, beff_new), (v_state, v_alice, v_bob)
 
-        step_min = np.minimum(
-            np.minimum(v_state - values, v_alice - v_state), v_bob - v_alice
-        )
-        improve = v_bob - values
-        upd = active
-        psi[upd] = psi_new[upd]
-        aeff[upd] = aeff_new[upd]
-        beff[upd] = beff_new[upd]
-        min_deltas[upd] = np.minimum(min_deltas[upd], step_min[upd])
-        values[upd] = v_bob[upd]
-        iters[upd] = it
-        done = upd & (improve < tol)
-        converged |= done
-        active = active & ~done
-        if not active.any():
-            break
-
+    values, iters, min_deltas, converged = alternate(
+        step, (psi, aeff, beff), max_iters, tol
+    )
     best = int(np.argmax(values))
     state = np.outer(psi[best], psi[best].conj())
-    strategy = EACCStrategy(fset.n, fset.ints, state, aeff[best], beff[best])
-    value = float(values[best])
-    if full_output:
-        info = {
-            "iterations": int(iters[best]),
-            "min_delta": float(min_deltas[best]),
-            "converged": bool(converged[best]),
-            "restarts_used": n_restarts,
-        }
-        return value, strategy, info
-    return value, strategy
+    return SeesawReport(
+        value=float(values[best]),
+        iterations=int(iters[best]),
+        restarts_used=n_restarts,
+        converged=bool(converged[best]),
+        best_strategy=EACCStrategy(fset.n, fset.ints, state, aeff[best], beff[best]),
+        seed=seed,
+        min_step_delta=float(min_deltas[best]),
+    )

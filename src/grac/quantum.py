@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seesaw import run_seesaw
+from ._seesaw import SeesawReport, check_budget, run_seesaw
 from .classical import ENUM_MAX_WIDTH, classical_optimum
 from .errors import InvalidInputError, WidthMismatchError
-from .mubs import FunctionSet, parity, sign_matrix
+from .mubs import FunctionSet, sign_matrix
 
 _UNIT_TOL = 1e-12
 
@@ -141,29 +141,12 @@ def classical_start_vectors(fset: FunctionSet, axis=(0.0, 0.0, 1.0)) -> np.ndarr
     axis matters under dephasing: vectors along the dephasing axis survive).
     """
     _, strategies = classical_optimum(fset, max_strategies=1)
-    enc = strategies[0].encoding
-    m = 1 << fset.n
     a = np.asarray(axis, dtype=np.float64)
     a = a / np.linalg.norm(a)
     vecs = np.zeros((len(fset), 3))
     for j, lab in enumerate(fset):
-        n00 = sum(1 for x in range(m) if enc(x) == 0 and parity(lab.r, x) == 0)
-        n01 = sum(1 for x in range(m) if enc(x) == 0 and parity(lab.r, x) == 1)
-        vecs[j] = a if n00 >= n01 else -a
+        vecs[j] = a if strategies[0].decode(lab.r, 0) == 0 else -a
     return vecs
-
-
-@dataclass(frozen=True)
-class SeesawReport:
-    """Best restart of a see-saw run."""
-
-    value: float
-    iterations: int
-    restarts_used: int
-    converged: bool
-    best_strategy: PMStrategy
-    seed: int
-    min_step_delta: float
 
 
 def _random_unit_rows(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -198,12 +181,7 @@ def seesaw(
     plus a classical-embedding start when the exhaustive classical optimum is
     available, plus any caller-provided warm starts.
     """
-    if restarts < 1:
-        raise InvalidInputError("need at least one restart")
-    if max_iters < 1:
-        raise InvalidInputError("need at least one iteration")
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidInputError(f"tolerance must be finite and positive, got {tol!r}")
+    check_budget(restarts, max_iters, tol)
     k = len(fset)
     starts = [
         _random_unit_rows(np.random.default_rng((seed, i)), k) for i in range(restarts)

@@ -245,11 +245,11 @@ def table_four(seed: int = 0, restarts: int = 8, open_quad_restarts: int = 64) -
     for (kname, qclass), ref in _TABLE_IV_D2.items():
         k = int(kname.split("=")[1])
         fset = representative_set(k, qclass)
-        value, _ = eacc_seesaw(fset, local_dim=2, restarts=restarts, seed=seed)
+        value = eacc_seesaw(fset, local_dim=2, restarts=restarts, seed=seed).value
         cname = f" ({qclass})" if qclass else ""
         rows.append(_row(f"EACC {kname}{cname}, local dim 2", value, ref))
     open_quad = representative_set(4, "open")
-    value, _ = eacc_seesaw(open_quad, local_dim=4, restarts=open_quad_restarts, seed=seed)
+    value = eacc_seesaw(open_quad, local_dim=4, restarts=open_quad_restarts, seed=seed).value
     rows.append(_row("EACC k=4 (open), local dim 4", value, 0.75))
     return TableReport("IV", 1e-4, tuple(rows))
 

@@ -9,6 +9,7 @@ from grac import (
     FunctionSet,
     InvalidEffectError,
     InvalidInputError,
+    SeesawReport,
     WidthMismatchError,
     classical_embed,
     classical_optimum,
@@ -117,20 +118,24 @@ def test_bell_reading_matches_communication_value():
 
 def test_eacc_seesaw_pair_reaches_optimum():
     fset = representative_set(2)
-    value, strat = eacc_seesaw(fset, local_dim=2, restarts=6, seed=0)
+    report = eacc_seesaw(fset, local_dim=2, restarts=6, seed=0)
+    value, strat = report.value, report.best_strategy
     assert value == pytest.approx(pm_upper_bound(2), abs=1e-6)
     validate_strategy(strat)
     assert evaluate_eacc(strat, fset) == pytest.approx(value, abs=1e-9)
 
 
-def test_eacc_seesaw_full_output_and_floor():
+def test_eacc_seesaw_report_and_floor():
     fset = representative_set(4, "xor-closed")
-    value, strat, info = eacc_seesaw(fset, local_dim=2, restarts=4, seed=0, full_output=True)
+    report = eacc_seesaw(fset, local_dim=2, restarts=4, seed=0)
+    assert isinstance(report, SeesawReport)
+    value = report.value
     assert value == pytest.approx(0.75, abs=1e-6)
     assert value >= classical_optimum(fset)[0].value - 1e-9
-    assert info["min_delta"] > -1e-8
-    assert info["restarts_used"] >= 4
-    assert info["iterations"] >= 1
+    assert report.min_step_delta > -1e-8
+    assert report.restarts_used >= 4
+    assert report.iterations >= 1
+    assert evaluate_eacc(report.best_strategy, fset) == pytest.approx(report.value, abs=1e-9)
 
 
 def test_eacc_seesaw_dimension_validation():
@@ -139,12 +144,15 @@ def test_eacc_seesaw_dimension_validation():
         eacc_seesaw(fset, local_dim=5)
     with pytest.raises(ValueError):
         eacc_seesaw(fset, restarts=0)
+    with pytest.raises(InvalidInputError):
+        eacc_seesaw(fset, max_iters=0)
 
 
 def test_eacc_open_quadruple_needs_dimension_four():
     """At 4x4 the open quadruple reaches 3/4; the winning strategy checks out."""
     fset = representative_set(4, "open")
-    value, strat = eacc_seesaw(fset, local_dim=4, restarts=64, seed=0)
+    report = eacc_seesaw(fset, local_dim=4, restarts=64, seed=0)
+    value, strat = report.value, report.best_strategy
     assert value == pytest.approx(0.75, abs=1e-6)
     validate_strategy(strat)
     rep = eacc_to_bell(strat, fset)

@@ -19,6 +19,7 @@ from grac import (
     seesaw,
     sign_matrix,
 )
+from grac._seesaw import alternate
 from grac.quantum import run_seesaw
 
 
@@ -207,3 +208,32 @@ def test_kernel_single_start_accepted():
     assert np.asarray(vals).shape == (1,)
     assert np.asarray(rvecs).shape == (1, 8, 3)
     assert np.asarray(vvecs).shape == (1, 3, 3)
+
+
+def test_alternate_freezes_converged_rows():
+    """Toy step: row i climbs one unit per iteration up to caps[i].
+
+    The first half-step reaches the new level and the second adds nothing,
+    so a running row's smallest half-step improvement is 0; row 2 takes a
+    planted downhill second half-step (-0.5) on its second iteration.  A row
+    converges on the first iteration that gains nothing, so row 0 (cap 0)
+    needs two: its first gain is measured from the starting value -1.  The
+    last row is still climbing at max_iters.
+    """
+    caps = np.array([0.0, 2.0, 5.0, 100.0])
+    level = np.zeros(4)
+    calls = np.zeros(4)  # per-row step count; frozen rows must stop counting
+
+    def step(level, calls):
+        new_level = np.minimum(level + 1.0, caps)
+        half = new_level.copy()
+        half[2] += 0.5 if calls[2] == 1 else 0.0
+        return (new_level, calls + 1.0), (half, new_level)
+
+    values, iters, min_deltas, converged = alternate(step, (level, calls), 10, 1e-9)
+    assert iters.tolist() == [2, 3, 6, 10]
+    assert calls.tolist() == [2.0, 3.0, 6.0, 10.0]
+    assert converged.tolist() == [True, True, True, False]
+    assert values.tolist() == [0.0, 2.0, 5.0, 10.0]
+    assert level.tolist() == [0.0, 2.0, 5.0, 10.0]
+    assert min_deltas.tolist() == [0.0, 0.0, -0.5, 0.0]

@@ -4,9 +4,13 @@ Both optimizers alternate closed-form half-steps over a batch of restarts,
 so neither half-step can lower the objective.  `alternate` is the one loop
 that runs them: it keeps per-restart values, iteration counts, the smallest
 half-step improvement and convergence, and freezes a restart once its
-improvement over a full step falls below tol.  `run_seesaw` (prepare and
-measure) and `grac.eacc.eacc_seesaw` (entanglement-assisted) supply only
-their half-steps, and both return a `SeesawReport`.
+improvement over a full step falls below tol.  A frozen restart is no longer
+stepped: the half-steps see only the rows still running, so they must not
+capture the batch size, and per-row constants ride in the state.  Each row's
+final state lands in the caller's arrays when that row freezes.
+`run_seesaw` (prepare and measure) and `grac.eacc.eacc_seesaw`
+(entanglement-assisted) supply only their half-steps, and both return a
+`SeesawReport`.
 
 Bloch-vector picture of the one-qubit kernel: with preparations r_x,
 measurement vectors v_y and sign matrix g[x,y] = (-1)^{f_y(x)}, the average
@@ -22,6 +26,7 @@ D^T V_x and the optimal v_y along sum_x g[x,y] D r_x.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -51,6 +56,9 @@ class SeesawReport:
 
 def check_budget(restarts: int, max_iters: int, tol: float) -> None:
     """Reject a see-saw budget that cannot run or cannot stop."""
+    for name, count in (("restarts", restarts), ("max_iters", max_iters)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise InvalidInputError(f"{name} must be an integer, got {count!r}")
     if restarts < 1:
         raise InvalidInputError("need at least one restart")
     if max_iters < 1:
@@ -62,13 +70,23 @@ def check_budget(restarts: int, max_iters: int, tol: float) -> None:
 def alternate(step, state, max_iters, tol):
     """Iterate step over a batch of restarts until every restart converges.
 
+    Only restarts still running are stepped.  The loop keeps the caller
+    index of each running row and a compacted working copy of their state.
+    On an iteration where some row freezes, and on the last iteration, it
+    writes the frozen rows' final state, value, iteration count, smallest
+    half-step improvement and convergence into the caller's arrays, then
+    drops them from the working copy; other iterations do no indexing.  The
+    batch that step sees therefore shrinks: step must not capture the batch
+    size, and a per-restart constant must be one of the state arrays (step
+    returns it unchanged) so that it shrinks with the rows it belongs to.
+
     Parameters
     ----------
     step : callable taking the arrays of state, returning (new_state, halves):
-        the new arrays in the same order and the (R,) objective after each
-        half-step
-    state : tuple of arrays with one leading row per restart; the rows of
-        restarts still running are updated in place
+        new arrays in the same order (the arguments must not be written)
+        and the objective of each row after each half-step
+    state : tuple of arrays with one leading row per restart; each row
+        receives its restart's final state when the restart freezes
     max_iters : iteration cap per restart
     tol : freeze a restart once its per-iteration improvement drops below tol
 
@@ -77,34 +95,44 @@ def alternate(step, state, max_iters, tol):
     values : (R,) final objective per restart
     iters : (R,) iterations actually used
     min_deltas : (R,) smallest half-step improvement seen (monotonicity check)
-    converged : (R,) bool
+    converged : (R,) bool, False for restarts still running at max_iters
     """
     n_restarts = state[0].shape[0]
     values = np.full(n_restarts, -1.0)
     min_deltas = np.full(n_restarts, np.inf)
     iters = np.zeros(n_restarts, dtype=np.int64)
     converged = np.zeros(n_restarts, dtype=bool)
-    active = np.ones(n_restarts, dtype=bool)
 
+    rows = np.arange(n_restarts)  # caller index of each working row
+    work = tuple(state)
+    value = values.copy()
+    min_delta = min_deltas.copy()
     for it in range(1, max_iters + 1):
-        new_state, halves = step(*state)
-        step_min = halves[0] - values
+        work, halves = step(*work)
+        step_min = halves[0] - value
         for before, after in zip(halves, halves[1:]):
             step_min = np.minimum(step_min, after - before)
-        improve = halves[-1] - values
-        upd = active
-        # Masked copies in place of arr[upd] = new[upd]: on batches of a few
-        # rows the fancy-indexed gather and scatter cost more than the step.
-        for arr, new in zip(state, new_state):
-            np.copyto(arr, new, where=upd.reshape((-1,) + (1,) * (arr.ndim - 1)))
-        np.minimum(min_deltas, step_min, out=min_deltas, where=upd)
-        np.copyto(values, halves[-1], where=upd)
-        iters[upd] = it
-        done = upd & (improve < tol)
-        converged |= done
-        active = active & ~done
-        if not active.any():
+        min_delta = np.minimum(min_delta, step_min)
+        done = halves[-1] - value < tol
+        value = halves[-1]
+        last = it == max_iters
+        if not (last or done.any()):
+            continue
+        freeze = np.ones_like(done) if last else done
+        dest = rows[freeze]
+        for arr, new in zip(state, work):
+            arr[dest] = new[freeze]
+        values[dest] = value[freeze]
+        min_deltas[dest] = min_delta[freeze]
+        iters[dest] = it
+        converged[dest] = done[freeze]
+        keep = ~freeze
+        if not keep.any():
             break
+        rows = rows[keep]
+        work = tuple(arr[keep] for arr in work)
+        value = value[keep]
+        min_delta = min_delta[keep]
 
     return values, iters, min_deltas, converged
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import Rational, classical_optimum
-from .errors import NoCrossingError
+from .errors import InvalidInputError, NoCrossingError
 from .mubs import FunctionSet
 from .quantum import classical_start_vectors, seesaw
 
@@ -24,10 +24,10 @@ DEPHASING = "dephasing"
 def _unit_axis(axis) -> tuple[float, float, float]:
     arr = np.asarray(axis, dtype=np.float64)
     if arr.shape != (3,):
-        raise ValueError(f"axis must be a 3-vector, got shape {arr.shape}")
+        raise InvalidInputError(f"axis must be a 3-vector, got shape {arr.shape}")
     norm = float(np.linalg.norm(arr))
     if norm < 1e-12:
-        raise ValueError("axis must be nonzero")
+        raise InvalidInputError("axis must be nonzero")
     return (float(arr[0] / norm), float(arr[1] / norm), float(arr[2] / norm))
 
 
@@ -42,17 +42,23 @@ class BlochMap:
     def __post_init__(self) -> None:
         if self.kind == DEPOLARIZING:
             if not 0.0 <= self.lam <= 1.0:
-                raise ValueError(f"depolarizing strength must be in [0, 1], got {self.lam}")
+                raise InvalidInputError(
+                    f"depolarizing strength must be in [0, 1], got {self.lam}"
+                )
             if self.axis is not None:
-                raise ValueError("depolarizing noise takes no axis")
+                raise InvalidInputError("depolarizing noise takes no axis")
         elif self.kind == DEPHASING:
             if not 0.0 <= self.lam <= 0.5:
-                raise ValueError(f"dephasing strength must be in [0, 1/2], got {self.lam}")
+                raise InvalidInputError(
+                    f"dephasing strength must be in [0, 1/2], got {self.lam}"
+                )
             if self.axis is None:
-                raise ValueError("dephasing noise needs an axis")
+                raise InvalidInputError("dephasing noise needs an axis")
             object.__setattr__(self, "axis", _unit_axis(self.axis))
         else:
-            raise ValueError(f"kind must be {DEPOLARIZING!r} or {DEPHASING!r}, got {self.kind!r}")
+            raise InvalidInputError(
+                f"kind must be {DEPOLARIZING!r} or {DEPHASING!r}, got {self.kind!r}"
+            )
 
     @classmethod
     def depolarizing(cls, lam: float) -> "BlochMap":

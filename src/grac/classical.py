@@ -36,9 +36,9 @@ class Rational:
 
     def __post_init__(self) -> None:
         if self.total <= 0:
-            raise ValueError("total must be positive")
+            raise InvalidInputError("total must be positive")
         if not 0 <= self.wins <= self.total:
-            raise ValueError(f"wins must lie in 0..{self.total}, got {self.wins}")
+            raise InvalidInputError(f"wins must lie in 0..{self.total}, got {self.wins}")
 
     @property
     def value(self) -> float:
@@ -69,7 +69,7 @@ class ClassicalStrategy:
         try:
             return self.decoding[(r, omega)]
         except KeyError:
-            raise ValueError(f"decoding is not defined for label {r}, message {omega}")
+            raise InvalidInputError(f"decoding is not defined for label {r}, message {omega}")
 
     def to_dict(self) -> dict:
         n = self.encoding.n
@@ -246,11 +246,11 @@ class RACStrategy:
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= 10:
-            raise ValueError(f"RAC size must be in 1..10, got {self.k}")
+            raise InvalidInputError(f"RAC size must be in 1..10, got {self.k}")
         if not 0 <= self.encoding < 1 << (1 << self.k):
-            raise ValueError("encoding mask wider than 2^k bits")
+            raise InvalidInputError("encoding mask wider than 2^k bits")
         if len(self.decoding) != self.k:
-            raise ValueError("decoding must list one (z0, z1) pair per position")
+            raise InvalidInputError("decoding must list one (z0, z1) pair per position")
 
     def encode(self, b: int) -> int:
         return (self.encoding >> b) & 1
@@ -312,7 +312,7 @@ def lift_rac_strategy(
     if perm is None:
         perm = tuple(range(k))
     if sorted(perm) != list(range(k)):
-        raise ValueError(f"perm must permute 0..{k - 1}, got {perm}")
+        raise InvalidInputError(f"perm must permute 0..{k - 1}, got {perm}")
     n = fset.n
     labels = fset.labels
     table = 0

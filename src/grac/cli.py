@@ -23,7 +23,7 @@ from .channels import (
 )
 from .classical import classical_optimum
 from .eacc import eacc_seesaw
-from .errors import GracError
+from .errors import GracError, InvalidInputError
 from .mubs import FunctionSet, classify_quadruple, full_mubs, is_mubs
 from .quantum import pm_upper_bound, seesaw
 
@@ -41,7 +41,7 @@ def parse_label_spec(n: int, spec: str) -> FunctionSet:
         return FunctionSet.from_ints(n, tables_mod.representative_labels(int(body), qclass))
     fset = FunctionSet.from_bitstrings(spec)
     if fset.n != n:
-        raise ValueError(
+        raise InvalidInputError(
             f"label width {fset.n} disagrees with --n {n}; drop --n or fix the labels"
         )
     return fset
@@ -68,7 +68,7 @@ def _emit(args, payload: dict, text: str, csv: str | None = None) -> None:
         data = text if text.endswith("\n") else text + "\n"
     else:
         if csv is None:
-            raise ValueError(f"format csv is not available for {args.command}")
+            raise InvalidInputError(f"format csv is not available for {args.command}")
         data = csv
     if args.out:
         _atomic_write(args.out, data)
@@ -210,7 +210,7 @@ def _cmd_noise(args) -> int:
 
 def _grid(points: int):
     if points < 2:
-        raise ValueError("need at least two grid points")
+        raise InvalidInputError("need at least two grid points")
     return [0.5 * i / (points - 1) for i in range(points)]
 
 

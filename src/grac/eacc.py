@@ -355,7 +355,7 @@ def eacc_seesaw(
         w, vecs = np.linalg.eigh(big)
         psi_new = vecs[:, :, -1]
         v_state = w[:, -1].real * scale
-        pmat = psi_new.reshape(n_restarts, d, d)
+        pmat = psi_new.reshape(-1, d, d)
         rho4 = np.einsum("raj,rbk->rajbk", pmat, pmat.conj())
 
         # Alice: per x, split along K^x_0 - K^x_1 with

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import (
+    InvalidInputError,
     NotBalancedError,
     WidthMismatchError,
     WidthOutOfRangeError,
@@ -45,7 +46,7 @@ class BooleanFn:
     def __post_init__(self) -> None:
         _check_width(self.n)
         if not 0 <= self.table < 1 << (1 << self.n):
-            raise ValueError(f"table must use only the low {1 << self.n} bits")
+            raise InvalidInputError(f"table must use only the low {1 << self.n} bits")
 
     def __call__(self, x: int) -> int:
         return (self.table >> x) & 1
@@ -62,11 +63,13 @@ class BooleanFn:
     def from_bits(cls, bits: str) -> "BooleanFn":
         n = (len(bits) - 1).bit_length()
         if len(bits) != 1 << n:
-            raise ValueError(f"truth table length must be a power of two, got {len(bits)}")
+            raise InvalidInputError(
+                f"truth table length must be a power of two, got {len(bits)}"
+            )
         table = 0
         for x, c in enumerate(bits):
             if c not in "01":
-                raise ValueError(f"truth table may contain only 0/1, got {bits!r}")
+                raise InvalidInputError(f"truth table may contain only 0/1, got {bits!r}")
             table |= int(c) << x
         return cls(n, table)
 
@@ -81,7 +84,7 @@ class ParityLabel:
     def __post_init__(self) -> None:
         _check_width(self.n)
         if not 0 < self.r < 1 << self.n:
-            raise ValueError(f"label must be a nonzero {self.n}-bit value, got {self.r}")
+            raise InvalidInputError(f"label must be a nonzero {self.n}-bit value, got {self.r}")
 
     def bitstring(self) -> str:
         return format(self.r, f"0{self.n}b")
@@ -89,7 +92,7 @@ class ParityLabel:
     @classmethod
     def from_bitstring(cls, bits: str) -> "ParityLabel":
         if not bits or set(bits) - {"0", "1"}:
-            raise ValueError(f"label must be a nonempty bitstring, got {bits!r}")
+            raise InvalidInputError(f"label must be a nonempty bitstring, got {bits!r}")
         return cls(len(bits), int(bits, 2))
 
 
@@ -143,13 +146,13 @@ class FunctionSet:
     def __post_init__(self) -> None:
         _check_width(self.n)
         if not self.labels:
-            raise ValueError("a function set needs at least one label")
+            raise InvalidInputError("a function set needs at least one label")
         for lab in self.labels:
             if lab.n != self.n:
                 raise WidthMismatchError(f"label width {lab.n} != set width {self.n}")
         ints = [lab.r for lab in self.labels]
         if len(set(ints)) != len(ints):
-            raise ValueError("labels must be distinct")
+            raise InvalidInputError("labels must be distinct")
         object.__setattr__(self, "labels", tuple(sorted(self.labels)))
 
     def __len__(self) -> int:
@@ -177,7 +180,7 @@ class FunctionSet:
     def from_bitstrings(cls, text: str) -> "FunctionSet":
         parts = [p.strip() for p in text.split(",") if p.strip()]
         if not parts:
-            raise ValueError("expected a comma-separated list of label bitstrings")
+            raise InvalidInputError("expected a comma-separated list of label bitstrings")
         labels = tuple(ParityLabel.from_bitstring(p) for p in parts)
         return cls(labels[0].n, labels)
 

@@ -34,17 +34,17 @@ def _channel_matrix(channel) -> np.ndarray:
         return np.asarray(channel.matrix(), dtype=np.float64)
     mat = np.asarray(channel, dtype=np.float64)
     if mat.shape != (3, 3):
-        raise ValueError(f"channel matrix must be 3x3, got shape {mat.shape}")
+        raise InvalidInputError(f"channel matrix must be 3x3, got shape {mat.shape}")
     return mat
 
 
 def _as_unit(vec, what: str) -> tuple[float, float, float]:
     arr = np.asarray(vec, dtype=np.float64)
     if arr.shape != (3,):
-        raise ValueError(f"{what} must be a 3-vector, got shape {arr.shape}")
+        raise InvalidInputError(f"{what} must be a 3-vector, got shape {arr.shape}")
     norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > _UNIT_TOL:
-        raise ValueError(f"{what} must be unit norm, got |v| = {norm!r}")
+        raise InvalidInputError(f"{what} must be unit norm, got |v| = {norm!r}")
     return (float(arr[0]), float(arr[1]), float(arr[2]))
 
 
@@ -59,12 +59,14 @@ class PMStrategy:
     def __post_init__(self) -> None:
         m = 1 << self.n
         if set(self.preparations) != set(range(m)):
-            raise ValueError(f"preparations must cover all {m} inputs")
+            raise InvalidInputError(f"preparations must cover all {m} inputs")
         prep = {x: _as_unit(vec, f"preparation {x}") for x, vec in self.preparations.items()}
         meas = {}
         for r, vec in self.measurements.items():
             if not 0 < r < m:
-                raise ValueError(f"measurement label {r} is not a nonzero {self.n}-bit value")
+                raise InvalidInputError(
+                    f"measurement label {r} is not a nonzero {self.n}-bit value"
+                )
             meas[r] = _as_unit(vec, f"measurement {r}")
         object.__setattr__(self, "preparations", prep)
         object.__setattr__(self, "measurements", meas)
@@ -77,7 +79,7 @@ class PMStrategy:
         try:
             return np.array([self.measurements[lab.r] for lab in fset])
         except KeyError as exc:
-            raise ValueError(f"strategy has no measurement for label {exc.args[0]}")
+            raise InvalidInputError(f"strategy has no measurement for label {exc.args[0]}")
 
     def to_dict(self) -> dict:
         n = self.n
@@ -114,7 +116,7 @@ def evaluate_pm(strategy: PMStrategy, fset: FunctionSet, channel=None) -> float:
 def pm_upper_bound(k: int) -> float:
     """Ceiling 1/2(1+1/sqrt(k)) on one-qubit strategies for k unbiased questions."""
     if k < 1:
-        raise ValueError(f"cardinality must be positive, got {k}")
+        raise InvalidInputError(f"cardinality must be positive, got {k}")
     return 0.5 * (1.0 + 1.0 / math.sqrt(k))
 
 

@@ -32,6 +32,7 @@ from .classical import (
     rac_optimum,
 )
 from .eacc import eacc_seesaw
+from .errors import InvalidInputError
 from .mubs import BooleanFn, FunctionSet, full_mubs
 from .quantum import seesaw
 
@@ -45,9 +46,9 @@ def representative_labels(k: int, quad_class: str | None = None) -> tuple[int, .
     are the same at every width, so the CLI applies them at --n.
     """
     if k == 4 and quad_class not in ("xor-closed", "open"):
-        raise ValueError("cardinality 4 needs a class: k=4:xor-closed or k=4:open")
+        raise InvalidInputError("cardinality 4 needs a class: k=4:xor-closed or k=4:open")
     if k != 4 and quad_class is not None:
-        raise ValueError("a quadruple class only applies to cardinality 4")
+        raise InvalidInputError("a quadruple class only applies to cardinality 4")
     return (1, 2, 4, 7) if quad_class == "xor-closed" else tuple(range(1, k + 1))
 
 
@@ -255,7 +256,7 @@ def table_four(seed: int = 0, restarts: int = 8, open_quad_restarts: int = 64) -
 
 
 def reproduce_tables(which=TABLE_IDS, seed: int = 0) -> list[TableReport]:
-    """Recompute the requested tables; invalid ids raise ValueError."""
+    """Recompute the requested tables; invalid ids raise InvalidInputError."""
     builders = {
         "I": lambda: table_one(),
         "II": lambda: table_two(),
@@ -265,5 +266,5 @@ def reproduce_tables(which=TABLE_IDS, seed: int = 0) -> list[TableReport]:
     }
     for t in which:
         if t not in builders:
-            raise ValueError(f"unknown table id {t!r}; valid ids: {TABLE_IDS}")
+            raise InvalidInputError(f"unknown table id {t!r}; valid ids: {TABLE_IDS}")
     return [builders[t]() for t in which]

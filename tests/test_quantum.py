@@ -20,6 +20,7 @@ from grac import (
     sign_matrix,
 )
 from grac._seesaw import alternate
+from grac.eacc import eacc_seesaw
 from grac.quantum import run_seesaw
 
 
@@ -221,19 +222,62 @@ def test_alternate_freezes_converged_rows():
     last row is still climbing at max_iters.
     """
     caps = np.array([0.0, 2.0, 5.0, 100.0])
+    row = np.arange(4)  # the batch shrinks, so rows are named, not positioned
     level = np.zeros(4)
     calls = np.zeros(4)  # per-row step count; frozen rows must stop counting
 
-    def step(level, calls):
+    def step(level, calls, caps, row):
         new_level = np.minimum(level + 1.0, caps)
-        half = new_level.copy()
-        half[2] += 0.5 if calls[2] == 1 else 0.0
-        return (new_level, calls + 1.0), (half, new_level)
+        half = new_level + np.where((row == 2) & (calls == 1), 0.5, 0.0)
+        return (new_level, calls + 1.0, caps, row), (half, new_level)
 
-    values, iters, min_deltas, converged = alternate(step, (level, calls), 10, 1e-9)
+    values, iters, min_deltas, converged = alternate(
+        step, (level, calls, caps, row), 10, 1e-9
+    )
     assert iters.tolist() == [2, 3, 6, 10]
     assert calls.tolist() == [2.0, 3.0, 6.0, 10.0]
     assert converged.tolist() == [True, True, True, False]
     assert values.tolist() == [0.0, 2.0, 5.0, 10.0]
     assert level.tolist() == [0.0, 2.0, 5.0, 10.0]
     assert min_deltas.tolist() == [0.0, 0.0, -0.5, 0.0]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_kernel_rows_independent_of_batch(n):
+    """Row i of a batched run equals a solo run of v0[i], bit for bit.
+
+    The driver drops converged rows and writes each one back when it
+    freezes, so a row written to the wrong place shows here.
+    """
+    rng = np.random.default_rng(40 + n)
+    dephasing = np.diag([1.0, 0.4, 0.4])
+    for _ in range(3):
+        labels = rng.choice(range(1, 1 << n), size=n + 1, replace=False)
+        signs = sign_matrix(FunctionSet.from_ints(n, tuple(int(x) for x in labels)))
+        for dmat in (np.eye(3), dephasing):
+            v0 = rng.standard_normal((15, n + 1, 3))
+            v0 /= np.linalg.norm(v0, axis=2, keepdims=True)
+            batch = run_seesaw(signs, dmat, v0, 400, 1e-10)
+            for i in range(len(v0)):
+                solo = run_seesaw(signs, dmat, v0[i], 400, 1e-10)
+                for whole, one in zip(batch, solo):
+                    assert np.array_equal(np.asarray(whole)[i], np.asarray(one)[0])
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        {"restarts": 2.5},
+        {"restarts": True},
+        {"restarts": 2.0},
+        {"max_iters": 2.5},
+        {"max_iters": float("inf")},
+        {"max_iters": True},
+    ],
+)
+def test_seesaws_reject_non_integer_budget(budget):
+    fset = FunctionSet.from_ints(3, (4, 2))
+    with pytest.raises(InvalidInputError):
+        seesaw(fset, **budget)
+    with pytest.raises(InvalidInputError):
+        eacc_seesaw(fset, **budget)

@@ -67,6 +67,12 @@ def check_budget(restarts: int, max_iters: int, tol: float) -> None:
         raise InvalidInputError(f"tolerance must be finite and positive, got {tol!r}")
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed that numpy's generator would refuse or silently truncate."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def alternate(step, state, max_iters, tol):
     """Iterate step over a batch of restarts until every restart converges.
 

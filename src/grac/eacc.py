@@ -6,9 +6,19 @@ by (ω, y) and outputs the guess.  The average success is
 
     s = (1/(2^n k)) sum_{x,y,ω} Tr( ρ · A^x_ω ⊗ B^{ω,y}_{f_y(x)} )
 
-The see-saw alternates three closed-form updates: the state moves to the top
-eigenvector of the effect-weighted operator, and each binary measurement
-splits along the nonnegative eigenspace of its local score difference.
+Correlator form.  Three facts reduce s to the outcome-0 effects alone:
+every effect pair is complete (A^x_1 = 1 - A^x_0, B^{ω,y}_1 = 1 - B^{ω,y}_0),
+every nonzero parity is balanced (sum_x g[x,y] = 0 for the sign matrix
+g[x,y] = (-1)^{f_y(x)}), and Tr ρ = 1.  With m = 2^n they give
+
+    s = 1/2 + Tr(ρ M) / (m k),    M = sum_x A^x_0 ⊗ bdiff[x],
+    bdiff[x] = sum_y g[x,y] (B^{0,y}_0 - B^{1,y}_0).
+
+The see-saw alternates three closed-form updates, each of which reads its
+value off the eigenvalues it computes: the state moves to the top
+eigenvector of M; each A^x_0 projects onto the nonnegative eigenspace of
+Alice's local correlator; and for each y, Bob's ω=0 and ω=1 effects project
+onto the nonnegative and nonpositive eigenspaces of one local correlator.
 Local dimension is a parameter: 2 suffices for every cardinality except the
 open quadruple, whose 3/4 optimum first appears at local dimension 4 with a
 maximally entangled state and rank-2 projective effects.
@@ -16,15 +26,17 @@ maximally entangled state and rank-2 projective effects.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._seesaw import SeesawReport, alternate, check_budget
+from ._seesaw import SeesawReport, alternate, check_budget, check_seed
 from .classical import ENUM_MAX_WIDTH, ClassicalStrategy, classical_optimum
 from .errors import (
     DimensionMismatchError,
     InvalidEffectError,
+    InvalidInputError,
     WidthMismatchError,
 )
 from .mubs import FunctionSet, sign_matrix
@@ -154,24 +166,13 @@ def validate_strategy(strategy: EACCStrategy) -> None:
             _check_effect_pair(strategy.bob[omega, j], f"bob effect (ω={omega}, label={r})")
 
 
-def _bob_sums(bob: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """Bsum[..., x, ω] = Σ_y B^{ω,y}_{f_y(x)}, shape (..., m, 2, dB, dB).
+def _correlator(a0: np.ndarray, bdiff: np.ndarray) -> np.ndarray:
+    """M = Σ_x A^x_0 ⊗ bdiff[x] on the Alice ⊗ Bob space, row-major.
 
-    m0 = 1 - f and m1 = f are the (m, k) tables of the two outcomes; leading
-    axes of bob (restarts) carry through.
+    The success is 1/2 + Tr(ρ M)/(2^n k); leading axes carry through.
     """
-    return np.einsum("xy,...oyab->...xoab", m0, bob[..., 0, :, :]) + np.einsum(
-        "xy,...oyab->...xoab", m1, bob[..., 1, :, :]
-    )
-
-
-def _joint_operator(alice: np.ndarray, bsum: np.ndarray) -> np.ndarray:
-    """Σ_{x,ω} A^x_ω ⊗ Bsum[x, ω] on the Alice ⊗ Bob space, row-major.
-
-    The success is Tr(ρ ·) of this over 2^n k; leading axes carry through.
-    """
-    da, db = alice.shape[-1], bsum.shape[-1]
-    big = np.einsum("...xoij,...xokl->...ikjl", alice, bsum)
+    da, db = a0.shape[-1], bdiff.shape[-1]
+    big = np.einsum("...xij,...xkl->...ikjl", a0, bdiff)
     return big.reshape(big.shape[:-4] + (da * db, da * db))
 
 
@@ -184,10 +185,12 @@ def evaluate_eacc(strategy: EACCStrategy, fset: FunctionSet) -> float:
             f"strategy covers labels {strategy.labels}, set has {fset.ints}"
         )
     validate_strategy(strategy)
-    ftab = 0.5 * (1.0 - sign_matrix(fset))
-    big = _joint_operator(strategy.alice, _bob_sums(strategy.bob, 1.0 - ftab, ftab))
-    m, k = ftab.shape
-    return float(np.einsum("ij,ji->", strategy.state, big).real) / (m * k)
+    signs = sign_matrix(fset)
+    bob0 = strategy.bob[:, :, 0]
+    bdiff = np.einsum("xy,yab->xab", signs, bob0[0] - bob0[1])
+    big = _correlator(strategy.alice[:, 0], bdiff)
+    m, k = signs.shape
+    return 0.5 + float(np.einsum("ij,ji->", strategy.state, big).real) / (m * k)
 
 
 @dataclass(frozen=True)
@@ -288,15 +291,18 @@ def random_strategy(
     return EACCStrategy(fset.n, fset.ints, state, alice, bob)
 
 
-def _possplit(delta: np.ndarray) -> np.ndarray:
-    """Projector onto the nonnegative eigenspace, batched over leading axes.
+def _eigh_hermitian(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the Hermitian part, batched over leading axes."""
+    return np.linalg.eigh(0.5 * (op + np.conj(np.swapaxes(op, -1, -2))))
 
-    Zero eigenvalues land in outcome 0 via the >= 0 selection.
-    """
-    delta = 0.5 * (delta + np.conj(np.swapaxes(delta, -1, -2)))
-    w, vecs = np.linalg.eigh(delta)
-    sel = (w >= 0).astype(np.float64)
-    return np.einsum("...ij,...j,...kj->...ik", vecs, sel, vecs.conj())
+
+def _projector(vecs: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Σ_j sel_j v_j v_j†, the projector onto the selected eigenvectors."""
+    return (vecs * sel[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+
+
+# Bob's ω=0 effect keeps w >= 0 of his correlator, his ω=1 effect keeps w <= 0.
+_OMEGA_SIGN = np.array([1.0, -1.0])[:, None, None]
 
 
 def eacc_seesaw(
@@ -315,16 +321,18 @@ def eacc_seesaw(
     iteration moves the state, then Alice's effects, then Bob's.  Returns
     the best restart as a SeesawReport holding an EACCStrategy.
     """
+    if isinstance(local_dim, bool) or not isinstance(local_dim, numbers.Integral):
+        raise InvalidInputError(f"local dimension must be an integer, got {local_dim!r}")
     if local_dim not in LOCAL_DIMS:
         raise DimensionMismatchError(
             f"local dimension must be one of {LOCAL_DIMS}, got {local_dim}"
         )
     check_budget(restarts, max_iters, tol)
+    check_seed(seed)
     d = local_dim
     m = 1 << fset.n
     k = len(fset)
-    ftab = 0.5 * (1.0 - sign_matrix(fset))
-    m0, m1 = 1.0 - ftab, ftab
+    signs = sign_matrix(fset)
     rank = (d + 1) // 2
 
     a_list = []
@@ -338,58 +346,44 @@ def eacc_seesaw(
         emb = classical_embed(strategies[0], fset, local_dim=d)
         a_list.append(emb.alice[:, 0])
         b_list.append(emb.bob[:, :, 0])
-    a0 = np.stack(a_list)  # (R, m, d, d)
-    b0 = np.stack(b_list)  # (R, 2, k, d, d)
+    a0 = np.stack(a_list)  # (R, m, d, d): A^x_0
+    b0 = np.stack(b_list)  # (R, 2, k, d, d): B^{ω,y}_0
     n_restarts = a0.shape[0]
-
-    eye = np.eye(d, dtype=np.complex128)
-    aeff = np.stack([a0, eye - a0], axis=2)  # (R, m, 2, d, d)
-    beff = np.stack([b0, eye - b0], axis=3)  # (R, 2, k, 2, d, d)
     psi = np.zeros((n_restarts, d * d), dtype=np.complex128)
     scale = 1.0 / (m * k)
 
-    def step(_psi, aeff, beff):
-        bsum = _bob_sums(beff, m0, m1)
-        big = _joint_operator(aeff, bsum)
-        big = 0.5 * (big + np.conj(np.swapaxes(big, -1, -2)))
-        w, vecs = np.linalg.eigh(big)
+    def step(_psi, a0, b0):
+        bdiff = np.einsum("xy,ryab->rxab", signs, b0[:, 0] - b0[:, 1])
+        w, vecs = _eigh_hermitian(_correlator(a0, bdiff))
         psi_new = vecs[:, :, -1]
-        v_state = w[:, -1].real * scale
+        v_state = 0.5 + w[:, -1] * scale
         pmat = psi_new.reshape(-1, d, d)
-        rho4 = np.einsum("raj,rbk->rajbk", pmat, pmat.conj())
+        pbar = pmat.conj()
 
-        # Alice: per x, split along K^x_0 - K^x_1 with
-        # K^x_ω[a,b] = Σ_{j,k} ρ[(a,j),(b,k)] Bsum^{x,ω}[k,j]
-        kmat = np.einsum("rajbk,rxokj->rxoab", rho4, bsum)
-        a0_new = _possplit(kmat[:, :, 0] - kmat[:, :, 1])
-        aeff_new = np.stack([a0_new, eye - a0_new], axis=2)
-        v_alice = np.einsum("rxoab,rxoba->r", kmat, aeff_new).real * scale
+        # Alice: Tr(ρ A ⊗ B) = Tr(A P Bᵀ P†) with P = ψ as a d x d matrix.
+        w_a, vecs_a = _eigh_hermitian(np.einsum("raj,rxkj,rbk->rxab", pmat, bdiff, pbar))
+        a0_new = _projector(vecs_a, w_a >= 0)
+        v_alice = 0.5 + np.maximum(w_a, 0.0).sum(axis=(1, 2)) * scale
 
-        # Bob: per (ω, y), split along L_0 - L_1 with
-        # L_z[j,k] = Σ_{a,b} ρ[(a,j),(b,k)] (Σ_{x: f_y(x)=z} A^x_ω)[b,a]
-        aa0 = np.einsum("xy,rxoab->royab", m0, aeff_new)
-        aa1 = np.einsum("xy,rxoab->royab", m1, aeff_new)
-        l0 = np.einsum("rajbk,royba->royjk", rho4, aa0)
-        l1 = np.einsum("rajbk,royba->royjk", rho4, aa1)
-        b0_new = _possplit(l0 - l1)
-        beff_new = np.stack([b0_new, eye - b0_new], axis=3)
-        v_bob = (
-            np.einsum("royjk,roykj->r", l0, beff_new[:, :, :, 0])
-            + np.einsum("royjk,roykj->r", l1, beff_new[:, :, :, 1])
-        ).real * scale
-        return (psi_new, aeff_new, beff_new), (v_state, v_alice, v_bob)
+        # Bob: Tr(ρ A ⊗ B) = Tr(B Pᵀ Aᵀ P̄), with A = Σ_x g[x,y] A^x_0.
+        ag = np.einsum("xy,rxab->ryab", signs, a0_new)
+        w_b, vecs_b = _eigh_hermitian(np.einsum("raj,ryba,rbk->ryjk", pmat, ag, pbar))
+        b0_new = _projector(vecs_b[:, None], w_b[:, None] * _OMEGA_SIGN >= 0)
+        v_bob = 0.5 + np.abs(w_b).sum(axis=(1, 2)) * scale
+        return (psi_new, a0_new, b0_new), (v_state, v_alice, v_bob)
 
-    values, iters, min_deltas, converged = alternate(
-        step, (psi, aeff, beff), max_iters, tol
-    )
+    values, iters, min_deltas, converged = alternate(step, (psi, a0, b0), max_iters, tol)
     best = int(np.argmax(values))
     state = np.outer(psi[best], psi[best].conj())
+    eye = np.eye(d, dtype=np.complex128)
+    alice = np.stack([a0[best], eye - a0[best]], axis=1)
+    bob = np.stack([b0[best], eye - b0[best]], axis=2)
     return SeesawReport(
         value=float(values[best]),
         iterations=int(iters[best]),
         restarts_used=n_restarts,
         converged=bool(converged[best]),
-        best_strategy=EACCStrategy(fset.n, fset.ints, state, aeff[best], beff[best]),
+        best_strategy=EACCStrategy(fset.n, fset.ints, state, alice, bob),
         seed=seed,
         min_step_delta=float(min_deltas[best]),
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seesaw import SeesawReport, check_budget, run_seesaw
+from ._seesaw import SeesawReport, check_budget, check_seed, run_seesaw
 from .classical import ENUM_MAX_WIDTH, classical_optimum
 from .errors import InvalidInputError, WidthMismatchError
 from .mubs import FunctionSet, sign_matrix
@@ -27,14 +27,16 @@ _UNIT_TOL = 1e-12
 
 
 def _channel_matrix(channel) -> np.ndarray:
-    """Accept None, a 3x3 array, or anything with a .matrix() method."""
+    """Accept None, a finite 3x3 array, or anything whose .matrix() returns one."""
     if channel is None:
         return np.eye(3)
     if hasattr(channel, "matrix"):
-        return np.asarray(channel.matrix(), dtype=np.float64)
+        channel = channel.matrix()
     mat = np.asarray(channel, dtype=np.float64)
     if mat.shape != (3, 3):
         raise InvalidInputError(f"channel matrix must be 3x3, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise InvalidInputError(f"channel matrix must be finite, got {mat.tolist()!r}")
     return mat
 
 
@@ -184,6 +186,7 @@ def seesaw(
     available, plus any caller-provided warm starts.
     """
     check_budget(restarts, max_iters, tol)
+    check_seed(seed)
     k = len(fset)
     starts = [
         _random_unit_rows(np.random.default_rng((seed, i)), k) for i in range(restarts)

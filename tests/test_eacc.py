@@ -116,6 +116,85 @@ def test_bell_reading_matches_communication_value():
         assert rep.bell_value == pytest.approx(rep.eacc_value, abs=1e-10)
 
 
+def _projector(rng, d):
+    """Projector onto a Haar-random subspace of random rank 0..d."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, _ = np.linalg.qr(g)
+    cols = q[:, : rng.integers(0, d + 1)]
+    return cols @ cols.conj().T
+
+
+def _mixed_pair(rng, d):
+    """A complete effect pair whose outcome 0 is t·P + (1-t)·Q, not projective."""
+    t = rng.uniform(0.1, 0.9)
+    e0 = t * _projector(rng, d) + (1.0 - t) * _projector(rng, d)
+    return np.stack([e0, np.eye(d) - e0])
+
+
+def _mixed_strategy(rng, fset, d):
+    """POVM effects on both sides and a mixture of two pure states."""
+    m = 1 << fset.n
+    k = len(fset)
+    alice = np.stack([_mixed_pair(rng, d) for _ in range(m)])
+    bob = np.stack([[_mixed_pair(rng, d) for _ in range(k)] for _ in range(2)])
+    psis = rng.standard_normal((2, d * d)) + 1j * rng.standard_normal((2, d * d))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    p = rng.uniform(0.2, 0.8)
+    state = p * np.outer(psis[0], psis[0].conj()) + (1 - p) * np.outer(psis[1], psis[1].conj())
+    return EACCStrategy(fset.n, fset.ints, state, alice, bob)
+
+
+def _success_by_loop(strategy, fset):
+    """Σ_{x,y,ω} Tr(ρ A^x_ω ⊗ B^{ω,y}_{f_y(x)}) / (m k), term by term."""
+    m = 1 << fset.n
+    k = len(fset)
+    total = 0.0
+    for x in range(m):
+        for j, r in enumerate(fset.ints):
+            z = bin(x & r).count("1") % 2
+            for omega in (0, 1):
+                op = np.kron(strategy.alice[x, omega], strategy.bob[omega, j, z])
+                total += np.trace(strategy.state @ op).real
+    return total / (m * k)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize(
+    "fset",
+    [representative_set(4, "open"), FunctionSet.from_ints(4, (1, 2, 4, 8, 15))],
+    ids=["width3", "width4"],
+)
+def test_evaluate_matches_explicit_sum_on_povms_and_mixed_states(fset, d):
+    rng = np.random.default_rng(100 * d + fset.n)
+    for _ in range(3):
+        strat = _mixed_strategy(rng, fset, d)
+        validate_strategy(strat)
+        assert evaluate_eacc(strat, fset) == pytest.approx(
+            _success_by_loop(strat, fset), abs=1e-12
+        )
+
+
+# Recorded with the two-outcome form of the step (every effect pair carried
+# whole): the correlator form must run the same see-saw, iteration for
+# iteration, not merely reach the same optima.
+_PINNED_RUNS = [
+    (2, None, 2, 4, 0.853553390593274, 3),
+    (3, None, 2, 4, 0.7886751345929698, 13),
+    (4, "xor-closed", 2, 4, 0.75, 2),
+    (5, None, 2, 4, 0.7236067976358458, 35),
+    (6, None, 2, 4, 0.7041241450239994, 39),
+    (7, None, 2, 4, 0.6889822364525146, 22),
+    (4, "open", 3, 16, 0.7414814563409956, 58),
+]
+
+
+@pytest.mark.parametrize("k, qclass, d, restarts, value, iterations", _PINNED_RUNS)
+def test_eacc_seesaw_pinned_runs(k, qclass, d, restarts, value, iterations):
+    report = eacc_seesaw(representative_set(k, qclass), local_dim=d, restarts=restarts, seed=0)
+    assert report.value == pytest.approx(value, abs=1e-12)
+    assert report.iterations == iterations
+
+
 def test_eacc_seesaw_pair_reaches_optimum():
     fset = representative_set(2)
     report = eacc_seesaw(fset, local_dim=2, restarts=6, seed=0)
@@ -142,6 +221,8 @@ def test_eacc_seesaw_dimension_validation():
     fset = representative_set(2)
     with pytest.raises(DimensionMismatchError):
         eacc_seesaw(fset, local_dim=5)
+    with pytest.raises(InvalidInputError):
+        eacc_seesaw(fset, local_dim=2.0)
     with pytest.raises(ValueError):
         eacc_seesaw(fset, restarts=0)
     with pytest.raises(InvalidInputError):

@@ -281,3 +281,33 @@ def test_seesaws_reject_non_integer_budget(budget):
         seesaw(fset, **budget)
     with pytest.raises(InvalidInputError):
         eacc_seesaw(fset, **budget)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None, "0"])
+def test_seesaws_reject_bad_seed(seed):
+    fset = FunctionSet.from_ints(3, (4, 2))
+    with pytest.raises(InvalidInputError):
+        seesaw(fset, restarts=2, seed=seed)
+    with pytest.raises(InvalidInputError):
+        eacc_seesaw(fset, restarts=2, seed=seed)
+
+
+class _FixedMap:
+    def __init__(self, mat):
+        self.mat = mat
+
+    def matrix(self):
+        return self.mat
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_channel_matrix_rejected(bad):
+    fset = FunctionSet.from_ints(3, (4, 2))
+    strategy = seesaw(fset, restarts=2).best_strategy
+    mat = np.eye(3)
+    mat[1, 2] = bad
+    for channel in (mat, _FixedMap(mat)):
+        with pytest.raises(InvalidInputError):
+            seesaw(fset, restarts=2, channel=channel)
+        with pytest.raises(InvalidInputError):
+            evaluate_pm(strategy, fset, channel)

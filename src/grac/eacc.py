@@ -166,6 +166,11 @@ def validate_strategy(strategy: EACCStrategy) -> None:
             _check_effect_pair(strategy.bob[omega, j], f"bob effect (ω={omega}, label={r})")
 
 
+def _bob_difference(signs: np.ndarray, b0: np.ndarray) -> np.ndarray:
+    """bdiff[x] = Σ_y g[x,y] (B^{0,y}_0 - B^{1,y}_0) from b0[..., ω, y] = B^{ω,y}_0."""
+    return np.einsum("xy,...yab->...xab", signs, b0[..., 0, :, :, :] - b0[..., 1, :, :, :])
+
+
 def _correlator(a0: np.ndarray, bdiff: np.ndarray) -> np.ndarray:
     """M = Σ_x A^x_0 ⊗ bdiff[x] on the Alice ⊗ Bob space, row-major.
 
@@ -186,9 +191,7 @@ def evaluate_eacc(strategy: EACCStrategy, fset: FunctionSet) -> float:
         )
     validate_strategy(strategy)
     signs = sign_matrix(fset)
-    bob0 = strategy.bob[:, :, 0]
-    bdiff = np.einsum("xy,yab->xab", signs, bob0[0] - bob0[1])
-    big = _correlator(strategy.alice[:, 0], bdiff)
+    big = _correlator(strategy.alice[:, 0], _bob_difference(signs, strategy.bob[:, :, 0]))
     m, k = signs.shape
     return 0.5 + float(np.einsum("ij,ji->", strategy.state, big).real) / (m * k)
 
@@ -291,9 +294,9 @@ def random_strategy(
     return EACCStrategy(fset.n, fset.ints, state, alice, bob)
 
 
-def _eigh_hermitian(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the Hermitian part, batched over leading axes."""
-    return np.linalg.eigh(0.5 * (op + np.conj(np.swapaxes(op, -1, -2))))
+def _hermitian_part(op: np.ndarray) -> np.ndarray:
+    """(op + op†)/2, batched over leading axes."""
+    return 0.5 * (op + np.conj(np.swapaxes(op, -1, -2)))
 
 
 def _projector(vecs: np.ndarray, sel: np.ndarray) -> np.ndarray:
@@ -301,7 +304,8 @@ def _projector(vecs: np.ndarray, sel: np.ndarray) -> np.ndarray:
     return (vecs * sel[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
 
 
-# Bob's ω=0 effect keeps w >= 0 of his correlator, his ω=1 effect keeps w <= 0.
+# Bob's ω=0 effect keeps w >= 0 of his correlator and his ω=1 effect keeps
+# w <= 0, so a zero eigenvalue lands in outcome 0 of both.
 _OMEGA_SIGN = np.array([1.0, -1.0])[:, None, None]
 
 
@@ -353,21 +357,23 @@ def eacc_seesaw(
     scale = 1.0 / (m * k)
 
     def step(_psi, a0, b0):
-        bdiff = np.einsum("xy,ryab->rxab", signs, b0[:, 0] - b0[:, 1])
-        w, vecs = _eigh_hermitian(_correlator(a0, bdiff))
+        bdiff = _bob_difference(signs, b0)
+        w, vecs = np.linalg.eigh(_hermitian_part(_correlator(a0, bdiff)))
         psi_new = vecs[:, :, -1]
         v_state = 0.5 + w[:, -1] * scale
         pmat = psi_new.reshape(-1, d, d)
         pbar = pmat.conj()
 
         # Alice: Tr(ρ A ⊗ B) = Tr(A P Bᵀ P†) with P = ψ as a d x d matrix.
-        w_a, vecs_a = _eigh_hermitian(np.einsum("raj,rxkj,rbk->rxab", pmat, bdiff, pbar))
+        delta_a = np.einsum("raj,rxkj,rbk->rxab", pmat, bdiff, pbar)
+        w_a, vecs_a = np.linalg.eigh(_hermitian_part(delta_a))
         a0_new = _projector(vecs_a, w_a >= 0)
         v_alice = 0.5 + np.maximum(w_a, 0.0).sum(axis=(1, 2)) * scale
 
         # Bob: Tr(ρ A ⊗ B) = Tr(B Pᵀ Aᵀ P̄), with A = Σ_x g[x,y] A^x_0.
         ag = np.einsum("xy,rxab->ryab", signs, a0_new)
-        w_b, vecs_b = _eigh_hermitian(np.einsum("raj,ryba,rbk->ryjk", pmat, ag, pbar))
+        delta_b = np.einsum("raj,ryba,rbk->ryjk", pmat, ag, pbar)
+        w_b, vecs_b = np.linalg.eigh(_hermitian_part(delta_b))
         b0_new = _projector(vecs_b[:, None], w_b[:, None] * _OMEGA_SIGN >= 0)
         v_bob = 0.5 + np.abs(w_b).sum(axis=(1, 2)) * scale
         return (psi_new, a0_new, b0_new), (v_state, v_alice, v_bob)
@@ -375,9 +381,11 @@ def eacc_seesaw(
     values, iters, min_deltas, converged = alternate(step, (psi, a0, b0), max_iters, tol)
     best = int(np.argmax(values))
     state = np.outer(psi[best], psi[best].conj())
+    # The projector products leave ~1e-18 imaginary parts on the diagonal.
+    a0_best, b0_best = _hermitian_part(a0[best]), _hermitian_part(b0[best])
     eye = np.eye(d, dtype=np.complex128)
-    alice = np.stack([a0[best], eye - a0[best]], axis=1)
-    bob = np.stack([b0[best], eye - b0[best]], axis=2)
+    alice = np.stack([a0_best, eye - a0_best], axis=1)
+    bob = np.stack([b0_best, eye - b0_best], axis=2)
     return SeesawReport(
         value=float(values[best]),
         iterations=int(iters[best]),

@@ -30,8 +30,10 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "perfbench", "run.py")
-WORKLOADS = ("census_w4", "pm_sweep", "eacc_dims")
 RUN_TIMEOUT_S = 900
+
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 
 class RecordError(Exception):

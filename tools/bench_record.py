@@ -1,7 +1,7 @@
 """Record benchmark runs of this checkout in a BENCH_<pr>.json file.
 
-    python3 tools/bench_record.py --pr 7 --side change --workloads eacc_dims
-    python3 tools/bench_record.py --pr 7 --side change --trace 1 --seed 798
+    python3 tools/bench_record.py --pr <n> --side change --workloads eacc_dims
+    python3 tools/bench_record.py --pr <n> --side change --trace 1 --seed 798
 
 Each invocation runs perfbench/run.py once per workload, on the checkout
 this script sits in, and appends the result line to the runs of `--side`

@@ -4,11 +4,13 @@
     python3 tools/bench_record.py --pr <n> --side change --trace 1 --seed 798
 
 Each invocation runs perfbench/run.py once per workload, on the checkout
-this script sits in, and appends the result line to the runs of `--side`
-(for example `parent` or `change`) in BENCH_<pr>.json at the checkout's
-root, or in `--out`.  To measure a parent commit, copy this script into a
-clone of that commit and point `--out` at the same file; alternating the two
-sides one run at a time gives the before/after pairs.
+this script sits in, for the `run_seconds` of BENCHMARK.json, and appends
+the result line to the runs of `--side` (`parent` or `change`) in
+BENCH_<pr>.json at the checkout's root, or in `--out`.  The file is written
+after each workload, so a later failure keeps the runs already made.  To
+measure a parent commit, copy this script into a clone of that commit, run
+it with `--side parent` and point `--out` at the same file; alternating the
+two sides one run at a time gives the before/after pairs.
 
 The file holds the machine, Python, numpy and kernel the runs used (runs
 from another machine are refused), every run's result line and commit, each
@@ -111,12 +113,25 @@ def benchmark_spec() -> dict:
         return json.load(handle)
 
 
-def record(path: str, pr: int, side: str, workloads: list[str], seed: int,
-           seconds: float, trace: int) -> dict:
+def write(path: str, doc: dict) -> None:
+    spec = benchmark_spec()
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    parent, change = doc["sides"].get("parent", {}), doc["sides"].get("change", {})
+    doc["comparison"] = {
+        key: compare(parent[key]["runs"], change[key]["runs"], better)
+        for key in sorted(parent.keys() & change.keys())
+    }
+    with open(path, "w") as handle:
+        json.dump(doc, handle, indent=1)
+        handle.write("\n")
+
+
+def record(path: str, pr: int, side: str, workloads: list[str], seed: int, trace: int) -> dict:
     doc = {"pr": pr, "machine": None, "sides": {}}
     if os.path.exists(path):
         with open(path) as handle:
             doc = json.load(handle)
+    seconds = benchmark_spec()["run_seconds"]
     for workload in workloads:
         line, details = run_once(workload, seed, seconds, trace)
         here = machine(details)
@@ -133,36 +148,24 @@ def record(path: str, pr: int, side: str, workloads: list[str], seed: int,
             "line": line,
         })
         doc["sides"][side][key]["summary"] = summarize(runs)
+        write(path, doc)
         print(json.dumps({"side": side, "workload": key, "line": line}))
-
-    spec = benchmark_spec()
-    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    parent, change = doc["sides"].get("parent", {}), doc["sides"].get("change", {})
-    doc["comparison"] = {
-        key: compare(parent[key]["runs"], change[key]["runs"], better)
-        for key in sorted(parent.keys() & change.keys())
-    }
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=1)
-        handle.write("\n")
     return doc
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--side", required=True, help="label of this checkout, e.g. parent or change")
+    parser.add_argument("--side", required=True, choices=("parent", "change"),
+                        help="which side of the comparison this checkout is")
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", default=None, help="default: BENCH_<pr>.json at the checkout root")
     args = parser.parse_args(argv)
     path = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
-    seconds = args.seconds if args.seconds is not None else benchmark_spec()["run_seconds"]
     try:
-        record(path, args.pr, args.side, args.workloads, args.seed, seconds, args.trace)
+        record(path, args.pr, args.side, args.workloads, args.seed, args.trace)
     except (RecordError, subprocess.TimeoutExpired) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 2

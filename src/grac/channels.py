@@ -8,6 +8,7 @@ Both act linearly, so they enter the prepare-and-measure objective as the
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ def _unit_axis(axis) -> tuple[float, float, float]:
     if arr.shape != (3,):
         raise InvalidInputError(f"axis must be a 3-vector, got shape {arr.shape}")
     norm = float(np.linalg.norm(arr))
+    if not np.isfinite(norm):
+        raise InvalidInputError(f"axis must be finite, got {tuple(arr.tolist())}")
     if norm < 1e-12:
         raise InvalidInputError("axis must be nonzero")
     return (float(arr[0] / norm), float(arr[1] / norm), float(arr[2] / norm))
@@ -81,13 +84,7 @@ def apply_channel(bmap: BlochMap, r) -> np.ndarray:
     return bmap.matrix() @ np.asarray(r, dtype=np.float64)
 
 
-def critical_depolarizing(
-    fset: FunctionSet,
-    restarts: int = 64,
-    max_iters: int = 10000,
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> float:
+def critical_depolarizing(fset: FunctionSet, restarts: int = 64, seed: int = 0) -> float:
     """Noise level where the depolarized optimal quantum value meets the classical one.
 
     Depolarizing shrinks every preparation uniformly, so the optimal strategy
@@ -96,10 +93,19 @@ def critical_depolarizing(
     set offers no quantum advantage.
     """
     s_c = classical_optimum(fset, max_strategies=1)[0].value
-    s_q = seesaw(fset, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed).value
+    s_q = seesaw(fset, restarts=restarts, seed=seed).value
     if s_q <= s_c:
         return 0.0
     return 1.0 - (s_c - 0.5) / (s_q - 0.5)
+
+
+def dephasing_grid(points: int = 101) -> list[float]:
+    """`points` evenly spaced dephasing strengths from 0 to 1/2, both ends included."""
+    if isinstance(points, bool) or not isinstance(points, numbers.Integral):
+        raise InvalidInputError(f"grid points must be an integer, got {points!r}")
+    if points < 2:
+        raise InvalidInputError("need at least two grid points")
+    return [0.5 * i / (points - 1) for i in range(points)]
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,10 @@ class SweepResult:
     lam: tuple[float, ...]
     values: tuple[float, ...]
     classical: Rational
-    ratio: tuple[float, ...]
+
+    @property
+    def ratio(self) -> tuple[float, ...]:
+        return tuple(v / self.classical.value for v in self.values)
 
     @property
     def one_minus_lambda(self) -> tuple[float, ...]:
@@ -122,29 +131,14 @@ class SweepResult:
             yield (lam, 1.0 - lam, val, c, rat)
 
 
-def _optimize_at(fset, bmap, cls_start, warm, restarts, max_iters, tol, seed):
-    extra = [cls_start] if warm is None else [cls_start, warm]
-    return seesaw(
-        fset,
-        restarts=restarts,
-        max_iters=max_iters,
-        tol=tol,
-        seed=seed,
-        channel=bmap,
-        extra_starts=extra,
-    )
-
-
 def dephasing_sweep(
     fset: FunctionSet,
     axis=(1.0, 0.0, 0.0),
     grid=None,
     restarts: int = 8,
-    max_iters: int = 10000,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> SweepResult:
-    """Re-optimized quantum value across dephasing strengths.
+    """Re-optimized quantum value across dephasing strengths (default `dephasing_grid()`).
 
     Each grid point re-runs the see-saw with the channel in the objective,
     warm-started from the previous point's optimum plus a classical
@@ -152,23 +146,20 @@ def dephasing_sweep(
     cold random restarts.
     """
     axis = _unit_axis(axis)
-    if grid is None:
-        grid = np.linspace(0.0, 0.5, 101)
-    grid = [float(g) for g in grid]
+    grid = tuple(float(g) for g in (dephasing_grid() if grid is None else grid))
+    if not grid:
+        raise InvalidInputError("the dephasing grid is empty")
     s_c = classical_optimum(fset, max_strategies=1)[0]
     cls_start = classical_start_vectors(fset, axis)
     values = []
-    warm = None
+    extra = [cls_start]
     for i, lam in enumerate(grid):
         bmap = BlochMap.dephasing(lam, axis)
         n_cold = restarts if i == 0 else 1
-        report = _optimize_at(
-            fset, bmap, cls_start, warm, n_cold, max_iters, tol, seed + i
-        )
+        report = seesaw(fset, restarts=n_cold, seed=seed + i, channel=bmap, extra_starts=extra)
         values.append(report.value)
-        warm = report.best_strategy.meas_array(fset)
-    ratio = tuple(v / s_c.value for v in values)
-    return SweepResult(tuple(grid), tuple(values), s_c, ratio)
+        extra = [cls_start, report.best_strategy.meas_array(fset)]
+    return SweepResult(grid, tuple(values), s_c)
 
 
 def crossing_window(
@@ -178,23 +169,22 @@ def crossing_window(
     grid=None,
     refine_tol: float = 1e-4,
     restarts: int = 8,
-    max_iters: int = 10000,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Maximal interval of 1-lambda where set_a's optimized value exceeds set_b's.
 
-    Both dephasing sweeps run on a common grid; the longest run of strictly
-    positive difference is the window, and endpoints interior to the grid are
-    sharpened by bisection down to refine_tol (in lambda).  Raises NoCrossing
-    when either curve dominates the whole grid (or they tie everywhere).
+    Both dephasing sweeps run on a common grid (default `dephasing_grid()`);
+    the longest run of strictly positive difference is the window, and
+    endpoints interior to the grid are sharpened by bisection down to
+    refine_tol (in lambda).  Raises NoCrossing when either curve dominates
+    the whole grid (or they tie everywhere).
     """
+    if not (np.isfinite(refine_tol) and refine_tol > 0):
+        raise InvalidInputError(f"refine_tol must be finite and positive, got {refine_tol!r}")
     axis = _unit_axis(axis)
-    if grid is None:
-        grid = np.linspace(0.0, 0.5, 101)
-    grid = [float(g) for g in grid]
-    sweep_a = dephasing_sweep(set_a, axis, grid, restarts, max_iters, tol, seed)
-    sweep_b = dephasing_sweep(set_b, axis, grid, restarts, max_iters, tol, seed)
+    sweep_a = dephasing_sweep(set_a, axis, grid, restarts, seed)
+    grid = sweep_a.lam
+    sweep_b = dephasing_sweep(set_b, axis, grid, restarts, seed)
     diff = np.array(sweep_a.values) - np.array(sweep_b.values)
     positive = diff > 0
     if not positive.any():
@@ -221,9 +211,9 @@ def crossing_window(
     def diff_at(lam, j):
         bmap = BlochMap.dephasing(lam, axis)
         seed_j = seed + 7919 * j
-        va = _optimize_at(set_a, bmap, cls_a, None, restarts, max_iters, tol, seed_j).value
-        vb = _optimize_at(set_b, bmap, cls_b, None, restarts, max_iters, tol, seed_j + 1).value
-        return va - vb
+        va = seesaw(set_a, restarts=restarts, seed=seed_j, channel=bmap, extra_starts=[cls_a])
+        vb = seesaw(set_b, restarts=restarts, seed=seed_j + 1, channel=bmap, extra_starts=[cls_b])
+        return va.value - vb.value
 
     def refine(inside_i, outside_i):
         lo, hi = grid[inside_i], grid[outside_i]

@@ -19,6 +19,7 @@ from .channels import (
     SweepResult,
     critical_depolarizing,
     crossing_window,
+    dephasing_grid,
     dephasing_sweep,
 )
 from .classical import classical_optimum
@@ -34,11 +35,7 @@ def parse_label_spec(n: int, spec: str) -> FunctionSet:
     if spec == "all":
         return full_mubs(n)
     if spec.startswith("k="):
-        body = spec[2:]
-        qclass = None
-        if ":" in body:
-            body, qclass = body.split(":", 1)
-        return FunctionSet.from_ints(n, tables_mod.representative_labels(int(body), qclass))
+        return FunctionSet.from_ints(n, tables_mod.spec_labels(spec))
     fset = FunctionSet.from_bitstrings(spec)
     if fset.n != n:
         raise InvalidInputError(
@@ -155,12 +152,11 @@ def _cmd_noise(args) -> int:
     axis = tuple(float(c) for c in args.axis.split(","))
     if args.window:
         other = parse_label_spec(args.n, args.window)
-        grid = None if args.grid_points == 101 else _grid(args.grid_points)
         low, high = crossing_window(
             fset,
             other,
             axis=axis,
-            grid=grid,
+            grid=dephasing_grid(args.grid_points),
             refine_tol=args.refine_tol,
             restarts=args.restarts,
             seed=args.seed,
@@ -185,7 +181,7 @@ def _cmd_noise(args) -> int:
     sweep = dephasing_sweep(
         fset,
         axis=axis,
-        grid=_grid(args.grid_points),
+        grid=dephasing_grid(args.grid_points),
         restarts=args.restarts,
         seed=args.seed,
     )
@@ -206,12 +202,6 @@ def _cmd_noise(args) -> int:
     print(summary)
     _emit(args, payload, summary, csv=_sweep_csv(sweep))
     return 0
-
-
-def _grid(points: int):
-    if points < 2:
-        raise InvalidInputError("need at least two grid points")
-    return [0.5 * i / (points - 1) for i in range(points)]
 
 
 def _cmd_eacc(args) -> int:

@@ -17,7 +17,6 @@ representative reproduces the table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +33,8 @@ from .classical import (
 from .eacc import eacc_seesaw
 from .errors import InvalidInputError
 from .mubs import BooleanFn, FunctionSet, full_mubs
-from .quantum import seesaw
+from .protocols import reference_value
+from .quantum import pm_upper_bound, seesaw
 
 TABLE_IDS = ("I", "II", "Q", "III", "IV")
 
@@ -55,6 +55,28 @@ def representative_labels(k: int, quad_class: str | None = None) -> tuple[int, .
 def representative_set(k: int, quad_class: str | None = None) -> FunctionSet:
     """Lex-smallest width-3 question set of a given cardinality (and class for k=4)."""
     return FunctionSet.from_ints(3, representative_labels(k, quad_class))
+
+
+def spec_labels(spec: str) -> tuple[int, ...]:
+    """Labels of the representative set named by a spec 'k=<m>[:class]', e.g. 'k=4:open'."""
+    if not spec.startswith("k="):
+        raise InvalidInputError(f"label spec must read k=<m>[:class], got {spec!r}")
+    body, sep, qclass = spec[2:].partition(":")
+    try:
+        k = int(body)
+    except ValueError:
+        raise InvalidInputError(f"cardinality in {spec!r} must be an integer") from None
+    return representative_labels(k, qclass if sep else None)
+
+
+def _spec_set(spec: str) -> FunctionSet:
+    return FunctionSet.from_ints(3, spec_labels(spec))
+
+
+def _spec_name(spec: str) -> str:
+    """Row-label form of a spec: 'k=4:open' reads 'k=4 (open)'."""
+    kname, _, qclass = spec.partition(":")
+    return f"{kname} ({qclass})" if qclass else kname
 
 
 @dataclass(frozen=True)
@@ -147,13 +169,13 @@ _TABLE_II_RAC = {
 }
 
 _TABLE_II_GRAC = {
-    ("k=2", None): Fraction(3, 4),
-    ("k=3", None): Fraction(3, 4),
-    ("k=4", "xor-closed"): Fraction(3, 4),
-    ("k=4", "open"): Fraction(11, 16),
-    ("k=5", None): Fraction(7, 10),
-    ("k=6", None): Fraction(2, 3),
-    ("k=7", None): Fraction(37, 56),
+    "k=2": Fraction(3, 4),
+    "k=3": Fraction(3, 4),
+    "k=4:xor-closed": Fraction(3, 4),
+    "k=4:open": Fraction(11, 16),
+    "k=5": Fraction(7, 10),
+    "k=6": Fraction(2, 3),
+    "k=7": Fraction(37, 56),
 }
 
 
@@ -163,44 +185,32 @@ def table_two() -> TableReport:
         val = rac_optimum(k)
         delta = 0.0 if val.as_fraction() == ref else val.value - float(ref)
         rows.append(TableRow(f"RAC k={k}", val.value, float(ref), delta, str(val)))
-    for (kname, qclass), ref in _TABLE_II_GRAC.items():
-        k = int(kname.split("=")[1])
-        fset = representative_set(k, qclass)
-        val = classical_optimum(fset, max_strategies=1)[0]
+    for spec, ref in _TABLE_II_GRAC.items():
+        val = classical_optimum(_spec_set(spec), max_strategies=1)[0]
         delta = 0.0 if val.as_fraction() == ref else val.value - float(ref)
-        cname = f" ({qclass})" if qclass else ""
-        rows.append(TableRow(f"GRAC {kname}{cname}", val.value, float(ref), delta, str(val)))
+        rows.append(TableRow(f"GRAC {_spec_name(spec)}", val.value, float(ref), delta, str(val)))
     return TableReport("II", 0.0, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
 # Table Q: one-qubit optima vs closed forms
 
-def _closed_form(k: int) -> float:
-    return 0.5 * (1.0 + 1.0 / math.sqrt(k))
-
-
-_OPEN_QUAD_VALUE = 0.5 * (1.0 + (math.sqrt(2.0) + math.sqrt(6.0)) / 8.0)
-
 _TABLE_Q_GRAC = {
-    ("k=2", None): _closed_form(2),
-    ("k=3", None): _closed_form(3),
-    ("k=4", "xor-closed"): 0.75,
-    ("k=4", "open"): _OPEN_QUAD_VALUE,
-    ("k=5", None): _closed_form(5),
-    ("k=6", None): _closed_form(6),
-    ("k=7", None): _closed_form(7),
+    "k=2": pm_upper_bound(2),
+    "k=3": pm_upper_bound(3),
+    "k=4:xor-closed": 0.75,
+    "k=4:open": reference_value("C"),
+    "k=5": pm_upper_bound(5),
+    "k=6": pm_upper_bound(6),
+    "k=7": pm_upper_bound(7),
 }
 
 
-def table_q(seed: int = 0, restarts: int = 16) -> TableReport:
+def table_q(seed: int = 0) -> TableReport:
     rows = []
-    for (kname, qclass), ref in _TABLE_Q_GRAC.items():
-        k = int(kname.split("=")[1])
-        fset = representative_set(k, qclass)
-        report = seesaw(fset, restarts=restarts, seed=seed)
-        cname = f" ({qclass})" if qclass else ""
-        rows.append(_row(f"GRAC {kname}{cname}", report.value, ref))
+    for spec, ref in _TABLE_Q_GRAC.items():
+        report = seesaw(_spec_set(spec), restarts=16, seed=seed)
+        rows.append(_row(f"GRAC {_spec_name(spec)}", report.value, ref))
     return TableReport("Q", 1e-5, tuple(rows))
 
 
@@ -208,49 +218,35 @@ def table_q(seed: int = 0, restarts: int = 16) -> TableReport:
 # Table III: critical depolarizing noise
 
 _TABLE_III = {
-    ("k=2", None): 0.29289,
-    ("k=3", None): 0.13396,
-    ("k=4", "open"): 0.22354,
-    ("k=5", None): 0.10555,
-    ("k=6", None): 0.18349,
-    ("k=7", None): 0.14957,
+    "k=2": 0.29289,
+    "k=3": 0.13396,
+    "k=4:open": 0.22354,
+    "k=5": 0.10555,
+    "k=6": 0.18349,
+    "k=7": 0.14957,
 }
 
 
-def table_three(seed: int = 0, restarts: int = 16) -> TableReport:
+def table_three(seed: int = 0) -> TableReport:
     rows = []
-    for (kname, qclass), ref in _TABLE_III.items():
-        k = int(kname.split("=")[1])
-        fset = representative_set(k, qclass)
-        lam = critical_depolarizing(fset, restarts=restarts, seed=seed)
-        cname = f" ({qclass})" if qclass else ""
-        rows.append(_row(f"lambda_crit {kname}{cname}", lam, ref))
+    for spec, ref in _TABLE_III.items():
+        lam = critical_depolarizing(_spec_set(spec), restarts=16, seed=seed)
+        rows.append(_row(f"lambda_crit {_spec_name(spec)}", lam, ref))
     return TableReport("III", 1e-4, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
-# Table IV: entanglement-assisted values
-
-_TABLE_IV_D2 = {
-    ("k=2", None): _closed_form(2),
-    ("k=3", None): _closed_form(3),
-    ("k=4", "xor-closed"): 0.75,
-    ("k=5", None): _closed_form(5),
-    ("k=6", None): _closed_form(6),
-    ("k=7", None): _closed_form(7),
-}
+# Table IV: entanglement-assisted values, table Q's at local dimension 2 except
+# the open quadruple's, which needs local dimension 4 to reach 3/4
 
 
-def table_four(seed: int = 0, restarts: int = 8, open_quad_restarts: int = 64) -> TableReport:
+def table_four(seed: int = 0) -> TableReport:
     rows = []
-    for (kname, qclass), ref in _TABLE_IV_D2.items():
-        k = int(kname.split("=")[1])
-        fset = representative_set(k, qclass)
-        value = eacc_seesaw(fset, local_dim=2, restarts=restarts, seed=seed).value
-        cname = f" ({qclass})" if qclass else ""
-        rows.append(_row(f"EACC {kname}{cname}, local dim 2", value, ref))
-    open_quad = representative_set(4, "open")
-    value = eacc_seesaw(open_quad, local_dim=4, restarts=open_quad_restarts, seed=seed).value
+    for spec, ref in _TABLE_Q_GRAC.items():
+        if spec != "k=4:open":
+            value = eacc_seesaw(_spec_set(spec), local_dim=2, restarts=8, seed=seed).value
+            rows.append(_row(f"EACC {_spec_name(spec)}, local dim 2", value, ref))
+    value = eacc_seesaw(_spec_set("k=4:open"), local_dim=4, restarts=64, seed=seed).value
     rows.append(_row("EACC k=4 (open), local dim 4", value, 0.75))
     return TableReport("IV", 1e-4, tuple(rows))
 

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from grac import channels
 from grac import (
     BlochMap,
+    InvalidInputError,
     NoCrossingError,
     apply_channel,
     classical_optimum,
     critical_depolarizing,
     crossing_window,
+    dephasing_grid,
     dephasing_sweep,
     evaluate_pm,
     pm_upper_bound,
@@ -136,3 +139,36 @@ def test_depolarizing_linearity_of_optimized_value():
     lam = 0.2
     noisy = seesaw(fset, restarts=8, seed=0, channel=BlochMap.depolarizing(lam)).value
     assert noisy == pytest.approx(0.5 + (1 - lam) * (base - 0.5), abs=1e-7)
+
+
+def test_dephasing_grid():
+    assert dephasing_grid(5) == [0.0, 0.125, 0.25, 0.375, 0.5]
+    assert dephasing_grid() == [0.5 * i / 100 for i in range(101)]
+    for bad in (1, 0, -3, 2.0, True):
+        with pytest.raises(InvalidInputError):
+            dephasing_grid(bad)
+
+
+def test_bad_axis_and_empty_grid_are_rejected():
+    for axis in ((np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), (1.0, -np.inf, 0.0)):
+        with pytest.raises(InvalidInputError, match="axis"):
+            channels._unit_axis(axis)
+    with pytest.raises(InvalidInputError, match="axis"):
+        BlochMap.dephasing(0.1, axis=(np.inf, 0.0, 0.0))
+    fset = representative_set(3)
+    with pytest.raises(InvalidInputError, match="grid"):
+        dephasing_sweep(fset, grid=[])
+    with pytest.raises(InvalidInputError, match="grid"):
+        crossing_window(fset, representative_set(2), grid=[])
+
+
+def test_crossing_window_checks_refine_tol_before_any_seesaw(monkeypatch):
+    def no_seesaw(*args, **kwargs):
+        raise AssertionError("seesaw ran before refine_tol was checked")
+
+    monkeypatch.setattr(channels, "seesaw", no_seesaw)
+    quint = representative_set(5)
+    quad = representative_set(4, "open")
+    for bad in (-1e-4, 0.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="refine_tol"):
+            crossing_window(quint, quad, grid=[0.0, 0.25, 0.5], refine_tol=bad)

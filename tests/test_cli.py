@@ -6,6 +6,7 @@ import os
 import pytest
 
 from grac import cli
+from grac.errors import InvalidInputError
 from grac.mubs import FunctionSet
 from grac.tables import TableReport, TableRow, representative_set
 
@@ -23,6 +24,9 @@ def test_parse_label_spec_cardinality():
         cli.parse_label_spec(3, "k=4")  # class is required at cardinality 4
     with pytest.raises(ValueError):
         cli.parse_label_spec(3, "k=3:open")
+    for malformed in ("k=x", "k=", "k=:open"):
+        with pytest.raises(InvalidInputError):
+            cli.parse_label_spec(3, malformed)
     pairs = [(2, None), (3, None), (4, "xor-closed"), (4, "open"), (5, None), (6, None), (7, None)]
     for k, qclass in pairs:
         spec = f"k={k}:{qclass}" if qclass else f"k={k}"
@@ -65,6 +69,14 @@ def test_module_error_exit_code(capsys):
     err = capsys.readouterr().err
     payload = json.loads(err)
     assert set(payload) == {"error", "message"}
+
+
+def test_window_bad_refine_tol_is_module_error(capsys):
+    argv = ["noise", "--labels", "k=5", "--window", "k=4:open", "--refine-tol", "-1"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "InvalidInputError"
 
 
 def test_classical_max_strategies_below_one_is_module_error(capsys):

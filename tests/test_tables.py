@@ -28,13 +28,13 @@ def test_table_two_exact():
 
 
 def test_table_q_within_tolerance():
-    report = table_q(seed=0, restarts=16)
+    report = table_q(seed=0)
     assert report.tolerance == 1e-5
     assert report.passed, [(r.label, r.delta) for r in report.rows]
 
 
 def test_table_three_within_tolerance():
-    report = table_three(seed=0, restarts=16)
+    report = table_three(seed=0)
     assert report.tolerance == 1e-4
     assert report.passed, [(r.label, r.delta) for r in report.rows]
 

@@ -143,7 +143,7 @@ def alternate(step, state, max_iters, tol):
     return values, iters, min_deltas, converged
 
 
-def run_seesaw(signs, dmat, v0, max_iters=10000, tol=1e-10):
+def run_seesaw(signs, dmat, v0, max_iters, tol):
     """Run batched one-qubit see-saw iterations.
 
     Parameters

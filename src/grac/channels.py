@@ -149,12 +149,12 @@ def dephasing_sweep(
     grid = tuple(float(g) for g in (dephasing_grid() if grid is None else grid))
     if not grid:
         raise InvalidInputError("the dephasing grid is empty")
+    bmaps = [BlochMap.dephasing(lam, axis) for lam in grid]  # range-checks every point
     s_c = classical_optimum(fset, max_strategies=1)[0]
     cls_start = classical_start_vectors(fset, axis)
     values = []
     extra = [cls_start]
-    for i, lam in enumerate(grid):
-        bmap = BlochMap.dephasing(lam, axis)
+    for i, bmap in enumerate(bmaps):
         n_cold = restarts if i == 0 else 1
         report = seesaw(fset, restarts=n_cold, seed=seed + i, channel=bmap, extra_starts=extra)
         values.append(report.value)

@@ -89,13 +89,14 @@ class ClassicalStrategy:
         return cls(enc, dec)
 
 
+def _majority_table(n: int) -> int:
+    """Truth-table mask that is 1 on the n-bit strings with more ones than zeros."""
+    return sum(1 << x for x in range(1 << n) if 2 * x.bit_count() > n)
+
+
 def majority_encoding(n: int) -> BooleanFn:
     """Send the majority bit of x; ties (even n) send 0."""
-    table = 0
-    for x in range(1 << n):
-        if 2 * x.bit_count() > n:
-            table |= 1 << x
-    return BooleanFn(n, table)
+    return BooleanFn(n, _majority_table(n))
 
 
 def identity_decoding(fset: FunctionSet, invert: tuple[int, ...] = ()) -> dict:
@@ -270,25 +271,15 @@ def rac_value(rac: RACStrategy) -> Rational:
 
 
 def optimal_rac_strategy(k: int) -> RACStrategy:
-    """Majority encoding with the best per-position decoding; optimal for all k."""
-    enc = 0
-    for b in range(1 << k):
-        if 2 * b.bit_count() > k:
-            enc |= 1 << b
-    decoding = []
-    for p in range(k):
-        pair = []
-        for omega in (0, 1):
-            ones = zeros = 0
-            for b in range(1 << k):
-                if (enc >> b) & 1 == omega:
-                    if (b >> (k - 1 - p)) & 1:
-                        ones += 1
-                    else:
-                        zeros += 1
-            pair.append(1 if ones > zeros else 0)
-        decoding.append(tuple(pair))
-    return RACStrategy(k, enc, tuple(decoding))
+    """Majority encoding with the identity decoding z = ω; optimal for all k.
+
+    The identity is every position's majority decode: a string that sends 1
+    has more ones than zeros and one that sends 0 has no more, so summed over
+    either message's strings the ones outnumber the zeros exactly when the
+    message is 1, and by symmetry each position holds an equal share of
+    that sum.
+    """
+    return RACStrategy(k, _majority_table(k), ((0, 1),) * k)
 
 
 def rac_optimum(k: int) -> Rational:

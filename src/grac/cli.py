@@ -23,7 +23,7 @@ from .channels import (
     dephasing_sweep,
 )
 from .classical import classical_optimum
-from .eacc import eacc_seesaw
+from .eacc import LOCAL_DIMS, eacc_seesaw
 from .errors import GracError, InvalidInputError
 from .mubs import FunctionSet, classify_quadruple, full_mubs, is_mubs
 from .quantum import pm_upper_bound, seesaw
@@ -35,7 +35,11 @@ def parse_label_spec(n: int, spec: str) -> FunctionSet:
     if spec == "all":
         return full_mubs(n)
     if spec.startswith("k="):
-        return FunctionSet.from_ints(n, tables_mod.spec_labels(spec))
+        labels = tables_mod.spec_labels(spec)
+        k = len(labels)
+        if 1 <= n < k.bit_length():  # other widths fail FunctionSet's width check
+            raise InvalidInputError(f"k={k} exceeds the {(1 << n) - 1} nonzero labels of width {n}")
+        return FunctionSet.from_ints(n, labels)
     fset = FunctionSet.from_bitstrings(spec)
     if fset.n != n:
         raise InvalidInputError(
@@ -149,7 +153,10 @@ def _cmd_quantum(args) -> int:
 
 def _cmd_noise(args) -> int:
     fset = parse_label_spec(args.n, args.labels)
-    axis = tuple(float(c) for c in args.axis.split(","))
+    try:
+        axis = tuple(float(c) for c in args.axis.split(","))
+    except ValueError:
+        raise InvalidInputError(f"--axis must be comma-separated numbers, got {args.axis!r}") from None
     if args.window:
         other = parse_label_spec(args.n, args.window)
         low, high = crossing_window(
@@ -333,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eacc", help="entanglement-assisted see-saw optimization")
     _add_common(p)
-    p.add_argument("--local-dim", type=int, choices=(2, 3, 4), default=2)
+    p.add_argument("--local-dim", type=int, choices=LOCAL_DIMS, default=2)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--max-iters", type=int, default=3000)
     p.add_argument("--tol", type=float, default=1e-10)

@@ -1,8 +1,13 @@
-"""Hand-constructed optimal one-qubit protocols for the n=3 question sets.
+"""Optimal one-qubit protocols for the n=3 question sets, derived from their measurements.
 
-Each case returns exact Bloch vectors (closed-form components, not see-saw
-output) together with the question set it serves.  All of them are fixed
-points of the see-saw alternation and attain the known optima:
+Each case stores only Bob's half: one unit Bloch vector v_y per label.
+Alice's preparations are her best reply to it,
+
+    r_x = V_x / |V_x|,   V_x = sum_y g[x,y] v_y,   g[x,y] = (-1)^{f_y(x)},
+
+which maximizes r_x . V_x for every input at once.  Every case has
+|V_x| >= sqrt(2), so the division needs no zero guard.  All of the protocols
+are fixed points of the see-saw alternation and attain the known optima:
 
     A        two questions          1/2 (1 + 1/sqrt(2))
     B1, B2   three questions        1/2 (1 + 1/sqrt(3))
@@ -10,148 +15,58 @@ points of the see-saw alternation and attain the known optima:
     D_box,
     D_planar quintuple              1/2 (1 + 1/sqrt(5))
     E        sextuple               1/2 (1 + 1/sqrt(6))
+
+that is, the bound `pm_upper_bound(k)` for every case except C.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import UnknownCaseError
-from .mubs import FunctionSet
-from .quantum import PMStrategy
+from .mubs import FunctionSet, sign_matrix
+from .quantum import PMStrategy, pm_upper_bound
 
-REFERENCE_CASES = ("A", "B1", "B2", "C", "D_box", "D_planar", "E")
+_X, _Y, _Z = np.eye(3)
 
-_S2 = 1.0 / math.sqrt(2.0)
-_S3 = 1.0 / math.sqrt(3.0)
-_S5 = 1.0 / math.sqrt(5.0)
-_S6 = 1.0 / math.sqrt(6.0)
-_A23 = math.sqrt(2.0 / 3.0)
+# Bob's measurement vector per label bitstring, one row per case
+_CASES = {
+    "A": {"100": _X, "010": _Y},
+    "B1": {"100": _X, "010": _Y, "001": _Z},
+    "B2": {"100": _X, "010": _Y, "110": _Z},
+    "C": {"100": _X, "010": _X, "001": _Y, "110": _Z},
+    "D_box": {"100": _X, "010": _Y, "001": _Z, "110": _Z, "101": -_Y},
+    "D_planar": {"100": _X, "010": _Y, "001": -_Y, "110": _Y, "101": _Y},
+    "E": {"100": _X, "010": -_X, "001": _Z, "110": _Y, "101": _X, "011": _X},
+}
 
-_X = (1.0, 0.0, 0.0)
-_Y = (0.0, 1.0, 0.0)
-_Z = (0.0, 0.0, 1.0)
+REFERENCE_CASES = tuple(_CASES)
 
 
-def _neg(v):
-    return (-v[0], -v[1], -v[2])
-
-
-def _sign(bit: int) -> float:
-    return -1.0 if bit else 1.0
+def _measurements(case: str) -> dict[str, np.ndarray]:
+    try:
+        return _CASES[case]
+    except KeyError:
+        raise UnknownCaseError(
+            f"no reference case {case!r}; pick one of {REFERENCE_CASES}"
+        ) from None
 
 
 def reference_value(case: str) -> float:
     """Closed-form success probability of a reference case."""
-    values = {
-        "A": 0.5 * (1.0 + _S2),
-        "B1": 0.5 * (1.0 + _S3),
-        "B2": 0.5 * (1.0 + _S3),
-        "C": 0.5 * (1.0 + (math.sqrt(2.0) + math.sqrt(6.0)) / 8.0),
-        "D_box": 0.5 * (1.0 + _S5),
-        "D_planar": 0.5 * (1.0 + _S5),
-        "E": 0.5 * (1.0 + _S6),
-    }
-    try:
-        return values[case]
-    except KeyError:
-        raise UnknownCaseError(f"no reference case {case!r}; pick one of {REFERENCE_CASES}")
+    k = len(_measurements(case))
+    if case == "C":  # the open quadruple falls short of the bound
+        return 0.5 * (1.0 + (math.sqrt(2.0) + math.sqrt(6.0)) / 8.0)
+    return pm_upper_bound(k)
 
 
 def reference_protocol(case: str) -> tuple[FunctionSet, PMStrategy]:
-    """Exact question set and strategy for one of the named cases."""
-    if case == "A":
-        fset = FunctionSet.from_bitstrings("100,010")
-        preps = {
-            x: (_sign((x >> 2) & 1) * _S2, _sign((x >> 1) & 1) * _S2, 0.0)
-            for x in range(8)
-        }
-        meas = {0b100: _X, 0b010: _Y}
-    elif case == "B1":
-        fset = FunctionSet.from_bitstrings("100,010,001")
-        preps = {
-            x: (
-                _sign((x >> 2) & 1) * _S3,
-                _sign((x >> 1) & 1) * _S3,
-                _sign(x & 1) * _S3,
-            )
-            for x in range(8)
-        }
-        meas = {0b100: _X, 0b010: _Y, 0b001: _Z}
-    elif case == "B2":
-        fset = FunctionSet.from_bitstrings("100,010,110")
-        preps = {
-            x: (
-                _sign((x >> 2) & 1) * _S3,
-                _sign((x >> 1) & 1) * _S3,
-                _sign(((x >> 2) ^ (x >> 1)) & 1) * _S3,
-            )
-            for x in range(8)
-        }
-        meas = {0b100: _X, 0b010: _Y, 0b110: _Z}
-    elif case == "C":
-        fset = FunctionSet.from_bitstrings("100,010,001,110")
-        b = 1.0 / math.sqrt(6.0)
-        preps = {
-            0b000: (_A23, b, b),
-            0b001: (_A23, -b, b),
-            0b010: (0.0, _S2, -_S2),
-            0b100: (0.0, _S2, -_S2),
-            0b011: (0.0, -_S2, -_S2),
-            0b101: (0.0, -_S2, -_S2),
-            0b110: (-_A23, b, b),
-            0b111: (-_A23, -b, b),
-        }
-        meas = {0b100: _X, 0b010: _X, 0b001: _Y, 0b110: _Z}
-    elif case == "D_box":
-        fset = FunctionSet.from_bitstrings("100,010,001,110,101")
-        preps = {
-            0b000: (_S5, 0.0, 2 * _S5),
-            0b001: (_S5, 2 * _S5, 0.0),
-            0b010: (_S5, -2 * _S5, 0.0),
-            0b011: (_S5, 0.0, -2 * _S5),
-            0b100: (-_S5, 2 * _S5, 0.0),
-            0b101: (-_S5, 0.0, -2 * _S5),
-            0b110: (-_S5, 0.0, 2 * _S5),
-            0b111: (-_S5, -2 * _S5, 0.0),
-        }
-        meas = {0b100: _X, 0b010: _Y, 0b001: _Z, 0b110: _Z, 0b101: _neg(_Y)}
-    elif case == "D_planar":
-        fset = FunctionSet.from_bitstrings("100,010,001,110,101")
-        preps = {
-            0b000: (_S5, 2 * _S5, 0.0),
-            0b001: (_S5, 2 * _S5, 0.0),
-            0b010: (_S5, -2 * _S5, 0.0),
-            0b011: (_S5, -2 * _S5, 0.0),
-            0b101: (-_S5, 2 * _S5, 0.0),
-            0b111: (-_S5, 2 * _S5, 0.0),
-            0b100: (-_S5, -2 * _S5, 0.0),
-            0b110: (-_S5, -2 * _S5, 0.0),
-        }
-        meas = {0b100: _X, 0b010: _Y, 0b001: _neg(_Y), 0b110: _Y, 0b101: _Y}
-    elif case == "E":
-        fset = FunctionSet.from_bitstrings("100,010,001,110,101,011")
-        a, b = _A23, _S6
-        preps = {
-            0b000: (a, b, b),
-            0b001: (-a, b, -b),
-            0b010: (a, -b, b),
-            0b011: (a, -b, -b),
-            0b100: (-a, -b, b),
-            0b101: (-a, -b, -b),
-            0b110: (-a, b, b),
-            0b111: (a, b, -b),
-        }
-        meas = {
-            0b100: _X,
-            0b010: _neg(_X),
-            0b001: _Z,
-            0b110: _Y,
-            0b101: _X,
-            0b011: _X,
-        }
-    else:
-        raise UnknownCaseError(
-            f"no reference case {case!r}; pick one of {REFERENCE_CASES}"
-        )
-    return fset, PMStrategy(3, preps, meas)
+    """Question set and strategy of a named case: its measurements and Alice's best reply."""
+    meas = _measurements(case)
+    fset = FunctionSet.from_bitstrings(",".join(meas))
+    vmat = np.array([meas[lab.bitstring()] for lab in fset])
+    big_v = sign_matrix(fset) @ vmat
+    preps = big_v / np.linalg.norm(big_v, axis=1, keepdims=True)
+    return fset, PMStrategy(fset.n, dict(enumerate(preps)), dict(zip(fset.ints, vmat)))

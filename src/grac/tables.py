@@ -32,7 +32,7 @@ from .classical import (
 )
 from .eacc import eacc_seesaw
 from .errors import InvalidInputError
-from .mubs import BooleanFn, FunctionSet, full_mubs
+from .mubs import MAX_WIDTH, BooleanFn, FunctionSet, QuadrupleClass, full_mubs
 from .protocols import reference_value
 from .quantum import pm_upper_bound, seesaw
 
@@ -42,14 +42,19 @@ TABLE_IDS = ("I", "II", "Q", "III", "IV")
 def representative_labels(k: int, quad_class: str | None = None) -> tuple[int, ...]:
     """Labels of the lex-smallest set of a cardinality: 1..k, or 1,2,4,7 if xor-closed.
 
-    The class is required at cardinality 4 and refused elsewhere.  The labels
-    are the same at every width, so the CLI applies them at --n.
+    k runs up to the 2^MAX_WIDTH - 1 labels of the widest input.  The class is
+    required at cardinality 4 and refused elsewhere.  The labels are the same
+    at every width, so the CLI applies them at --n.
     """
-    if k == 4 and quad_class not in ("xor-closed", "open"):
-        raise InvalidInputError("cardinality 4 needs a class: k=4:xor-closed or k=4:open")
+    if not 1 <= k < 1 << MAX_WIDTH:
+        raise InvalidInputError(f"cardinality must be in 1..{(1 << MAX_WIDTH) - 1}, got {k}")
+    names = [c.value for c in QuadrupleClass]
+    if k == 4 and quad_class not in names:
+        choices = " or ".join(f"k=4:{name}" for name in names)
+        raise InvalidInputError(f"cardinality 4 needs a class: {choices}")
     if k != 4 and quad_class is not None:
         raise InvalidInputError("a quadruple class only applies to cardinality 4")
-    return (1, 2, 4, 7) if quad_class == "xor-closed" else tuple(range(1, k + 1))
+    return (1, 2, 4, 7) if quad_class == QuadrupleClass.XOR_CLOSED else tuple(range(1, k + 1))
 
 
 def representative_set(k: int, quad_class: str | None = None) -> FunctionSet:
@@ -63,9 +68,11 @@ def spec_labels(spec: str) -> tuple[int, ...]:
         raise InvalidInputError(f"label spec must read k=<m>[:class], got {spec!r}")
     body, sep, qclass = spec[2:].partition(":")
     try:
-        k = int(body)
+        if not (body.isascii() and body.isdigit()):
+            raise ValueError(body)
+        k = int(body)  # also refuses more digits than int() converts
     except ValueError:
-        raise InvalidInputError(f"cardinality in {spec!r} must be an integer") from None
+        raise InvalidInputError(f"cardinality in {spec!r} must be a decimal integer") from None
     return representative_labels(k, qclass if sep else None)
 
 

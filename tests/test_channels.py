@@ -172,3 +172,16 @@ def test_crossing_window_checks_refine_tol_before_any_seesaw(monkeypatch):
     for bad in (-1e-4, 0.0, np.nan, np.inf):
         with pytest.raises(InvalidInputError, match="refine_tol"):
             crossing_window(quint, quad, grid=[0.0, 0.25, 0.5], refine_tol=bad)
+
+
+def test_dephasing_sweep_checks_grid_range_before_any_seesaw(monkeypatch):
+    def no_seesaw(*args, **kwargs):
+        raise AssertionError("seesaw ran before every grid point was checked")
+
+    monkeypatch.setattr(channels, "seesaw", no_seesaw)
+    pair = representative_set(2)
+    for grid in ([0.0, 0.1, 0.7], [0.0, 0.25, -0.1]):
+        with pytest.raises(InvalidInputError, match="dephasing strength"):
+            dephasing_sweep(pair, grid=grid, restarts=1)
+        with pytest.raises(InvalidInputError, match="dephasing strength"):
+            crossing_window(pair, representative_set(3), grid=grid, restarts=1)

@@ -188,6 +188,8 @@ def test_rac_optimum_closed_form():
         assert opt.total == k << k
         # the majority strategy attains the closed form
         assert rac_value(optimal_rac_strategy(k)).as_fraction() == ref
+    for k in range(1, 11):  # every size RACStrategy accepts
+        assert rac_value(optimal_rac_strategy(k)) == rac_optimum(k)
 
 
 def test_rac_identity_k1():

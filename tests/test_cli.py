@@ -24,9 +24,17 @@ def test_parse_label_spec_cardinality():
         cli.parse_label_spec(3, "k=4")  # class is required at cardinality 4
     with pytest.raises(ValueError):
         cli.parse_label_spec(3, "k=3:open")
-    for malformed in ("k=x", "k=", "k=:open"):
-        with pytest.raises(InvalidInputError):
+    malformed_specs = ("k=x", "k=", "k=:open", "k=5_0", "k= 5", "k=+5", "k=-1", "k=\u0665")
+    for malformed in malformed_specs + ("k=" + "1" * 5000,):  # past int()'s digit limit
+        with pytest.raises(InvalidInputError, match="decimal integer"):
             cli.parse_label_spec(3, malformed)
+    with pytest.raises(InvalidInputError, match="cardinality must be in 1..63, got 0"):
+        cli.parse_label_spec(3, "k=0")
+    with pytest.raises(InvalidInputError, match="k=8 exceeds the 7 nonzero labels of width 3"):
+        cli.parse_label_spec(3, "k=8")
+    with pytest.raises(InvalidInputError, match="k=16 exceeds the 15 nonzero labels of width 4"):
+        cli.parse_label_spec(4, "k=16")
+    assert cli.parse_label_spec(4, "k=9").ints == tuple(range(1, 10))
     pairs = [(2, None), (3, None), (4, "xor-closed"), (4, "open"), (5, None), (6, None), (7, None)]
     for k, qclass in pairs:
         spec = f"k={k}:{qclass}" if qclass else f"k={k}"
@@ -77,6 +85,15 @@ def test_window_bad_refine_tol_is_module_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "InvalidInputError"
+
+
+def test_noise_malformed_axis_is_module_error(capsys):
+    assert cli.main(["noise", "--axis", "1,a,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "InvalidInputError"
+    assert "--axis" in error["message"] and "1,a,0" in error["message"]
 
 
 def test_classical_max_strategies_below_one_is_module_error(capsys):

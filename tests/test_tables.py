@@ -2,8 +2,8 @@
 
 import pytest
 
-from grac import TABLE_IDS, representative_set, reproduce_tables
-from grac.tables import table_q, table_three, table_two
+from grac import TABLE_IDS, InvalidInputError, representative_set, reproduce_tables
+from grac.tables import representative_labels, table_q, table_three, table_two
 
 
 def test_representative_set_rules():
@@ -17,6 +17,10 @@ def test_representative_set_rules():
         representative_set(3, "open")
     with pytest.raises(ValueError):
         representative_set(9)
+    for k in (0, -1, 64):  # no width holds 64 nonzero labels
+        with pytest.raises(InvalidInputError, match="cardinality must be in 1..63"):
+            representative_labels(k)
+    assert representative_labels(63) == tuple(range(1, 64))
 
 
 def test_table_two_exact():

@@ -84,7 +84,7 @@ def apply_channel(bmap: BlochMap, r) -> np.ndarray:
     return bmap.matrix() @ np.asarray(r, dtype=np.float64)
 
 
-def critical_depolarizing(fset: FunctionSet, restarts: int = 64, seed: int = 0) -> float:
+def critical_depolarizing(fset: FunctionSet, restarts: int = 8, seed: int = 0) -> float:
     """Noise level where the depolarized optimal quantum value meets the classical one.
 
     Depolarizing shrinks every preparation uniformly, so the optimal strategy

@@ -1,9 +1,10 @@
 """Command-line front end: synthesis, certification, and table reproduction.
 
-Subcommands: mubs, classical, quantum, noise, eacc, tables.  Artifacts are
-written atomically; default seed 0 keeps runs byte-reproducible.  Exit codes:
-0 on success, 1 on a module error (error JSON on stderr), 2 when a tables
-run exceeds its tolerance.
+Subcommands: mubs, classical, quantum, noise, eacc, tables.  An optimizer
+option left out keeps the library's default (seed 0 keeps runs
+byte-reproducible).  Artifacts are written atomically, before the result is
+printed.  Exit codes: 0 on success, 1 on a module error (error JSON on
+stderr), 2 when a tables run exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import tempfile
 
 from . import tables as tables_mod
 from .channels import (
+    DEPHASING,
+    DEPOLARIZING,
     SweepResult,
     critical_depolarizing,
     crossing_window,
@@ -61,18 +64,29 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _emit(args, payload: dict, text: str, csv: str | None = None) -> None:
-    """Serialize the artifact in the requested format and write it if asked."""
-    if args.fmt == "json":
-        data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif args.fmt == "text":
-        data = text if text.endswith("\n") else text + "\n"
-    else:
-        if csv is None:
-            raise InvalidInputError(f"format csv is not available for {args.command}")
-        data = csv
+def _given(args, *names) -> dict:
+    """The named options the user set; the library defaults the others."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _csv_available(args) -> bool:
+    """Only tables and the dephasing sweep have a CSV artifact."""
+    if args.command == "noise":
+        return not args.window and args.channel == DEPHASING
+    return args.command == "tables"
+
+
+def _emit(args, payload: dict, summary: str, text: str | None = None, csv: str | None = None):
+    """Write the artifact in the requested format if asked, then print the summary."""
     if args.out:
+        if args.fmt == "json":
+            data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        elif args.fmt == "text":
+            data = (summary if text is None else text) + "\n"
+        else:
+            data = csv
         _atomic_write(args.out, data)
+    print(summary)
 
 
 def _sweep_csv(sweep: SweepResult) -> str:
@@ -83,8 +97,7 @@ def _sweep_csv(sweep: SweepResult) -> str:
 
 
 def _cmd_mubs(args) -> int:
-    spec = args.check if args.check else args.labels
-    fset = parse_label_spec(args.n, spec)
+    fset = parse_label_spec(args.n, args.labels)
     ok = is_mubs(fset)
     qclass = classify_quadruple(fset).value if len(fset) == 4 else None
     payload = {
@@ -96,14 +109,13 @@ def _cmd_mubs(args) -> int:
     summary = f"MUBS: {'true' if ok else 'false'}"
     if qclass:
         summary += f"; quadruple class: {qclass}"
-    print(summary)
     _emit(args, payload, summary)
     return 0
 
 
 def _cmd_classical(args) -> int:
     fset = parse_label_spec(args.n, args.labels)
-    value, strategies = classical_optimum(fset, max_strategies=args.max_strategies)
+    value, strategies = classical_optimum(fset, **_given(args, "max_strategies"))
     payload = {
         "n": fset.n,
         "labels": [lab.bitstring() for lab in fset],
@@ -114,21 +126,14 @@ def _cmd_classical(args) -> int:
         f"classical optimum {value} = {value.value:.6f} for {len(fset)} questions "
         f"(n={fset.n}); kept {len(strategies)} optimal encodings"
     )
-    print(summary)
     text = summary + "\n" + "\n".join(s.to_dict()["encoding"] for s in strategies)
-    _emit(args, payload, text)
+    _emit(args, payload, summary, text)
     return 0
 
 
 def _cmd_quantum(args) -> int:
     fset = parse_label_spec(args.n, args.labels)
-    report = seesaw(
-        fset,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    report = seesaw(fset, **_given(args, "restarts", "max_iters", "tol", "seed"))
     bound = pm_upper_bound(len(fset))
     payload = {
         "n": fset.n,
@@ -146,7 +151,6 @@ def _cmd_quantum(args) -> int:
         f"quantum value {report.value:.9f} (bound {bound:.9f}; "
         f"{report.iterations} iterations, converged={report.converged})"
     )
-    print(summary)
     _emit(args, payload, summary)
     return 0
 
@@ -157,45 +161,30 @@ def _cmd_noise(args) -> int:
         axis = tuple(float(c) for c in args.axis.split(","))
     except ValueError:
         raise InvalidInputError(f"--axis must be comma-separated numbers, got {args.axis!r}") from None
-    if args.window:
-        other = parse_label_spec(args.n, args.window)
-        low, high = crossing_window(
-            fset,
-            other,
-            axis=axis,
-            grid=dephasing_grid(args.grid_points),
-            refine_tol=args.refine_tol,
-            restarts=args.restarts,
-            seed=args.seed,
-        )
-        payload = {"low": low, "high": high, "tol": args.refine_tol}
-        summary = f"crossing window in 1-lambda: ({low:.4f}, {high:.4f})"
-        print(summary)
-        _emit(args, payload, summary)
-        return 0
-    if args.channel == "depolarizing":
-        lam = critical_depolarizing(fset, restarts=args.restarts, seed=args.seed)
+    opts = _given(args, "restarts", "seed")
+    if args.channel == DEPOLARIZING and not args.window:
+        lam = critical_depolarizing(fset, **opts)
         payload = {
             "n": fset.n,
             "labels": [lab.bitstring() for lab in fset],
-            "channel": "depolarizing",
+            "channel": DEPOLARIZING,
             "lambda_crit": lam,
         }
-        summary = f"critical depolarizing noise: lambda = {lam:.5f}"
-        print(summary)
-        _emit(args, payload, summary)
+        _emit(args, payload, f"critical depolarizing noise: lambda = {lam:.5f}")
         return 0
-    sweep = dephasing_sweep(
-        fset,
-        axis=axis,
-        grid=dephasing_grid(args.grid_points),
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    if args.grid_points is not None:
+        opts["grid"] = dephasing_grid(args.grid_points)
+    if args.window:
+        other = parse_label_spec(args.n, args.window)
+        low, high = crossing_window(fset, other, axis=axis, refine_tol=args.refine_tol, **opts)
+        payload = {"low": low, "high": high, "tol": args.refine_tol}
+        _emit(args, payload, f"crossing window in 1-lambda: ({low:.4f}, {high:.4f})")
+        return 0
+    sweep = dephasing_sweep(fset, axis=axis, **opts)
     payload = {
         "n": fset.n,
         "labels": [lab.bitstring() for lab in fset],
-        "channel": "dephasing",
+        "channel": DEPHASING,
         "axis": list(axis),
         "lambda": list(sweep.lam),
         "values": list(sweep.values),
@@ -206,43 +195,36 @@ def _cmd_noise(args) -> int:
         f"dephasing sweep along ({args.axis}): {sweep.values[0]:.6f} at lambda=0 "
         f"to {sweep.values[-1]:.6f} at lambda={sweep.lam[-1]:g}"
     )
-    print(summary)
     _emit(args, payload, summary, csv=_sweep_csv(sweep))
     return 0
 
 
 def _cmd_eacc(args) -> int:
     fset = parse_label_spec(args.n, args.labels)
-    report = eacc_seesaw(
-        fset,
-        local_dim=args.local_dim,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    report = eacc_seesaw(fset, **_given(args, "local_dim", "restarts", "max_iters", "tol", "seed"))
+    local_dim = report.best_strategy.dims[0]
     payload = {
         "n": fset.n,
         "labels": [lab.bitstring() for lab in fset],
-        "local_dim": args.local_dim,
+        "local_dim": local_dim,
         "value": report.value,
         "iterations": report.iterations,
         "converged": report.converged,
         "strategy": report.best_strategy.to_dict(),
     }
     summary = (
-        f"eacc value {report.value:.9f} at local dimension {args.local_dim} "
+        f"eacc value {report.value:.9f} at local dimension {local_dim} "
         f"({report.iterations} iterations, converged={report.converged})"
     )
-    print(summary)
     _emit(args, payload, summary)
     return 0
 
 
 def _cmd_tables(args) -> int:
     which = tuple(t.strip() for t in args.which.split(",") if t.strip())
-    reports = tables_mod.reproduce_tables(which, seed=args.seed)
+    reports = tables_mod.reproduce_tables(which, **_given(args, "seed"))
     payload = []
+    status_lines = []
     text_lines = []
     csv_lines = ["table,row,computed,reference,delta,passed"]
     all_passed = True
@@ -250,7 +232,7 @@ def _cmd_tables(args) -> int:
         status = "PASS" if rep.passed else "FAIL"
         all_passed &= rep.passed
         line = f"table {rep.table_id}: {status} (max |delta| {rep.max_delta:.3e}, tolerance {rep.tolerance:g})"
-        print(line)
+        status_lines.append(line)
         text_lines.append(line)
         rows = []
         for row in rep.rows:
@@ -282,18 +264,23 @@ def _cmd_tables(args) -> int:
                 "rows": rows,
             }
         )
-    _emit(args, {"tables": payload}, "\n".join(text_lines), csv="\n".join(csv_lines) + "\n")
+    text, csv = "\n".join(text_lines), "\n".join(csv_lines) + "\n"
+    _emit(args, {"tables": payload}, "\n".join(status_lines), text, csv)
     return 0 if all_passed else 2
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=3, help="input width (default 3)")
-    parser.add_argument(
-        "--labels",
-        default="all",
-        help="question set: comma-separated bitstrings, 'all', or k=<m>[:class]",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+def _add_common(parser: argparse.ArgumentParser, labels=("--labels",), seed=True) -> None:
+    """The question set (spelled as `labels` lists), --seed and the artifact options."""
+    if labels:
+        parser.add_argument("--n", type=int, default=3, help="input width (default 3)")
+        parser.add_argument(
+            *labels,
+            dest="labels",
+            default="all",
+            help="question set: comma-separated bitstrings, 'all', or k=<m>[:class]",
+        )
+    if seed:
+        parser.add_argument("--seed", type=int, help="random seed (default: the library's)")
     parser.add_argument("--out", help="write the artifact to this path (atomic)")
     parser.add_argument(
         "--format",
@@ -312,42 +299,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mubs", help="check balance/unbiasedness of a question set")
-    _add_common(p)
-    p.add_argument("--check", metavar="LABELS", help="labels to check (overrides --labels)")
+    _add_common(p, labels=("--labels", "--check"), seed=False)
     p.set_defaults(func=_cmd_mubs)
 
     p = sub.add_parser("classical", help="exact classical optimum and strategies")
-    _add_common(p)
-    p.add_argument("--max-strategies", type=int, default=16)
+    _add_common(p, seed=False)
+    p.add_argument("--max-strategies", type=int)
     p.set_defaults(func=_cmd_classical)
 
     p = sub.add_parser("quantum", help="one-qubit see-saw optimization")
     _add_common(p)
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--max-iters", type=int, default=10000)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_quantum)
 
     p = sub.add_parser("noise", help="noise thresholds, dephasing sweeps, crossing windows")
     _add_common(p)
-    p.add_argument("--channel", choices=("depolarizing", "dephasing"), default="depolarizing")
+    p.add_argument("--channel", choices=(DEPOLARIZING, DEPHASING), default=DEPOLARIZING)
+    # --axis and --refine-tol keep CLI defaults: the sweep's result line echoes
+    # the axis as typed and the window artifact records its "tol".
     p.add_argument("--axis", default="1,0,0", help="dephasing axis (default 1,0,0)")
-    p.add_argument("--grid-points", type=int, default=101)
+    p.add_argument("--grid-points", type=int)
     p.add_argument("--window", metavar="LABELS", help="second set: report where --labels beats it")
     p.add_argument("--refine-tol", type=float, default=1e-4)
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=int)
     p.set_defaults(func=_cmd_noise)
 
     p = sub.add_parser("eacc", help="entanglement-assisted see-saw optimization")
     _add_common(p)
-    p.add_argument("--local-dim", type=int, choices=LOCAL_DIMS, default=2)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--max-iters", type=int, default=3000)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--local-dim", type=int, choices=LOCAL_DIMS)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_eacc)
 
     p = sub.add_parser("tables", help="recompute reference tables and report deltas")
-    _add_common(p)
+    _add_common(p, labels=())
     p.add_argument("--which", default=",".join(tables_mod.TABLE_IDS))
     p.set_defaults(func=_cmd_tables)
 
@@ -358,6 +346,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.fmt == "csv" and not _csv_available(args):
+            raise InvalidInputError(f"format csv is not available for {args.command}")
         return args.func(args)
     except (GracError, ValueError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}

@@ -151,7 +151,10 @@ def _check_effect_pair(pair: np.ndarray, what: str) -> None:
 
 
 def validate_strategy(strategy: EACCStrategy) -> None:
-    """Hermiticity, positivity, completeness, and unit trace, all to 1e-10."""
+    """Finite entries, then Hermiticity, positivity, completeness, and unit trace to 1e-10."""
+    for what, arr in (("state", strategy.state), ("alice", strategy.alice), ("bob", strategy.bob)):
+        if not np.isfinite(arr).all():
+            raise InvalidEffectError(f"{what} has a non-finite entry")
     state = strategy.state
     if np.abs(state - state.conj().T).max() > _ATOL:
         raise InvalidEffectError("state is not Hermitian")

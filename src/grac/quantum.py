@@ -44,6 +44,8 @@ def _as_unit(vec, what: str) -> tuple[float, float, float]:
     arr = np.asarray(vec, dtype=np.float64)
     if arr.shape != (3,):
         raise InvalidInputError(f"{what} must be a 3-vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{what} must be finite, got {arr.tolist()!r}")
     norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > _UNIT_TOL:
         raise InvalidInputError(f"{what} must be unit norm, got |v| = {norm!r}")
@@ -123,16 +125,12 @@ def pm_upper_bound(k: int) -> float:
 
 
 def norm_cancellation_check(fset: FunctionSet, measurements) -> float:
-    """sum_x ||sum_y g_y(x) v_y||^2; equals 2^n*k for any unit v_y.
+    """sum_x ||sum_y g_y(x) v_y||^2 for rows v_y in set order; 2^n*k for unit v_y.
 
     Cross terms vanish because distinct parities agree on exactly half the
     inputs, so only the k diagonal ||v_y||^2 = 1 terms survive each x.
     """
-    if isinstance(measurements, dict):
-        vmat = np.array([measurements[lab.r] for lab in fset], dtype=np.float64)
-    else:
-        vmat = np.asarray(measurements, dtype=np.float64)
-    big_v = sign_matrix(fset) @ vmat
+    big_v = sign_matrix(fset) @ np.asarray(measurements, dtype=np.float64)
     return float(np.einsum("xc,xc->", big_v, big_v))
 
 

@@ -1,5 +1,7 @@
 """Bloch channels, noise thresholds, dephasing sweeps, crossing windows."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,11 @@ def test_dephasing_sweep_checks_grid_range_before_any_seesaw(monkeypatch):
             dephasing_sweep(pair, grid=grid, restarts=1)
         with pytest.raises(InvalidInputError, match="dephasing strength"):
             crossing_window(pair, representative_set(3), grid=grid, restarts=1)
+
+
+def test_noise_functions_share_one_restarts_default():
+    defaults = {
+        fn.__name__: inspect.signature(fn).parameters["restarts"].default
+        for fn in (critical_depolarizing, dephasing_sweep, crossing_window)
+    }
+    assert set(defaults.values()) == {8}, defaults

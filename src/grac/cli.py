@@ -155,14 +155,22 @@ def _cmd_quantum(args) -> int:
     return 0
 
 
+def _refuse(args, mode: str, *names) -> None:
+    """Raise when the user set an option that `mode` does not read."""
+    given = _given(args, *names)
+    if given:
+        flags = ", ".join(f"--{name.replace('_', '-')} {value!r}" for name, value in given.items())
+        raise InvalidInputError(f"{mode} does not use {flags}")
+
+
 def _cmd_noise(args) -> int:
     fset = parse_label_spec(args.n, args.labels)
-    try:
-        axis = tuple(float(c) for c in args.axis.split(","))
-    except ValueError:
-        raise InvalidInputError(f"--axis must be comma-separated numbers, got {args.axis!r}") from None
     opts = _given(args, "restarts", "seed")
-    if args.channel == DEPOLARIZING and not args.window:
+    if args.window:
+        if args.channel == DEPOLARIZING:
+            raise InvalidInputError("a crossing window is always dephasing; drop --channel depolarizing")
+    elif args.channel != DEPHASING:
+        _refuse(args, "a depolarizing threshold", "axis", "grid_points", "refine_tol")
         lam = critical_depolarizing(fset, **opts)
         payload = {
             "n": fset.n,
@@ -172,12 +180,22 @@ def _cmd_noise(args) -> int:
         }
         _emit(args, payload, f"critical depolarizing noise: lambda = {lam:.5f}")
         return 0
+    else:
+        _refuse(args, "a dephasing sweep", "refine_tol")
+    # The sweep's result line echoes the axis as typed and the window
+    # artifact records its tolerance, so these two defaults are stated here.
+    axis_text = "1,0,0" if args.axis is None else args.axis
+    try:
+        axis = tuple(float(c) for c in axis_text.split(","))
+    except ValueError:
+        raise InvalidInputError(f"--axis must be comma-separated numbers, got {axis_text!r}") from None
     if args.grid_points is not None:
         opts["grid"] = dephasing_grid(args.grid_points)
     if args.window:
+        refine_tol = 1e-4 if args.refine_tol is None else args.refine_tol
         other = parse_label_spec(args.n, args.window)
-        low, high = crossing_window(fset, other, axis=axis, refine_tol=args.refine_tol, **opts)
-        payload = {"low": low, "high": high, "tol": args.refine_tol}
+        low, high = crossing_window(fset, other, axis=axis, refine_tol=refine_tol, **opts)
+        payload = {"low": low, "high": high, "tol": refine_tol}
         _emit(args, payload, f"crossing window in 1-lambda: ({low:.4f}, {high:.4f})")
         return 0
     sweep = dephasing_sweep(fset, axis=axis, **opts)
@@ -192,7 +210,7 @@ def _cmd_noise(args) -> int:
         "ratio": list(sweep.ratio),
     }
     summary = (
-        f"dephasing sweep along ({args.axis}): {sweep.values[0]:.6f} at lambda=0 "
+        f"dephasing sweep along ({axis_text}): {sweep.values[0]:.6f} at lambda=0 "
         f"to {sweep.values[-1]:.6f} at lambda={sweep.lam[-1]:g}"
     )
     _emit(args, payload, summary, csv=_sweep_csv(sweep))
@@ -316,13 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise", help="noise thresholds, dephasing sweeps, crossing windows")
     _add_common(p)
-    p.add_argument("--channel", choices=(DEPOLARIZING, DEPHASING), default=DEPOLARIZING)
-    # --axis and --refine-tol keep CLI defaults: the sweep's result line echoes
-    # the axis as typed and the window artifact records its "tol".
-    p.add_argument("--axis", default="1,0,0", help="dephasing axis (default 1,0,0)")
+    p.add_argument(
+        "--channel",
+        choices=(DEPOLARIZING, DEPHASING),
+        help="depolarizing threshold or dephasing sweep (default depolarizing)",
+    )
+    p.add_argument("--axis", help="dephasing axis (default 1,0,0)")
     p.add_argument("--grid-points", type=int)
     p.add_argument("--window", metavar="LABELS", help="second set: report where --labels beats it")
-    p.add_argument("--refine-tol", type=float, default=1e-4)
+    p.add_argument("--refine-tol", type=float, help="window bisection tolerance (default 1e-4)")
     p.add_argument("--restarts", type=int)
     p.set_defaults(func=_cmd_noise)
 

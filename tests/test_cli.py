@@ -97,6 +97,38 @@ def test_noise_malformed_axis_is_module_error(capsys):
     assert "--axis" in error["message"] and "1,a,0" in error["message"]
 
 
+def test_sweep_malformed_axis_is_module_error(capsys):
+    assert cli.main(["noise", "--channel", "dephasing", "--axis", "1,a,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "InvalidInputError"
+    assert error["message"] == "--axis must be comma-separated numbers, got '1,a,0'"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--axis", "1,0,0"],
+        ["--grid-points", "5"],
+        ["--refine-tol", "1e-3"],
+        ["--channel", "depolarizing", "--grid-points", "1", "--axis", "0,0,0", "--refine-tol", "-5"],
+        ["--channel", "dephasing", "--refine-tol", "1e-3"],
+        ["--window", "k=4:open", "--channel", "depolarizing"],
+    ],
+)
+def test_noise_refuses_flags_its_mode_ignores(flags, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the optimizer ran")
+
+    for name in ("critical_depolarizing", "dephasing_sweep", "crossing_window"):
+        monkeypatch.setattr(cli, name, never)
+    assert cli.main(["noise", "--labels", "k=5", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "InvalidInputError"
+
+
 def test_classical_max_strategies_below_one_is_module_error(capsys):
     for bad in ("0", "-1"):
         rc = cli.main(["classical", "--labels", "all", "--max-strategies", bad])

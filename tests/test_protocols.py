@@ -39,6 +39,15 @@ def test_reference_protocol_is_seesaw_fixed_point(case):
     assert float(values[0]) == pytest.approx(reference_value(case), abs=1e-9)
 
 
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_reference_measurements_do_not_move(case):
+    """At a fixed point the extrapolated candidate is the plain point, so v stays put."""
+    fset, strat = reference_protocol(case)
+    v0 = strat.meas_array(fset)[None, :, :]
+    _, _, _, _, vvecs, _ = run_seesaw(sign_matrix(fset), np.eye(3), v0, 5, 1e-15)
+    assert np.abs(vvecs - v0).max() <= 1e-12
+
+
 def test_case_set_cardinalities():
     sizes = {case: len(reference_protocol(case)[0]) for case in REFERENCE_CASES}
     assert sizes == {"A": 2, "B1": 3, "B2": 3, "C": 4, "D_box": 5, "D_planar": 5, "E": 6}

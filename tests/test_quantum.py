@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grac import (
     FunctionSet,
@@ -20,8 +22,10 @@ from grac import (
     sign_matrix,
 )
 from grac._seesaw import alternate
+from grac.channels import BlochMap
 from grac.eacc import eacc_seesaw
 from grac.quantum import run_seesaw
+from grac.tables import representative_set
 
 
 def test_sign_matrix_small():
@@ -221,6 +225,48 @@ def test_kernel_single_start_accepted():
     assert np.asarray(vals).shape == (1,)
     assert np.asarray(rvecs).shape == (1, 8, 3)
     assert np.asarray(vvecs).shape == (1, 3, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_rows_replay_and_stay_bounded_at_widths_4_to_6(data):
+    """Every returned (r, v) pair scores its reported value, steps go uphill,
+    and no value passes the 1/2(1+1/sqrt(k)) ceiling.
+
+    Budgets are short, so many rows stop right after a taken extrapolated
+    step; a candidate stored without its own best reply fails the replay.
+    """
+    n = data.draw(st.integers(4, 6), label="n")
+    labels = data.draw(
+        st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=12, unique=True),
+        label="labels",
+    )
+    max_iters = data.draw(st.integers(1, 60), label="max_iters")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="dephased"):
+        lam = data.draw(st.floats(0.0, 0.5), label="lam")
+        dmat = BlochMap.dephasing(lam, rng.standard_normal(3)).matrix()
+    else:
+        dmat = np.eye(3)
+    signs = sign_matrix(FunctionSet.from_ints(n, tuple(labels)))
+    m, k = signs.shape
+    v0 = rng.standard_normal((5, k, 3))
+    v0 /= np.linalg.norm(v0, axis=2, keepdims=True)
+
+    values, _, min_deltas, rvecs, vvecs, _ = run_seesaw(signs, dmat, v0, max_iters, 1e-10)
+    replay = 0.5 + np.einsum("xy,rxc,ryc->r", signs, rvecs @ dmat.T, vvecs) / (2 * m * k)
+    assert np.abs(replay - values).max() <= 1e-12
+    assert (min_deltas >= -1e-12).all()  # rounding only: each half-step is uphill
+    assert (values <= pm_upper_bound(k) + 1e-12).all()
+
+
+def test_extrapolation_converges_at_a_slow_dephasing_point():
+    """The open quadruple at dephasing 0.045 took 1,981 plain see-saw iterations."""
+    fset = representative_set(4, "open")
+    report = seesaw(fset, restarts=1, seed=0, channel=BlochMap.dephasing(0.045))
+    assert report.converged
+    assert report.iterations <= 1000
+    assert report.value >= 0.7292479
 
 
 def test_alternate_freezes_converged_rows():

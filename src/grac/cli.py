@@ -169,7 +169,9 @@ def _cmd_noise(args) -> int:
     if args.window:
         if args.channel == DEPOLARIZING:
             raise InvalidInputError("a crossing window is always dephasing; drop --channel depolarizing")
-    elif args.channel != DEPHASING:
+    elif args.channel == DEPHASING:
+        _refuse(args, "a dephasing sweep", "refine_tol")
+    else:
         _refuse(args, "a depolarizing threshold", "axis", "grid_points", "refine_tol")
         lam = critical_depolarizing(fset, **opts)
         payload = {
@@ -180,8 +182,6 @@ def _cmd_noise(args) -> int:
         }
         _emit(args, payload, f"critical depolarizing noise: lambda = {lam:.5f}")
         return 0
-    else:
-        _refuse(args, "a dephasing sweep", "refine_tol")
     # The sweep's result line echoes the axis as typed and the window
     # artifact records its tolerance, so these two defaults are stated here.
     axis_text = "1,0,0" if args.axis is None else args.axis

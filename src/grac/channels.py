@@ -79,11 +79,6 @@ class BlochMap:
         return proj + (1.0 - 2.0 * self.lam) * (np.eye(3) - proj)
 
 
-def apply_channel(bmap: BlochMap, r) -> np.ndarray:
-    """Image of a Bloch vector (unit or shorter) under the channel."""
-    return bmap.matrix() @ np.asarray(r, dtype=np.float64)
-
-
 def critical_depolarizing(fset: FunctionSet, restarts: int = 8, seed: int = 0) -> float:
     """Noise level where the depolarized optimal quantum value meets the classical one.
 
@@ -119,10 +114,6 @@ class SweepResult:
     @property
     def ratio(self) -> tuple[float, ...]:
         return tuple(v / self.classical.value for v in self.values)
-
-    @property
-    def one_minus_lambda(self) -> tuple[float, ...]:
-        return tuple(1.0 - x for x in self.lam)
 
     def rows(self):
         """(lambda, 1-lambda, quantum, classical, ratio) per grid point."""

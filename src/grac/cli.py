@@ -28,7 +28,7 @@ from .channels import (
 from .classical import classical_optimum
 from .eacc import LOCAL_DIMS, eacc_seesaw
 from .errors import GracError, InvalidInputError
-from .mubs import FunctionSet, classify_quadruple, full_mubs, is_mubs
+from .mubs import FunctionSet, classify_quadruple, full_mubs
 from .quantum import pm_upper_bound, seesaw
 
 
@@ -97,16 +97,16 @@ def _sweep_csv(sweep: SweepResult) -> str:
 
 
 def _cmd_mubs(args) -> int:
+    """Validate and classify a set; every valid set is a MUBS (see FunctionSet)."""
     fset = parse_label_spec(args.n, args.labels)
-    ok = is_mubs(fset)
     qclass = classify_quadruple(fset).value if len(fset) == 4 else None
     payload = {
         "n": fset.n,
         "labels": [lab.bitstring() for lab in fset],
-        "is_mubs": ok,
+        "is_mubs": True,
         "quadruple_class": qclass,
     }
-    summary = f"MUBS: {'true' if ok else 'false'}"
+    summary = "MUBS: true"
     if qclass:
         summary += f"; quadruple class: {qclass}"
     _emit(args, payload, summary)
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mubs", help="check balance/unbiasedness of a question set")
+    p = sub.add_parser("mubs", help="validate and classify a question set (always a MUBS)")
     _add_common(p, labels=("--labels", "--check"), seed=False)
     p.set_defaults(func=_cmd_mubs)
 

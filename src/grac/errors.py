@@ -13,10 +13,6 @@ class WidthOutOfRangeError(GracError):
     """Requested input width outside the supported range."""
 
 
-class NotBalancedError(GracError):
-    """A predicate that requires balanced functions received an unbalanced one."""
-
-
 class WrongCardinalityError(GracError):
     """A function set of the wrong size was passed to a size-specific operation."""
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     InvalidInputError,
-    NotBalancedError,
     WidthMismatchError,
     WidthOutOfRangeError,
     WrongCardinalityError,
@@ -50,10 +49,6 @@ class BooleanFn:
 
     def __call__(self, x: int) -> int:
         return (self.table >> x) & 1
-
-    def support(self, value: int) -> tuple[int, ...]:
-        """All inputs x with f(x) = value."""
-        return tuple(x for x in range(1 << self.n) if self(x) == value)
 
     def bits(self) -> str:
         """Truth table as a string, character i holding f(i)."""
@@ -96,39 +91,6 @@ class ParityLabel:
         return cls(len(bits), int(bits, 2))
 
 
-def parity_function(label: ParityLabel) -> BooleanFn:
-    """Truth table of the parity function named by a label."""
-    table = 0
-    for x in range(1 << label.n):
-        table |= parity(label.r, x) << x
-    return BooleanFn(label.n, table)
-
-
-def is_balanced(f: BooleanFn) -> bool:
-    """True when f outputs 1 on exactly half of its inputs."""
-    return f.table.bit_count() == 1 << (f.n - 1)
-
-
-def are_mutually_unbiased(f1: BooleanFn, f2: BooleanFn) -> bool:
-    """True when every output cell (f1=i, f2=j) covers exactly a quarter of the inputs.
-
-    Knowing the value of one function then reveals nothing about the other.
-    """
-    if f1.n != f2.n:
-        raise WidthMismatchError(f"widths differ: {f1.n} vs {f2.n}")
-    if not is_balanced(f1):
-        raise NotBalancedError("first function is not balanced")
-    if not is_balanced(f2):
-        raise NotBalancedError("second function is not balanced")
-    m = 1 << f1.n
-    for i in (0, 1):
-        for j in (0, 1):
-            cell = sum(1 for x in range(m) if f1(x) == i and f2(x) == j)
-            if 4 * cell != m:
-                return False
-    return True
-
-
 class QuadrupleClass(str, Enum):
     """XOR structure of a four-question set."""
 
@@ -138,7 +100,15 @@ class QuadrupleClass(str, Enum):
 
 @dataclass(frozen=True)
 class FunctionSet:
-    """A duplicate-free set of parity labels in canonical (ascending) order."""
+    """A duplicate-free set of parity labels in canonical (ascending) order.
+
+    Every FunctionSet is a MUBS: its members are balanced and pairwise
+    mutually unbiased.  Proof: a nonzero parity f_r is balanced, and for
+    distinct labels f_r ⊕ f_s = f_{r⊕s} with r⊕s ≠ 0 is balanced too, so each
+    of the four cells (f_r, f_s) = (i, j) holds a quarter of the inputs.  For
+    g = sign_matrix(fset) this reads: every column of g sums to 0 and
+    gᵀg = 2^n I.  Nothing checks this at run time.
+    """
 
     n: int
     labels: tuple[ParityLabel, ...] = field()
@@ -165,9 +135,6 @@ class FunctionSet:
     def ints(self) -> tuple[int, ...]:
         return tuple(lab.r for lab in self.labels)
 
-    def functions(self) -> tuple[BooleanFn, ...]:
-        return tuple(parity_function(lab) for lab in self.labels)
-
     def bitstrings(self) -> str:
         """Serialized form: comma-separated label bitstrings."""
         return ",".join(lab.bitstring() for lab in self.labels)
@@ -183,18 +150,6 @@ class FunctionSet:
             raise InvalidInputError("expected a comma-separated list of label bitstrings")
         labels = tuple(ParityLabel.from_bitstring(p) for p in parts)
         return cls(labels[0].n, labels)
-
-
-def is_mubs(fset: FunctionSet) -> bool:
-    """True when all members are balanced and pairwise mutually unbiased."""
-    fns = fset.functions()
-    if not all(is_balanced(f) for f in fns):
-        return False
-    for i in range(len(fns)):
-        for j in range(i + 1, len(fns)):
-            if not are_mutually_unbiased(fns[i], fns[j]):
-                return False
-    return True
 
 
 def sign_matrix(fset: FunctionSet) -> np.ndarray:

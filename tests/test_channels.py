@@ -10,7 +10,6 @@ from grac import (
     BlochMap,
     InvalidInputError,
     NoCrossingError,
-    apply_channel,
     classical_optimum,
     critical_depolarizing,
     crossing_window,
@@ -26,18 +25,18 @@ from grac import (
 
 def test_depolarizing_map():
     ch = BlochMap.depolarizing(0.3)
-    assert np.allclose(apply_channel(ch, (1.0, 0.0, 0.0)), (0.7, 0.0, 0.0))
+    assert np.allclose(ch.matrix() @ np.array([1.0, 0.0, 0.0]), (0.7, 0.0, 0.0))
     assert np.allclose(ch.matrix(), 0.7 * np.eye(3))
-    assert np.allclose(apply_channel(BlochMap.depolarizing(1.0), (0.2, 0.5, 0.1)), 0.0)
+    assert np.allclose(BlochMap.depolarizing(1.0).matrix() @ np.array([0.2, 0.5, 0.1]), 0.0)
 
 
 def test_dephasing_map():
     ch = BlochMap.dephasing(0.2, axis=(0.0, 0.0, 1.0))
     # the axis itself is untouched, transverse parts shrink by 1 - 2*lambda
-    assert np.allclose(apply_channel(ch, (0.0, 0.0, 1.0)), (0.0, 0.0, 1.0))
-    assert np.allclose(apply_channel(ch, (1.0, 0.0, 0.0)), (0.6, 0.0, 0.0))
+    assert np.allclose(ch.matrix() @ np.array([0.0, 0.0, 1.0]), (0.0, 0.0, 1.0))
+    assert np.allclose(ch.matrix() @ np.array([1.0, 0.0, 0.0]), (0.6, 0.0, 0.0))
     full = BlochMap.dephasing(0.5, axis=(1.0, 0.0, 0.0))
-    assert np.allclose(apply_channel(full, (0.3, 0.4, 0.5)), (0.3, 0.0, 0.0))
+    assert np.allclose(full.matrix() @ np.array([0.3, 0.4, 0.5]), (0.3, 0.0, 0.0))
 
 
 def test_channel_validation():
@@ -100,8 +99,8 @@ def test_dephasing_sweep_bounds_and_floor():
     # at full dephasing only the classical value survives
     assert sweep.values[-1] == pytest.approx(s_c, abs=1e-6)
     # 1-lambda bookkeeping
-    assert sweep.one_minus_lambda == tuple(1.0 - l for l in grid)
     rows = list(sweep.rows())
+    assert [row[1] for row in rows] == [1.0 - l for l in grid]
     assert rows[0][:2] == (0.0, 1.0)
     assert rows[0][3] == s_c
 

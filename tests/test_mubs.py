@@ -1,23 +1,20 @@
-"""Parity functions, balance, mutual unbiasedness, quadruple classification."""
+"""Parity labels, truth tables, function sets, the MUBS theorem, quadruple classification."""
 
+import numpy as np
 import pytest
 
 from grac import (
     BooleanFn,
     FunctionSet,
-    NotBalancedError,
     ParityLabel,
     QuadrupleClass,
     WidthMismatchError,
     WidthOutOfRangeError,
     WrongCardinalityError,
-    are_mutually_unbiased,
     classify_quadruple,
     full_mubs,
-    is_balanced,
-    is_mubs,
     parity,
-    parity_function,
+    sign_matrix,
 )
 
 
@@ -30,12 +27,10 @@ def test_parity_basics():
 
 
 def test_boolean_fn_call_and_bits():
-    f = parity_function(ParityLabel(3, 0b100))
+    f = BooleanFn(3, 0b11110000)
     # f(x) = x1 (most significant bit), so inputs 4..7 map to 1
     assert f.bits() == "00001111"
     assert [f(x) for x in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
-    assert f.support(1) == (4, 5, 6, 7)
-    assert f.support(0) == (0, 1, 2, 3)
 
 
 def test_boolean_fn_roundtrip():
@@ -70,46 +65,6 @@ def test_parity_label_roundtrip_and_validation():
         ParityLabel.from_bitstring("10a")
 
 
-def test_parity_functions_are_balanced():
-    for n in (1, 2, 3, 4):
-        for r in range(1, 1 << n):
-            assert is_balanced(parity_function(ParityLabel(n, r)))
-    assert not is_balanced(BooleanFn(2, 0b0001))
-    assert not is_balanced(BooleanFn(2, 0b0000))
-
-
-def test_distinct_parities_are_mutually_unbiased():
-    fns = full_mubs(3).functions()
-    for i in range(len(fns)):
-        for j in range(len(fns)):
-            expected = i != j
-            assert are_mutually_unbiased(fns[i], fns[j]) == expected
-
-
-def test_mutual_unbiasedness_rejects_bad_inputs():
-    f3 = parity_function(ParityLabel(3, 1))
-    f2 = parity_function(ParityLabel(2, 1))
-    with pytest.raises(WidthMismatchError):
-        are_mutually_unbiased(f3, f2)
-    unbalanced = BooleanFn(3, 0b00000001)
-    with pytest.raises(NotBalancedError):
-        are_mutually_unbiased(unbalanced, f3)
-    with pytest.raises(NotBalancedError):
-        are_mutually_unbiased(f3, unbalanced)
-
-
-def test_balanced_but_biased_pair():
-    # f2 = x1 xor (x2 and x3) is balanced yet correlated with f1 = x1:
-    # on the x1=0 half, f2 is 1 only at x=011.
-    f1 = parity_function(ParityLabel(3, 0b100))
-    table = 0
-    for x in range(8):
-        table |= (((x >> 2) & 1) ^ (((x >> 1) & 1) & (x & 1))) << x
-    f2 = BooleanFn(3, table)
-    assert is_balanced(f2)
-    assert not are_mutually_unbiased(f1, f2)
-
-
 def test_function_set_canonical_order_and_serialization():
     fset = FunctionSet.from_ints(3, (6, 1, 4))
     assert fset.ints == (1, 4, 6)
@@ -134,9 +89,9 @@ def test_full_mubs_and_is_mubs():
     for n in (1, 2, 3):
         fset = full_mubs(n)
         assert len(fset) == (1 << n) - 1
-        assert is_mubs(fset)
-    assert is_mubs(FunctionSet.from_ints(3, (1, 2, 4)))
-    assert is_mubs(FunctionSet.from_ints(3, (7,)))
+        g = sign_matrix(fset)
+        assert (g.sum(axis=0) == 0).all()
+        assert (g.T @ g == (1 << n) * np.eye(len(fset))).all()
 
 
 def test_classify_quadruple():

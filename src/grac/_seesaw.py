@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integer
 
 if TYPE_CHECKING:
     from .eacc import EACCStrategy
@@ -69,9 +69,8 @@ class SeesawReport:
 
 def check_budget(restarts: int, max_iters: int, tol: float) -> None:
     """Reject a see-saw budget that cannot run or cannot stop."""
-    for name, count in (("restarts", restarts), ("max_iters", max_iters)):
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise InvalidInputError(f"{name} must be an integer, got {count!r}")
+    check_integer("restarts", restarts)
+    check_integer("max_iters", max_iters)
     if restarts < 1:
         raise InvalidInputError("need at least one restart")
     if max_iters < 1:

@@ -8,30 +8,17 @@ Both act linearly, so they enter the prepare-and-measure objective as the
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classical import Rational, classical_optimum
-from .errors import InvalidInputError, NoCrossingError
+from .errors import InvalidInputError, NoCrossingError, check_integer
 from .mubs import FunctionSet
-from .quantum import classical_start_vectors, seesaw
+from .quantum import _unit_axis, classical_start_vectors, seesaw
 
 DEPOLARIZING = "depolarizing"
 DEPHASING = "dephasing"
-
-
-def _unit_axis(axis) -> tuple[float, float, float]:
-    arr = np.asarray(axis, dtype=np.float64)
-    if arr.shape != (3,):
-        raise InvalidInputError(f"axis must be a 3-vector, got shape {arr.shape}")
-    norm = float(np.linalg.norm(arr))
-    if not np.isfinite(norm):
-        raise InvalidInputError(f"axis must be finite, got {tuple(arr.tolist())}")
-    if norm < 1e-12:
-        raise InvalidInputError("axis must be nonzero")
-    return (float(arr[0] / norm), float(arr[1] / norm), float(arr[2] / norm))
 
 
 @dataclass(frozen=True)
@@ -96,8 +83,7 @@ def critical_depolarizing(fset: FunctionSet, restarts: int = 8, seed: int = 0) -
 
 def dephasing_grid(points: int = 101) -> list[float]:
     """`points` evenly spaced dephasing strengths from 0 to 1/2, both ends included."""
-    if isinstance(points, bool) or not isinstance(points, numbers.Integral):
-        raise InvalidInputError(f"grid points must be an integer, got {points!r}")
+    check_integer("grid points", points)
     if points < 2:
         raise InvalidInputError("need at least two grid points")
     return [0.5 * i / (points - 1) for i in range(points)]

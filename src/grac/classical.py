@@ -20,6 +20,7 @@ from .errors import (
     InvalidInputError,
     WidthMismatchError,
     WidthOutOfRangeError,
+    check_integer,
 )
 from .mubs import BooleanFn, FunctionSet, ParityLabel, parity, sign_matrix
 
@@ -200,6 +201,7 @@ def classical_optimum(
     ascending encoding-table order, capped at max_strategies since optima
     are typically far from unique.  Width is capped at ENUM_MAX_WIDTH.
     """
+    check_integer("max_strategies", max_strategies)
     if max_strategies < 1:
         raise InvalidInputError(f"max_strategies must be at least 1, got {max_strategies}")
     n = fset.n
@@ -284,6 +286,9 @@ def optimal_rac_strategy(k: int) -> RACStrategy:
 
 def rac_optimum(k: int) -> Rational:
     """Closed-form optimal k -> 1 RAC success count (majority of k-1 free bits)."""
+    check_integer("RAC size", k)
+    if k < 1:
+        raise InvalidInputError(f"RAC size must be at least 1, got {k}")
     wins_per_pos = (1 << (k - 1)) + math.comb(k - 1, (k - 1) // 2)
     return Rational(k * wins_per_pos, k << k)
 

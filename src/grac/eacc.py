@@ -26,7 +26,6 @@ maximally entangled state and rank-2 projective effects.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,8 @@ from .classical import ENUM_MAX_WIDTH, ClassicalStrategy, classical_optimum
 from .errors import (
     DimensionMismatchError,
     InvalidEffectError,
-    InvalidInputError,
     WidthMismatchError,
+    check_integer,
 )
 from .mubs import FunctionSet, sign_matrix
 
@@ -215,13 +214,7 @@ def eacc_to_bell(strategy: EACCStrategy, fset: FunctionSet) -> BellValueReport:
     p(u = y0, v = f_y(x) | x, y0, y) over all inputs reproduces the
     communication value term by term, so the two numbers must agree.
     """
-    if strategy.n != fset.n:
-        raise WidthMismatchError(f"strategy width {strategy.n} != set width {fset.n}")
-    if strategy.labels != fset.ints:
-        raise DimensionMismatchError(
-            f"strategy covers labels {strategy.labels}, set has {fset.ints}"
-        )
-    validate_strategy(strategy)
+    eacc_value = evaluate_eacc(strategy, fset)  # checks the strategy against fset
     da, db = strategy.dims
     m = 1 << fset.n
     k = len(fset)
@@ -239,7 +232,7 @@ def eacc_to_bell(strategy: EACCStrategy, fset: FunctionSet) -> BellValueReport:
                     np.einsum("jk,kj->", ka[x, y0], strategy.bob[y0, j, v]).real
                 )
     bell /= m * k
-    return BellValueReport(bell_value=bell, eacc_value=evaluate_eacc(strategy, fset))
+    return BellValueReport(bell_value=bell, eacc_value=eacc_value)
 
 
 def classical_embed(
@@ -328,8 +321,7 @@ def eacc_seesaw(
     iteration moves the state, then Alice's effects, then Bob's.  Returns
     the best restart as a SeesawReport holding an EACCStrategy.
     """
-    if isinstance(local_dim, bool) or not isinstance(local_dim, numbers.Integral):
-        raise InvalidInputError(f"local dimension must be an integer, got {local_dim!r}")
+    check_integer("local dimension", local_dim)
     if local_dim not in LOCAL_DIMS:
         raise DimensionMismatchError(
             f"local dimension must be one of {LOCAL_DIMS}, got {local_dim}"

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument check."""
+
+import numbers
 
 
 class GracError(Exception):
@@ -39,3 +41,9 @@ class InvalidEffectError(GracError):
 
 class InvalidInputError(GracError, ValueError):
     """An argument or a serialized strategy lies outside its valid domain."""
+
+
+def check_integer(what: str, value) -> None:
+    """Refuse anything but an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")

@@ -52,6 +52,19 @@ def _as_unit(vec, what: str) -> tuple[float, float, float]:
     return (float(arr[0]), float(arr[1]), float(arr[2]))
 
 
+def _unit_axis(axis) -> tuple[float, float, float]:
+    """A finite nonzero 3-vector, divided by its norm."""
+    arr = np.asarray(axis, dtype=np.float64)
+    if arr.shape != (3,):
+        raise InvalidInputError(f"axis must be a 3-vector, got shape {arr.shape}")
+    norm = float(np.linalg.norm(arr))
+    if not np.isfinite(norm):
+        raise InvalidInputError(f"axis must be finite, got {tuple(arr.tolist())}")
+    if norm < 1e-12:
+        raise InvalidInputError("axis must be nonzero")
+    return (float(arr[0] / norm), float(arr[1] / norm), float(arr[2] / norm))
+
+
 @dataclass(frozen=True)
 class PMStrategy:
     """Prepare-and-measure strategy: one unit Bloch vector per input and label."""
@@ -142,9 +155,8 @@ def classical_start_vectors(fset: FunctionSet, axis=(0.0, 0.0, 1.0)) -> np.ndarr
     with these measurement vectors floors it at the classical optimum (the
     axis matters under dephasing: vectors along the dephasing axis survive).
     """
+    a = np.array(_unit_axis(axis))
     _, strategies = classical_optimum(fset, max_strategies=1)
-    a = np.asarray(axis, dtype=np.float64)
-    a = a / np.linalg.norm(a)
     vecs = np.zeros((len(fset), 3))
     for j, lab in enumerate(fset):
         vecs[j] = a if strategies[0].decode(lab.r, 0) == 0 else -a
@@ -159,6 +171,19 @@ def _random_unit_rows(rng: np.random.Generator, k: int) -> np.ndarray:
         vecs[bad] = rng.standard_normal((int(bad.sum()), 3))
         norms = np.linalg.norm(vecs, axis=1, keepdims=True)
     return vecs / norms
+
+
+def _warm_start(start, k: int, i: int) -> np.ndarray:
+    """A caller's warm start as a finite (k, 3) array; zero rows are allowed."""
+    try:
+        arr = np.asarray(start, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"extra start {i} is not a numeric array: {exc}") from None
+    if arr.shape != (k, 3):
+        raise InvalidInputError(f"extra start {i} must have shape ({k}, 3), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"extra start {i} must be finite")
+    return arr
 
 
 def _safe_unit(vec: np.ndarray) -> tuple[float, float, float]:
@@ -186,13 +211,14 @@ def seesaw(
     check_budget(restarts, max_iters, tol)
     check_seed(seed)
     k = len(fset)
+    extra = () if extra_starts is None else extra_starts
+    extra = [_warm_start(s, k, i) for i, s in enumerate(extra)]
     starts = [
         _random_unit_rows(np.random.default_rng((seed, i)), k) for i in range(restarts)
     ]
     if fset.n <= ENUM_MAX_WIDTH:
         starts.append(classical_start_vectors(fset))
-    if extra_starts is not None:
-        starts.extend(np.asarray(s, dtype=np.float64) for s in extra_starts)
+    starts.extend(extra)
 
     signs = sign_matrix(fset)
     dmat = _channel_matrix(channel)

@@ -313,3 +313,18 @@ def test_sign_search_matches_scan_on_width4_sample():
 )
 def test_sign_search_matches_scan_property(labels, limit):
     _assert_matches_scan(FunctionSet.from_ints(4, sorted(labels)), (limit,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: classical_optimum(full_mubs(3), max_strategies=2.5),
+        lambda: classical_optimum(full_mubs(3), max_strategies="a"),
+        lambda: classical_optimum(full_mubs(3), max_strategies=True),
+        lambda: rac_optimum(0),
+    ],
+    ids=["max_strategies=2.5", "max_strategies='a'", "max_strategies=True", "rac_optimum(0)"],
+)
+def test_non_integer_or_nonpositive_counts_are_refused(call):
+    with pytest.raises(InvalidInputError):
+        call()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 
 import pytest
 
@@ -323,3 +324,12 @@ def test_mubs_check_is_labels():
     parser = cli.build_parser()
     assert parser.parse_args(["mubs", "--check", "100,010"]).labels == "100,010"
     assert parser.parse_args(["mubs"]).labels == "all"
+
+
+def test_mubs_on_a_random_width_5_set(capsys, tmp_path):
+    rng = random.Random("width-5 mubs")
+    labels = ",".join(format(r, "05b") for r in sorted(rng.sample(range(1, 32), 9)))
+    out = tmp_path / "mubs.json"
+    assert cli.main(["mubs", "--n", "5", "--labels", labels, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "MUBS: true\n"
+    assert json.loads(out.read_text())["is_mubs"] is True

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grac import (
     BooleanFn,
@@ -113,3 +115,18 @@ def test_quadruple_class_counts_at_width_3():
     # 2-dimensional subspaces of F_2^3, one coset each
     assert counts[QuadrupleClass.XOR_CLOSED] == 7
     assert counts[QuadrupleClass.OPEN] == 28
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_function_set_is_a_mubs_at_widths_1_to_6(data):
+    """The FunctionSet theorem in the form the correlator reductions use:
+    each column of the sign matrix sums to 0 and its Gram matrix is 2^n I."""
+    n = data.draw(st.integers(1, 6), label="n")
+    labels = data.draw(
+        st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=(1 << n) - 1),
+        label="labels",
+    )
+    g = sign_matrix(FunctionSet.from_ints(n, labels))
+    assert (g.sum(axis=0) == 0).all()
+    assert (g.T @ g == (1 << n) * np.eye(len(labels))).all()

@@ -30,7 +30,8 @@ point is therefore never below the plain one, so no step goes downhill, and
 at a fixed point v_e = v_new and the plain point is kept.  beta is per row
 and adapts: it starts at 2, grows x1.5 when the candidate is taken and
 halves, to no less than 1.25, when it is refused.  On slowly converging
-rows this cuts the trips about threefold.
+rows this cuts the trips about threefold.  `grac.eacc.eacc_seesaw` takes the
+same kind of step, with the same beta rule, on its state and effects.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from .errors import (
     WidthMismatchError,
     WidthOutOfRangeError,
     check_integer,
+    reading,
 )
 from .mubs import BooleanFn, FunctionSet, ParityLabel, parity, sign_matrix
 
@@ -82,11 +83,12 @@ class ClassicalStrategy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassicalStrategy":
-        enc = BooleanFn.from_bits(d["encoding"])
-        dec = {}
-        for key, z in d["decoding"].items():
-            bits, omega = key.split(":")
-            dec[(int(bits, 2), int(omega))] = int(z)
+        with reading("classical strategy"):
+            enc = BooleanFn.from_bits(d["encoding"])
+            dec = {}
+            for key, z in d["decoding"].items():
+                bits, omega = key.split(":")
+                dec[(int(bits, 2), int(omega))] = int(z)
         return cls(enc, dec)
 
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the integer-argument check."""
+"""Exception types shared across the package, the integer-argument check, and
+the guard that reads a serialized strategy."""
 
 import numbers
+from contextlib import contextmanager
 
 
 class GracError(Exception):
@@ -47,3 +49,15 @@ def check_integer(what: str, value) -> None:
     """Refuse anything but an integer; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+
+
+@contextmanager
+def reading(what: str):
+    """Report a missing key or a malformed entry met while reading `what`
+    as InvalidInputError; an InvalidInputError passes through unchanged."""
+    try:
+        yield
+    except InvalidInputError:
+        raise
+    except (KeyError, IndexError, ValueError, TypeError, AttributeError) as exc:
+        raise InvalidInputError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc

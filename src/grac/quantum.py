@@ -20,7 +20,7 @@ import numpy as np
 
 from ._seesaw import SeesawReport, check_budget, check_seed, run_seesaw
 from .classical import ENUM_MAX_WIDTH, classical_optimum
-from .errors import InvalidInputError, WidthMismatchError
+from .errors import InvalidInputError, WidthMismatchError, check_integer, reading
 from .mubs import FunctionSet, sign_matrix
 
 _UNIT_TOL = 1e-12
@@ -111,11 +111,12 @@ class PMStrategy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PMStrategy":
-        if not d["preparations"]:
-            raise InvalidInputError("preparations must not be empty")
-        preps = {int(b, 2): tuple(v) for b, v in d["preparations"].items()}
-        n = len(next(iter(d["preparations"])))
-        meas = {int(b, 2): tuple(v) for b, v in d["measurements"].items()}
+        with reading("prepare-and-measure strategy"):
+            if not d["preparations"]:
+                raise InvalidInputError("preparations must not be empty")
+            preps = {int(b, 2): tuple(v) for b, v in d["preparations"].items()}
+            n = len(next(iter(d["preparations"])))
+            meas = {int(b, 2): tuple(v) for b, v in d["measurements"].items()}
         return cls(n, preps, meas)
 
 
@@ -132,6 +133,7 @@ def evaluate_pm(strategy: PMStrategy, fset: FunctionSet, channel=None) -> float:
 
 def pm_upper_bound(k: int) -> float:
     """Ceiling 1/2(1+1/sqrt(k)) on one-qubit strategies for k unbiased questions."""
+    check_integer("cardinality", k)
     if k < 1:
         raise InvalidInputError(f"cardinality must be positive, got {k}")
     return 0.5 * (1.0 + 1.0 / math.sqrt(k))

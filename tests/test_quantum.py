@@ -48,8 +48,9 @@ def test_pm_upper_bound():
     assert pm_upper_bound(1) == 1.0
     assert pm_upper_bound(2) == pytest.approx(0.5 * (1 + 1 / math.sqrt(2)), abs=1e-15)
     assert pm_upper_bound(4) == 0.75
-    with pytest.raises(ValueError):
-        pm_upper_bound(0)
+    for bad in (0, True, 2.5):
+        with pytest.raises(InvalidInputError):
+            pm_upper_bound(bad)
 
 
 def _diag_strategy(n=1):

@@ -198,8 +198,7 @@ def test_evaluate_matches_explicit_sum_on_povms_and_mixed_states(fset, d):
 
 # Recorded with the safeguarded joint step.  The last column is the value the
 # plain step reached on the same run (in 3, 13, 2, 35, 39, 22 and 58
-# iterations): the joint step only adds candidates that score higher, so it
-# must not end below it.  The test ids leave that column out.
+# iterations), a floor for the joint step.  The test ids leave it out.
 _PINNED_RUNS = [
     (2, None, 2, 4, 0.853553390593274, 3, 0.853553390593274),
     (3, None, 2, 4, 0.788675134593716, 9, 0.7886751345929698),

@@ -165,6 +165,19 @@ def _unit_rows(x, fallback):
     return x / norms, norms
 
 
+def best_reply(signs, dmat, v, r):
+    """Alice's best reply to measurement vectors v, and its score, per row.
+
+    dmat is (3, 3) or one matrix per row; rows of r are kept where the reply
+    has no direction.
+    """
+    m, k = signs.shape
+    scale = 1.0 / (2.0 * m * k)
+    u = np.matmul(np.matmul(signs, v), dmat)  # rows hold D^T V_x
+    r_new, norms = _unit_rows(u, r)
+    return r_new, 0.5 + scale * norms.sum(axis=(-2, -1))
+
+
 def run_seesaw(signs, dmat, v0, max_iters, tol):
     """Run batched one-qubit see-saw iterations with a safeguarded extrapolated step.
 
@@ -178,12 +191,16 @@ def run_seesaw(signs, dmat, v0, max_iters, tol):
     the winner, each at least the one before.  A row's beta starts at
     _BETA_START, grows by _BETA_GROW when its candidate is taken and halves,
     to no less than _BETA_MIN, when it is refused; it rides in the state so
-    that it shrinks with the rows.
+    that it shrinks with the rows.  A per-row channel rides in the state
+    too; a shared one is closed over with its contiguous transpose.  Either
+    way a row's arithmetic is the same, so it gets the same result in any
+    batch.
 
     Parameters
     ----------
     signs : (m, k) array of +-1 floats, g[x,y] = (-1)^{f_y(x)}
-    dmat : (3, 3) channel matrix acting on preparation Bloch vectors
+    dmat : (3, 3) channel matrix acting on preparation Bloch vectors, shared
+        by every row, or (R, 3, 3) with one matrix per row
     v0 : (R, k, 3) or (k, 3) initial measurement vectors, one row per restart
     max_iters : iteration cap per restart
     tol : stop a restart once its per-iteration improvement drops below tol
@@ -198,7 +215,7 @@ def run_seesaw(signs, dmat, v0, max_iters, tol):
     converged : (R,) bool
     """
     signs = np.ascontiguousarray(signs, dtype=np.float64)
-    dmat = np.ascontiguousarray(dmat, dtype=np.float64)
+    dmat = np.array(dmat, dtype=np.float64)  # a copy: a per-row channel is written back
     v = np.array(v0, dtype=np.float64, copy=True)
     if v.ndim == 2:
         v = v[None]
@@ -206,30 +223,28 @@ def run_seesaw(signs, dmat, v0, max_iters, tol):
     m = signs.shape[0]
     scale = 1.0 / (2.0 * m * k)
     signs_t = np.ascontiguousarray(signs.T)
-    dmat_t = np.ascontiguousarray(dmat.T)
+    dmat_t = np.ascontiguousarray(dmat.T) if dmat.ndim == 2 else None
+    channel = (dmat,) if dmat.ndim == 3 else ()  # per-row channels shrink with the rows
 
-    def best_reply(v, r):
-        """Alice's best reply to v (rows of r where it has no direction) and its score."""
-        u = np.matmul(np.matmul(signs, v), dmat)  # rows hold D^T V_x
-        r_new, norms = _unit_rows(u, r)
-        return r_new, 0.5 + scale * norms.sum(axis=(-2, -1))
-
-    r, _ = best_reply(v, np.zeros((n_restarts, m, 3)))
+    r, _ = best_reply(signs, dmat, v, np.zeros((n_restarts, m, 3)))
     beta = np.full(n_restarts, _BETA_START)
 
-    def step(r, v, beta):
-        w = np.matmul(signs_t, np.matmul(r, dmat_t))  # (R, k, 3): sum_x g[x,y] D r_x
+    def step(r, v, beta, *channel):
+        d, d_t = (channel[0], channel[0].transpose(0, 2, 1)) if channel else (dmat, dmat_t)
+        w = np.matmul(signs_t, np.matmul(r, d_t))  # (R, k, 3): sum_x g[x,y] D r_x
         v_new, wnorms = _unit_rows(w, v)
         value_bob = 0.5 + scale * wnorms.sum(axis=(1, 2))
         v_e, _ = _unit_rows(v + beta[:, None, None] * (v_new - v), v_new)
-        both_r, both_value = best_reply(np.stack((v_new, v_e)), r)
+        both_r, both_value = best_reply(signs, d, np.stack((v_new, v_e)), r)
         take = both_value[1] > both_value[0]
         pick = take[:, None, None]
         beta = np.maximum(beta * np.where(take, _BETA_GROW, 0.5), _BETA_MIN)
         return (
-            (np.where(pick, both_r[1], both_r[0]), np.where(pick, v_e, v_new), beta),
+            (np.where(pick, both_r[1], both_r[0]), np.where(pick, v_e, v_new), beta, *channel),
             (value_bob, both_value[0], np.maximum(both_value[0], both_value[1])),
         )
 
-    values, iters, min_deltas, converged = alternate(step, (r, v, beta), max_iters, tol)
+    values, iters, min_deltas, converged = alternate(
+        step, (r, v, beta, *channel), max_iters, tol
+    )
     return values, iters, min_deltas, r, v, converged

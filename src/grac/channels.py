@@ -9,13 +9,23 @@ Both act linearly, so they enter the prepare-and-measure objective as the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ._seesaw import best_reply, check_budget, check_seed
 from .classical import Rational, classical_optimum
 from .errors import InvalidInputError, NoCrossingError, check_integer
-from .mubs import FunctionSet
-from .quantum import _unit_axis, classical_start_vectors, seesaw
+from .mubs import FunctionSet, sign_matrix
+from .quantum import (
+    _MAX_ITERS,
+    _TOL,
+    _embed_classical,
+    _random_starts,
+    _solve_starts,
+    _unit_axis,
+    seesaw,
+)
 
 DEPOLARIZING = "depolarizing"
 DEPHASING = "dephasing"
@@ -108,6 +118,90 @@ class SweepResult:
             yield (lam, 1.0 - lam, val, c, rat)
 
 
+_WARM_MARGIN = 1e-4  # a neighbour's optimum reruns at a point only if it starts this close
+
+
+def _checked_grid(grid) -> tuple[float, ...]:
+    """The grid (default `dephasing_grid()`) as floats, refused unless a nonempty 1-D list."""
+    try:
+        arr = np.asarray(dephasing_grid() if grid is None else grid, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"the dephasing grid must be a list of numbers: {exc}") from None
+    if arr.ndim != 1:
+        raise InvalidInputError(f"the dephasing grid must be a flat list, got shape {arr.shape}")
+    if not arr.size:
+        raise InvalidInputError("the dephasing grid is empty")
+    return tuple(float(g) for g in arr)
+
+
+def _dephasing_matrices(grid, axis) -> np.ndarray:
+    """(P, 3, 3) channel matrices, one per grid point, each range-checked."""
+    return np.stack([BlochMap.dephasing(lam, axis).matrix() for lam in grid])
+
+
+class _Game(NamedTuple):
+    """A set's sign matrix, classical optimum and classical starts, from one exact search."""
+
+    signs: np.ndarray
+    classical: Rational
+    z_start: np.ndarray  # along z, as `seesaw` adds it
+    axis_start: np.ndarray  # along the dephasing axis, which the channel never damps
+
+
+def _game(fset: FunctionSet, axis) -> _Game:
+    s_c, strategies = classical_optimum(fset, max_strategies=1)
+    z_start, axis_start = (
+        _embed_classical(strategies[0], fset, np.array(_unit_axis(a))) for a in ((0, 0, 1), axis)
+    )
+    return _Game(sign_matrix(fset), s_c, z_start, axis_start)
+
+
+def _sweep_values(game: _Game, dmats, restarts: int, seed: int) -> np.ndarray:
+    """Best see-saw value at each channel of dmats, all points batched into one call per round.
+
+    Round one runs, at each point i, the starts `seesaw` would run there:
+    cold starts seeded (seed + i, j), `restarts` of them at the first
+    point and one elsewhere, the classical start along z, and the
+    classical start along the dephasing axis as the one extra start.  Each
+    later round restarts every point from the new best of each neighbour
+    that improved (by more than the kernel's tolerance) in the round
+    before, keeping only the rows whose start scores, with Alice's best
+    reply at that point's channel, within _WARM_MARGIN of the point's
+    best.  The rounds stop when no point improves.  A point's value is its
+    best row over all rounds.
+    """
+    signs = game.signs
+    n_points, k = len(dmats), signs.shape[1]
+    owner, starts = [], []
+    for i in range(n_points):
+        cold = _random_starts(k, restarts if i == 0 else 1, seed + i)
+        cold += [game.z_start, game.axis_start]
+        owner += [i] * len(cold)
+        starts += cold
+    owner, starts = np.array(owner), np.stack(starts)
+    best = np.full(n_points, -np.inf)
+    best_v = np.zeros((n_points, k, 3))
+    points = np.arange(n_points)
+    while True:
+        values, vvecs = _solve_starts(signs, dmats[owner], starts)
+        order = np.lexsort((-values, owner))  # by point, its best row first
+        top = order[np.r_[True, owner[order][1:] != owner[order][:-1]]]
+        gain = top[values[top] > best[owner[top]]]
+        improved = np.zeros(n_points, dtype=bool)
+        improved[owner[gain]] = values[gain] - best[owner[gain]] > _TOL
+        best[owner[gain]] = values[gain]
+        best_v[owner[gain]] = vvecs[gain]
+        # point i + 1 restarts from point i's new best, and point i from point i + 1's
+        owner = np.concatenate((points[1:][improved[:-1]], points[:-1][improved[1:]]))
+        source = np.concatenate((points[:-1][improved[:-1]], points[1:][improved[1:]]))
+        starts = best_v[source]
+        _, start_values = best_reply(signs, dmats[owner], starts, np.zeros(3))
+        near = start_values >= best[owner] - _WARM_MARGIN
+        if not near.any():
+            return best
+        owner, starts = owner[near], starts[near]
+
+
 def dephasing_sweep(
     fset: FunctionSet,
     axis=(1.0, 0.0, 0.0),
@@ -117,26 +211,24 @@ def dephasing_sweep(
 ) -> SweepResult:
     """Re-optimized quantum value across dephasing strengths (default `dephasing_grid()`).
 
-    Each grid point re-runs the see-saw with the channel in the objective,
-    warm-started from the previous point's optimum plus a classical
-    embedding along the dephasing axis (which the channel never damps) and
-    cold random restarts.
+    Every grid point is optimized with its channel in the objective, and
+    all points share one batched see-saw call per round.  The first round
+    runs each point's cold random restarts (`restarts` at the first point,
+    one elsewhere, seeded from seed + point index), the see-saw's classical
+    start along z, and a classical embedding along the dephasing axis,
+    which the channel never damps.  Later rounds restart each point from a
+    neighbour's improved optimum when that start comes within 1e-4 of the
+    point's best, until no point improves.  The classical optimum is
+    searched once per sweep.
     """
     axis = _unit_axis(axis)
-    grid = tuple(float(g) for g in (dephasing_grid() if grid is None else grid))
-    if not grid:
-        raise InvalidInputError("the dephasing grid is empty")
-    bmaps = [BlochMap.dephasing(lam, axis) for lam in grid]  # range-checks every point
-    s_c = classical_optimum(fset, max_strategies=1)[0]
-    cls_start = classical_start_vectors(fset, axis)
-    values = []
-    extra = [cls_start]
-    for i, bmap in enumerate(bmaps):
-        n_cold = restarts if i == 0 else 1
-        report = seesaw(fset, restarts=n_cold, seed=seed + i, channel=bmap, extra_starts=extra)
-        values.append(report.value)
-        extra = [cls_start, report.best_strategy.meas_array(fset)]
-    return SweepResult(grid, tuple(values), s_c)
+    grid = _checked_grid(grid)
+    dmats = _dephasing_matrices(grid, axis)
+    check_budget(restarts, _MAX_ITERS, _TOL)
+    check_seed(seed)
+    game = _game(fset, axis)
+    values = _sweep_values(game, dmats, restarts, seed)
+    return SweepResult(grid, tuple(float(v) for v in values), game.classical)
 
 
 def crossing_window(
@@ -150,19 +242,28 @@ def crossing_window(
 ) -> tuple[float, float]:
     """Maximal interval of 1-lambda where set_a's optimized value exceeds set_b's.
 
-    Both dephasing sweeps run on a common grid (default `dephasing_grid()`);
-    the longest run of strictly positive difference is the window, and
-    endpoints interior to the grid are sharpened by bisection down to
-    refine_tol (in lambda).  Raises NoCrossing when either curve dominates
-    the whole grid (or they tie everywhere).
+    Both dephasing sweeps run on a common, strictly increasing grid (default
+    `dephasing_grid()`); the longest run of strictly positive difference is
+    the window, and endpoints interior to the grid are sharpened by
+    bisection down to refine_tol (in lambda).  Each midpoint runs, per set,
+    `restarts` random starts seeded from seed + 7919 j (plus one for set_b)
+    at the j-th midpoint, and the classical starts along z and the axis.
+    Raises NoCrossing when either curve dominates the whole grid (or they
+    tie everywhere).
     """
     if not (np.isfinite(refine_tol) and refine_tol > 0):
         raise InvalidInputError(f"refine_tol must be finite and positive, got {refine_tol!r}")
     axis = _unit_axis(axis)
-    sweep_a = dephasing_sweep(set_a, axis, grid, restarts, seed)
-    grid = sweep_a.lam
-    sweep_b = dephasing_sweep(set_b, axis, grid, restarts, seed)
-    diff = np.array(sweep_a.values) - np.array(sweep_b.values)
+    grid = _checked_grid(grid)
+    dmats = _dephasing_matrices(grid, axis)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidInputError(f"a crossing window needs a strictly increasing grid, got {grid}")
+    check_budget(restarts, _MAX_ITERS, _TOL)
+    check_seed(seed)
+    game_a, game_b = _game(set_a, axis), _game(set_b, axis)
+    diff = _sweep_values(game_a, dmats, restarts, seed) - _sweep_values(
+        game_b, dmats, restarts, seed
+    )
     positive = diff > 0
     if not positive.any():
         raise NoCrossingError("the second set dominates (or ties) everywhere on the grid")
@@ -182,15 +283,16 @@ def crossing_window(
         runs.append((start, len(grid) - 1))
     lo_i, hi_i = max(runs, key=lambda ab: grid[ab[1]] - grid[ab[0]])
 
-    cls_a = classical_start_vectors(set_a, axis)
-    cls_b = classical_start_vectors(set_b, axis)
+    def best_at(game, dmat, seed_j):
+        """The value `seesaw` gives with the axis start as its one extra start."""
+        starts = _random_starts(game.signs.shape[1], restarts, seed_j)
+        starts += [game.z_start, game.axis_start]
+        return _solve_starts(game.signs, dmat, np.stack(starts))[0].max()
 
     def diff_at(lam, j):
-        bmap = BlochMap.dephasing(lam, axis)
+        dmat = BlochMap.dephasing(lam, axis).matrix()
         seed_j = seed + 7919 * j
-        va = seesaw(set_a, restarts=restarts, seed=seed_j, channel=bmap, extra_starts=[cls_a])
-        vb = seesaw(set_b, restarts=restarts, seed=seed_j + 1, channel=bmap, extra_starts=[cls_b])
-        return va.value - vb.value
+        return best_at(game_a, dmat, seed_j) - best_at(game_b, dmat, seed_j + 1)
 
     def refine(inside_i, outside_i):
         lo, hi = grid[inside_i], grid[outside_i]

@@ -24,6 +24,8 @@ from .errors import InvalidInputError, WidthMismatchError, check_integer, readin
 from .mubs import FunctionSet, sign_matrix
 
 _UNIT_TOL = 1e-12
+_MAX_ITERS = 10000  # the see-saw's default budget, also used by the batched noise sweeps
+_TOL = 1e-10
 
 
 def _channel_matrix(channel) -> np.ndarray:
@@ -159,9 +161,14 @@ def classical_start_vectors(fset: FunctionSet, axis=(0.0, 0.0, 1.0)) -> np.ndarr
     """
     a = np.array(_unit_axis(axis))
     _, strategies = classical_optimum(fset, max_strategies=1)
+    return _embed_classical(strategies[0], fset, a)
+
+
+def _embed_classical(strategy, fset: FunctionSet, axis: np.ndarray) -> np.ndarray:
+    """Measurement vectors +-axis reproducing a classical strategy's decoding of message 0."""
     vecs = np.zeros((len(fset), 3))
     for j, lab in enumerate(fset):
-        vecs[j] = a if strategies[0].decode(lab.r, 0) == 0 else -a
+        vecs[j] = axis if strategy.decode(lab.r, 0) == 0 else -axis
     return vecs
 
 
@@ -173,6 +180,21 @@ def _random_unit_rows(rng: np.random.Generator, k: int) -> np.ndarray:
         vecs[bad] = rng.standard_normal((int(bad.sum()), 3))
         norms = np.linalg.norm(vecs, axis=1, keepdims=True)
     return vecs / norms
+
+
+def _random_starts(k: int, restarts: int, seed: int) -> list[np.ndarray]:
+    """The see-saw's sphere-uniform starts, sub-seeded from (seed, index)."""
+    return [_random_unit_rows(np.random.default_rng((seed, i)), k) for i in range(restarts)]
+
+
+def _solve_starts(signs: np.ndarray, dmat: np.ndarray, starts: np.ndarray):
+    """Final value and measurement vectors of each start, at the default budget.
+
+    dmat is one (3, 3) channel for every start or (R, 3, 3), one per start;
+    a start's result does not depend on the other starts in the batch.
+    """
+    values, _, _, _, vvecs, _ = run_seesaw(signs, dmat, starts, _MAX_ITERS, _TOL)
+    return values, vvecs
 
 
 def _warm_start(start, k: int, i: int) -> np.ndarray:
@@ -198,8 +220,8 @@ def _safe_unit(vec: np.ndarray) -> tuple[float, float, float]:
 def seesaw(
     fset: FunctionSet,
     restarts: int = 64,
-    max_iters: int = 10000,
-    tol: float = 1e-10,
+    max_iters: int = _MAX_ITERS,
+    tol: float = _TOL,
     seed: int = 0,
     channel=None,
     extra_starts=None,
@@ -215,9 +237,7 @@ def seesaw(
     k = len(fset)
     extra = () if extra_starts is None else extra_starts
     extra = [_warm_start(s, k, i) for i, s in enumerate(extra)]
-    starts = [
-        _random_unit_rows(np.random.default_rng((seed, i)), k) for i in range(restarts)
-    ]
+    starts = _random_starts(k, restarts, seed)
     if fset.n <= ENUM_MAX_WIDTH:
         starts.append(classical_start_vectors(fset))
     starts.extend(extra)

@@ -5,12 +5,13 @@ import inspect
 import numpy as np
 import pytest
 
-from grac import channels
+from grac import channels, quantum
 from grac import (
     BlochMap,
     InvalidInputError,
     NoCrossingError,
     classical_optimum,
+    classical_start_vectors,
     critical_depolarizing,
     crossing_window,
     dephasing_grid,
@@ -163,11 +164,17 @@ def test_bad_axis_and_empty_grid_are_rejected():
         crossing_window(fset, representative_set(2), grid=[])
 
 
-def test_crossing_window_checks_refine_tol_before_any_seesaw(monkeypatch):
-    def no_seesaw(*args, **kwargs):
-        raise AssertionError("seesaw ran before refine_tol was checked")
+def _forbid_kernel(monkeypatch, what):
+    """Make the see-saw kernel, as the sweeps and windows reach it, fail the test."""
 
-    monkeypatch.setattr(channels, "seesaw", no_seesaw)
+    def no_kernel(*args, **kwargs):
+        raise AssertionError(f"the see-saw kernel ran before {what}")
+
+    monkeypatch.setattr(quantum, "run_seesaw", no_kernel)
+
+
+def test_crossing_window_checks_refine_tol_before_any_seesaw(monkeypatch):
+    _forbid_kernel(monkeypatch, "refine_tol was checked")
     quint = representative_set(5)
     quad = representative_set(4, "open")
     for bad in (-1e-4, 0.0, np.nan, np.inf):
@@ -176,16 +183,71 @@ def test_crossing_window_checks_refine_tol_before_any_seesaw(monkeypatch):
 
 
 def test_dephasing_sweep_checks_grid_range_before_any_seesaw(monkeypatch):
-    def no_seesaw(*args, **kwargs):
-        raise AssertionError("seesaw ran before every grid point was checked")
-
-    monkeypatch.setattr(channels, "seesaw", no_seesaw)
+    _forbid_kernel(monkeypatch, "every grid point was checked")
     pair = representative_set(2)
     for grid in ([0.0, 0.1, 0.7], [0.0, 0.25, -0.1]):
         with pytest.raises(InvalidInputError, match="dephasing strength"):
             dephasing_sweep(pair, grid=grid, restarts=1)
         with pytest.raises(InvalidInputError, match="dephasing strength"):
             crossing_window(pair, representative_set(3), grid=grid, restarts=1)
+
+
+def test_bad_grids_are_rejected_before_any_seesaw(monkeypatch):
+    _forbid_kernel(monkeypatch, "the grid was checked")
+    pair, triple = representative_set(2), representative_set(3)
+    for grid in ([[0.0, 0.1]], [[0.0], [0.1]], ["a"], 0.25):
+        with pytest.raises(InvalidInputError, match="grid"):
+            dephasing_sweep(pair, grid=grid)
+        with pytest.raises(InvalidInputError, match="grid"):
+            crossing_window(pair, triple, grid=grid)
+    # a window needs its grid in order: unsorted it would report an inverted window
+    for grid in ([0.5, 0.0, 0.25, 0.1], [0.0, 0.25, 0.25, 0.5], [0.5, 0.0]):
+        with pytest.raises(InvalidInputError, match="strictly increasing"):
+            crossing_window(pair, triple, grid=grid)
+
+
+SPECS = (2, 3, (4, "xor-closed"), (4, "open"), 5, 6, 7)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+@pytest.mark.parametrize("axis, seed", [((1.0, 0.0, 0.0), 0), ((0.48, -0.6, 0.64), 11)])
+def test_sweep_points_match_or_beat_a_one_point_seesaw(spec, axis, seed):
+    """The batched sweep never loses to the point-by-point see-saw on its own starts.
+
+    Point i's first round runs the starts of this `seesaw` call: cold starts
+    seeded (seed + i, j), 8 at the first point and 1 elsewhere, the
+    see-saw's classical start along z and the classical start along the
+    axis.  Later rounds only add rows, so the sweep's value is at least the
+    call's, exactly.
+    """
+    fset = representative_set(*spec) if isinstance(spec, tuple) else representative_set(spec)
+    grid = dephasing_grid(11)
+    sweep = dephasing_sweep(fset, axis=axis, grid=grid, seed=seed)
+    cls_start = classical_start_vectors(fset, axis)
+    for i, lam in enumerate(grid):
+        solo = seesaw(
+            fset,
+            restarts=8 if i == 0 else 1,
+            seed=seed + i,
+            channel=BlochMap.dephasing(lam, axis),
+            extra_starts=[cls_start],
+        )
+        assert sweep.values[i] >= solo.value, (i, lam)
+
+
+@pytest.mark.parametrize("points", [2, 11, 101])
+def test_dephasing_sweep_runs_one_classical_search(monkeypatch, points):
+    calls = []
+    search = channels.classical_optimum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    for module in (channels, quantum):
+        monkeypatch.setattr(module, "classical_optimum", counting)
+    dephasing_sweep(representative_set(5), grid=dephasing_grid(points), restarts=2)
+    assert len(calls) == 1
 
 
 def test_noise_functions_share_one_restarts_default():

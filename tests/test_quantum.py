@@ -306,21 +306,32 @@ def test_kernel_rows_independent_of_batch(n):
     """Row i of a batched run equals a solo run of v0[i], bit for bit.
 
     The driver drops converged rows and writes each one back when it
-    freezes, so a row written to the wrong place shows here.
+    freezes, so a row written to the wrong place shows here.  With one
+    channel matrix per row, row i's solo run takes its own matrix as the
+    shared (3, 3) one, so a per-row channel that is dropped out of step
+    with its row, or computed differently from a shared one, shows too.
     """
     rng = np.random.default_rng(40 + n)
     dephasing = np.diag([1.0, 0.4, 0.4])
+    per_row = np.stack(
+        [
+            BlochMap.dephasing(float(lam), rng.standard_normal(3)).matrix()
+            for lam in rng.uniform(0.0, 0.5, 15)
+        ]
+    )
+    before = per_row.copy()
     for _ in range(3):
         labels = rng.choice(range(1, 1 << n), size=n + 1, replace=False)
         signs = sign_matrix(FunctionSet.from_ints(n, tuple(int(x) for x in labels)))
-        for dmat in (np.eye(3), dephasing):
+        for dmat in (np.eye(3), dephasing, per_row):
             v0 = rng.standard_normal((15, n + 1, 3))
             v0 /= np.linalg.norm(v0, axis=2, keepdims=True)
             batch = run_seesaw(signs, dmat, v0, 400, 1e-10)
             for i in range(len(v0)):
-                solo = run_seesaw(signs, dmat, v0[i], 400, 1e-10)
+                solo = run_seesaw(signs, dmat[i] if dmat.ndim == 3 else dmat, v0[i], 400, 1e-10)
                 for whole, one in zip(batch, solo):
                     assert np.array_equal(np.asarray(whole)[i], np.asarray(one)[0])
+    assert np.array_equal(per_row, before)  # the caller's matrices are left as given
 
 
 @pytest.mark.parametrize(

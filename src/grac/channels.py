@@ -121,8 +121,13 @@ class SweepResult:
 _WARM_MARGIN = 1e-4  # a neighbour's optimum reruns at a point only if it starts this close
 
 
-def _checked_grid(grid) -> tuple[float, ...]:
-    """The grid (default `dephasing_grid()`) as floats, refused unless a nonempty 1-D list."""
+def _sweep_inputs(axis, grid, restarts: int, seed: int):
+    """Unit axis, grid (default `dephasing_grid()`) and one channel matrix per point.
+
+    Every input is checked here, before any work: the grid must be a
+    nonempty flat list of numbers, and each point is range-checked.
+    """
+    axis = _unit_axis(axis)
     try:
         arr = np.asarray(dephasing_grid() if grid is None else grid, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -131,12 +136,11 @@ def _checked_grid(grid) -> tuple[float, ...]:
         raise InvalidInputError(f"the dephasing grid must be a flat list, got shape {arr.shape}")
     if not arr.size:
         raise InvalidInputError("the dephasing grid is empty")
-    return tuple(float(g) for g in arr)
-
-
-def _dephasing_matrices(grid, axis) -> np.ndarray:
-    """(P, 3, 3) channel matrices, one per grid point, each range-checked."""
-    return np.stack([BlochMap.dephasing(lam, axis).matrix() for lam in grid])
+    grid = tuple(float(g) for g in arr)
+    dmats = np.stack([BlochMap.dephasing(lam, axis).matrix() for lam in grid])
+    check_budget(restarts, _MAX_ITERS, _TOL)
+    check_seed(seed)
+    return axis, grid, dmats
 
 
 class _Game(NamedTuple):
@@ -184,13 +188,11 @@ def _sweep_values(game: _Game, dmats, restarts: int, seed: int) -> np.ndarray:
     points = np.arange(n_points)
     while True:
         values, vvecs = _solve_starts(signs, dmats[owner], starts)
-        order = np.lexsort((-values, owner))  # by point, its best row first
-        top = order[np.r_[True, owner[order][1:] != owner[order][:-1]]]
-        gain = top[values[top] > best[owner[top]]]
-        improved = np.zeros(n_points, dtype=bool)
-        improved[owner[gain]] = values[gain] - best[owner[gain]] > _TOL
-        best[owner[gain]] = values[gain]
-        best_v[owner[gain]] = vvecs[gain]
+        before = best.copy()
+        for i, value, v in zip(owner.tolist(), values.tolist(), vvecs):
+            if value > best[i]:
+                best[i], best_v[i] = value, v
+        improved = best - before > _TOL  # smaller gains are the kernel's own convergence noise
         # point i + 1 restarts from point i's new best, and point i from point i + 1's
         owner = np.concatenate((points[1:][improved[:-1]], points[:-1][improved[1:]]))
         source = np.concatenate((points[:-1][improved[:-1]], points[1:][improved[1:]]))
@@ -221,11 +223,7 @@ def dephasing_sweep(
     point's best, until no point improves.  The classical optimum is
     searched once per sweep.
     """
-    axis = _unit_axis(axis)
-    grid = _checked_grid(grid)
-    dmats = _dephasing_matrices(grid, axis)
-    check_budget(restarts, _MAX_ITERS, _TOL)
-    check_seed(seed)
+    axis, grid, dmats = _sweep_inputs(axis, grid, restarts, seed)
     game = _game(fset, axis)
     values = _sweep_values(game, dmats, restarts, seed)
     return SweepResult(grid, tuple(float(v) for v in values), game.classical)
@@ -253,13 +251,9 @@ def crossing_window(
     """
     if not (np.isfinite(refine_tol) and refine_tol > 0):
         raise InvalidInputError(f"refine_tol must be finite and positive, got {refine_tol!r}")
-    axis = _unit_axis(axis)
-    grid = _checked_grid(grid)
-    dmats = _dephasing_matrices(grid, axis)
+    axis, grid, dmats = _sweep_inputs(axis, grid, restarts, seed)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError(f"a crossing window needs a strictly increasing grid, got {grid}")
-    check_budget(restarts, _MAX_ITERS, _TOL)
-    check_seed(seed)
     game_a, game_b = _game(set_a, axis), _game(set_b, axis)
     diff = _sweep_values(game_a, dmats, restarts, seed) - _sweep_values(
         game_b, dmats, restarts, seed

@@ -31,7 +31,8 @@ at a fixed point v_e = v_new and the plain point is kept.  beta is per row
 and adapts: it starts at 2, grows x1.5 when the candidate is taken and
 halves, to no less than 1.25, when it is refused.  On slowly converging
 rows this cuts the trips about threefold.  `grac.eacc.eacc_seesaw` takes the
-same kind of step, with the same beta rule, on its state and effects.
+same kind of step, with the same beta rule (`next_beta`), on its state and
+effects.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidInputError, check_integer
+from .errors import InvalidInputError, check_integer, check_real
 
 if TYPE_CHECKING:
     from .eacc import EACCStrategy
@@ -76,6 +77,7 @@ def check_budget(restarts: int, max_iters: int, tol: float) -> None:
         raise InvalidInputError("need at least one restart")
     if max_iters < 1:
         raise InvalidInputError("need at least one iteration")
+    check_real("tolerance", tol)
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidInputError(f"tolerance must be finite and positive, got {tol!r}")
 
@@ -84,6 +86,12 @@ def check_seed(seed: int) -> None:
     """Reject a seed that numpy's generator would refuse or silently truncate."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
+def next_beta(beta, take):
+    """Each row's beta after a trip: x_BETA_GROW if its candidate was taken, else
+    halved to no less than _BETA_MIN."""
+    return np.maximum(beta * np.where(take, _BETA_GROW, 0.5), _BETA_MIN)
 
 
 def alternate(step, state, max_iters, tol):
@@ -189,9 +197,8 @@ def run_seesaw(signs, dmat, v0, max_iters, tol):
     strictly higher than (r_new, v_new); the next trip starts from the
     winner, so Alice's half is not repeated.  A trip's halves are Bob's half, Alice's half and
     the winner, each at least the one before.  A row's beta starts at
-    _BETA_START, grows by _BETA_GROW when its candidate is taken and halves,
-    to no less than _BETA_MIN, when it is refused; it rides in the state so
-    that it shrinks with the rows.  A per-row channel rides in the state
+    _BETA_START and moves by `next_beta`; it rides in the state so that it
+    shrinks with the rows.  A per-row channel rides in the state
     too; a shared one is closed over with its contiguous transpose.  Either
     way a row's arithmetic is the same, so it gets the same result in any
     batch.
@@ -238,7 +245,7 @@ def run_seesaw(signs, dmat, v0, max_iters, tol):
         both_r, both_value = best_reply(signs, d, np.stack((v_new, v_e)), r)
         take = both_value[1] > both_value[0]
         pick = take[:, None, None]
-        beta = np.maximum(beta * np.where(take, _BETA_GROW, 0.5), _BETA_MIN)
+        beta = next_beta(beta, take)
         return (
             (np.where(pick, both_r[1], both_r[0]), np.where(pick, v_e, v_new), beta, *channel),
             (value_bob, both_value[0], np.maximum(both_value[0], both_value[1])),

@@ -9,23 +9,14 @@ Both act linearly, so they enter the prepare-and-measure objective as the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from ._seesaw import best_reply, check_budget, check_seed
-from .classical import Rational, classical_optimum
-from .errors import InvalidInputError, NoCrossingError, check_integer
-from .mubs import FunctionSet, sign_matrix
-from .quantum import (
-    _MAX_ITERS,
-    _TOL,
-    _embed_classical,
-    _random_starts,
-    _solve_starts,
-    _unit_axis,
-    seesaw,
-)
+from .classical import Rational
+from .errors import InvalidInputError, NoCrossingError, check_integer, check_real
+from .mubs import FunctionSet
+from .quantum import _MAX_ITERS, _TOL, _game, _Game, _pm_starts, _unit_axis
 
 DEPOLARIZING = "depolarizing"
 DEPHASING = "dephasing"
@@ -40,6 +31,7 @@ class BlochMap:
     axis: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
+        check_real("noise strength", self.lam)
         if self.kind == DEPOLARIZING:
             if not 0.0 <= self.lam <= 1.0:
                 raise InvalidInputError(
@@ -66,7 +58,7 @@ class BlochMap:
 
     @classmethod
     def dephasing(cls, lam: float, axis=(1.0, 0.0, 0.0)) -> "BlochMap":
-        return cls(DEPHASING, lam, tuple(np.asarray(axis, dtype=np.float64)))
+        return cls(DEPHASING, lam, axis)
 
     def matrix(self) -> np.ndarray:
         if self.kind == DEPOLARIZING:
@@ -82,10 +74,15 @@ def critical_depolarizing(fset: FunctionSet, restarts: int = 8, seed: int = 0) -
     Depolarizing shrinks every preparation uniformly, so the optimal strategy
     stays optimal and its value is 1/2 + (1-lambda)(S_Q - 1/2); solving
     against S_C gives lambda = 1 - (S_C - 1/2)/(S_Q - 1/2).  Zero when the
-    set offers no quantum advantage.
+    set offers no quantum advantage.  S_Q is the best noiseless value on the
+    starts `seesaw` runs (`quantum._pm_starts`), and S_C comes from the same
+    exact search as their classical start.
     """
-    s_c = classical_optimum(fset, max_strategies=1)[0].value
-    s_q = seesaw(fset, restarts=restarts, seed=seed).value
+    check_budget(restarts, _MAX_ITERS, _TOL)
+    check_seed(seed)
+    game = _game(fset)
+    s_c = game.classical.value
+    s_q = float(game.solve(np.eye(3), _pm_starts(len(fset), restarts, seed, game.starts))[0].max())
     if s_q <= s_c:
         return 0.0
     return 1.0 - (s_c - 0.5) / (s_q - 0.5)
@@ -143,30 +140,12 @@ def _sweep_inputs(axis, grid, restarts: int, seed: int):
     return axis, grid, dmats
 
 
-class _Game(NamedTuple):
-    """A set's sign matrix, classical optimum and classical starts, from one exact search."""
-
-    signs: np.ndarray
-    classical: Rational
-    z_start: np.ndarray  # along z, as `seesaw` adds it
-    axis_start: np.ndarray  # along the dephasing axis, which the channel never damps
-
-
-def _game(fset: FunctionSet, axis) -> _Game:
-    s_c, strategies = classical_optimum(fset, max_strategies=1)
-    z_start, axis_start = (
-        _embed_classical(strategies[0], fset, np.array(_unit_axis(a))) for a in ((0, 0, 1), axis)
-    )
-    return _Game(sign_matrix(fset), s_c, z_start, axis_start)
-
-
 def _sweep_values(game: _Game, dmats, restarts: int, seed: int) -> np.ndarray:
     """Best see-saw value at each channel of dmats, all points batched into one call per round.
 
-    Round one runs, at each point i, the starts `seesaw` would run there:
-    cold starts seeded (seed + i, j), `restarts` of them at the first
-    point and one elsewhere, the classical start along z, and the
-    classical start along the dephasing axis as the one extra start.  Each
+    Round one runs, at each point i, the `quantum._pm_starts` set of
+    `restarts` random starts at the first point and one elsewhere, seeded
+    seed + i, and the game's classical starts along z and the axis.  Each
     later round restarts every point from the new best of each neighbour
     that improved (by more than the kernel's tolerance) in the round
     before, keeping only the rows whose start scores, with Alice's best
@@ -178,16 +157,15 @@ def _sweep_values(game: _Game, dmats, restarts: int, seed: int) -> np.ndarray:
     n_points, k = len(dmats), signs.shape[1]
     owner, starts = [], []
     for i in range(n_points):
-        cold = _random_starts(k, restarts if i == 0 else 1, seed + i)
-        cold += [game.z_start, game.axis_start]
+        cold = _pm_starts(k, restarts if i == 0 else 1, seed + i, game.starts)
         owner += [i] * len(cold)
-        starts += cold
-    owner, starts = np.array(owner), np.stack(starts)
+        starts.append(cold)
+    owner, starts = np.array(owner), np.concatenate(starts)
     best = np.full(n_points, -np.inf)
     best_v = np.zeros((n_points, k, 3))
     points = np.arange(n_points)
     while True:
-        values, vvecs = _solve_starts(signs, dmats[owner], starts)
+        values, vvecs = game.solve(dmats[owner], starts)
         before = best.copy()
         for i, value, v in zip(owner.tolist(), values.tolist(), vvecs):
             if value > best[i]:
@@ -215,10 +193,10 @@ def dephasing_sweep(
 
     Every grid point is optimized with its channel in the objective, and
     all points share one batched see-saw call per round.  The first round
-    runs each point's cold random restarts (`restarts` at the first point,
-    one elsewhere, seeded from seed + point index), the see-saw's classical
-    start along z, and a classical embedding along the dephasing axis,
-    which the channel never damps.  Later rounds restart each point from a
+    runs each point's `quantum._pm_starts` set (`restarts` random starts
+    at the first point and one elsewhere, seeded from seed + point index),
+    with the classical starts along z and along the dephasing axis, which
+    the channel never damps.  Later rounds restart each point from a
     neighbour's improved optimum when that start comes within 1e-4 of the
     point's best, until no point improves.  The classical optimum is
     searched once per sweep.
@@ -243,12 +221,13 @@ def crossing_window(
     Both dephasing sweeps run on a common, strictly increasing grid (default
     `dephasing_grid()`); the longest run of strictly positive difference is
     the window, and endpoints interior to the grid are sharpened by
-    bisection down to refine_tol (in lambda).  Each midpoint runs, per set,
-    `restarts` random starts seeded from seed + 7919 j (plus one for set_b)
-    at the j-th midpoint, and the classical starts along z and the axis.
-    Raises NoCrossing when either curve dominates the whole grid (or they
-    tie everywhere).
+    bisection down to refine_tol (in lambda).  The j-th midpoint solves each
+    set on its `quantum._pm_starts` set: `restarts` random starts seeded
+    seed + 7919 j (plus one for set_b) and the classical starts along z and
+    the axis.  Raises NoCrossing when either curve dominates the whole grid
+    (or they tie everywhere).
     """
+    check_real("refine_tol", refine_tol)
     if not (np.isfinite(refine_tol) and refine_tol > 0):
         raise InvalidInputError(f"refine_tol must be finite and positive, got {refine_tol!r}")
     axis, grid, dmats = _sweep_inputs(axis, grid, restarts, seed)
@@ -277,16 +256,12 @@ def crossing_window(
         runs.append((start, len(grid) - 1))
     lo_i, hi_i = max(runs, key=lambda ab: grid[ab[1]] - grid[ab[0]])
 
-    def best_at(game, dmat, seed_j):
-        """The value `seesaw` gives with the axis start as its one extra start."""
-        starts = _random_starts(game.signs.shape[1], restarts, seed_j)
-        starts += [game.z_start, game.axis_start]
-        return _solve_starts(game.signs, dmat, np.stack(starts))[0].max()
-
     def diff_at(lam, j):
         dmat = BlochMap.dephasing(lam, axis).matrix()
         seed_j = seed + 7919 * j
-        return best_at(game_a, dmat, seed_j) - best_at(game_b, dmat, seed_j + 1)
+        starts_a = _pm_starts(len(set_a), restarts, seed_j, game_a.starts)
+        starts_b = _pm_starts(len(set_b), restarts, seed_j + 1, game_b.starts)
+        return game_a.solve(dmat, starts_a)[0].max() - game_b.solve(dmat, starts_b)[0].max()
 
     def refine(inside_i, outside_i):
         lo, hi = grid[inside_i], grid[outside_i]

@@ -44,13 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seesaw import (
-    _BETA_GROW,
-    _BETA_MIN,
     _BETA_START,
     SeesawReport,
     alternate,
     check_budget,
     check_seed,
+    next_beta,
 )
 from .classical import ENUM_MAX_WIDTH, ClassicalStrategy, classical_optimum
 from .errors import (
@@ -425,7 +424,7 @@ def eacc_seesaw(
         v_e = 0.5 + np.einsum("rxab,rxba->r", a0_e, delta_e).real * scale
 
         take = v_e > halves[-1]
-        beta = np.maximum(beta * np.where(take, _BETA_GROW, 0.5), _BETA_MIN)
+        beta = next_beta(beta, take)
         pick = take[:, None]
         return (
             (

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the integer-argument check, and
-the guard that reads a serialized strategy."""
+"""Exception types shared across the package, the integer and real argument
+checks, and the guard that reads a serialized strategy."""
 
 import numbers
 from contextlib import contextmanager
@@ -49,6 +49,12 @@ def check_integer(what: str, value) -> None:
     """Refuse anything but an integer; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+
+
+def check_real(what: str, value) -> None:
+    """Refuse anything but a real number; a bool is not one.  The caller checks its range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{what} must be a real number, got {value!r}")
 
 
 @contextmanager

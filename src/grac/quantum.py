@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._seesaw import SeesawReport, check_budget, check_seed, run_seesaw
-from .classical import ENUM_MAX_WIDTH, classical_optimum
+from .classical import ENUM_MAX_WIDTH, Rational, classical_optimum
 from .errors import InvalidInputError, WidthMismatchError, check_integer, reading
 from .mubs import FunctionSet, sign_matrix
 
 _UNIT_TOL = 1e-12
 _MAX_ITERS = 10000  # the see-saw's default budget, also used by the batched noise sweeps
 _TOL = 1e-10
+_Z_AXIS = (0.0, 0.0, 1.0)  # every prepare-and-measure solve runs a classical start along it
 
 
 def _channel_matrix(channel) -> np.ndarray:
@@ -56,7 +58,10 @@ def _as_unit(vec, what: str) -> tuple[float, float, float]:
 
 def _unit_axis(axis) -> tuple[float, float, float]:
     """A finite nonzero 3-vector, divided by its norm."""
-    arr = np.asarray(axis, dtype=np.float64)
+    try:
+        arr = np.asarray(axis, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"axis must be a 3-vector of numbers: {exc}") from None
     if arr.shape != (3,):
         raise InvalidInputError(f"axis must be a 3-vector, got shape {arr.shape}")
     norm = float(np.linalg.norm(arr))
@@ -151,7 +156,7 @@ def norm_cancellation_check(fset: FunctionSet, measurements) -> float:
     return float(np.einsum("xc,xc->", big_v, big_v))
 
 
-def classical_start_vectors(fset: FunctionSet, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
+def classical_start_vectors(fset: FunctionSet, axis=_Z_AXIS) -> np.ndarray:
     """Embed an optimal classical strategy as antipodal vectors along an axis.
 
     With preparations (-1)^{ω(x)} a and measurements (-1)^{d_y} a, the guess
@@ -159,17 +164,37 @@ def classical_start_vectors(fset: FunctionSet, axis=(0.0, 0.0, 1.0)) -> np.ndarr
     with these measurement vectors floors it at the classical optimum (the
     axis matters under dephasing: vectors along the dephasing axis survive).
     """
-    a = np.array(_unit_axis(axis))
-    _, strategies = classical_optimum(fset, max_strategies=1)
-    return _embed_classical(strategies[0], fset, a)
+    return _game(fset, axis).starts[-1]
 
 
-def _embed_classical(strategy, fset: FunctionSet, axis: np.ndarray) -> np.ndarray:
-    """Measurement vectors +-axis reproducing a classical strategy's decoding of message 0."""
-    vecs = np.zeros((len(fset), 3))
-    for j, lab in enumerate(fset):
-        vecs[j] = axis if strategy.decode(lab.r, 0) == 0 else -axis
-    return vecs
+class _Game(NamedTuple):
+    """A set's sign matrix, and its classical optimum and classical starts from one exact search."""
+
+    signs: np.ndarray
+    classical: Rational
+    starts: tuple[np.ndarray, ...]  # along z, then along the game's axis if it has one
+
+    def solve(self, dmat: np.ndarray, starts: np.ndarray):
+        """Final value and measurement vectors of each start, at the default budget.
+
+        dmat is one (3, 3) channel for every start or (R, 3, 3), one per start;
+        a start's result does not depend on the other starts in the batch.
+        """
+        values, _, _, _, vvecs, _ = run_seesaw(self.signs, dmat, starts, _MAX_ITERS, _TOL)
+        return values, vvecs
+
+
+def _game(fset: FunctionSet, axis=None) -> _Game:
+    """The one exact classical search of a prepare-and-measure solve.
+
+    One optimal strategy is embedded as in `classical_start_vectors` along z
+    and, when an axis is given, along that axis too.  A bad axis is refused
+    before the search, and the search refuses widths above ENUM_MAX_WIDTH.
+    """
+    axes = [np.array(_unit_axis(a)) for a in (_Z_AXIS,) + (() if axis is None else (axis,))]
+    s_c, strategies = classical_optimum(fset, max_strategies=1)
+    guess = np.array([1.0 if strategies[0].decode(lab.r, 0) == 0 else -1.0 for lab in fset])
+    return _Game(sign_matrix(fset), s_c, tuple(np.outer(guess, a) for a in axes))
 
 
 def _random_unit_rows(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -182,32 +207,15 @@ def _random_unit_rows(rng: np.random.Generator, k: int) -> np.ndarray:
     return vecs / norms
 
 
-def _random_starts(k: int, restarts: int, seed: int) -> list[np.ndarray]:
-    """The see-saw's sphere-uniform starts, sub-seeded from (seed, index)."""
-    return [_random_unit_rows(np.random.default_rng((seed, i)), k) for i in range(restarts)]
+def _pm_starts(k: int, restarts: int, seed: int, classical=()) -> np.ndarray:
+    """Every prepare-and-measure start set: an (R, k, 3) array of measurement vectors.
 
-
-def _solve_starts(signs: np.ndarray, dmat: np.ndarray, starts: np.ndarray):
-    """Final value and measurement vectors of each start, at the default budget.
-
-    dmat is one (3, 3) channel for every start or (R, 3, 3), one per start;
-    a start's result does not depend on the other starts in the batch.
+    First `restarts` sphere-uniform starts, the j-th drawn from
+    np.random.default_rng((seed, j)), then the given classical starts in
+    order: a game's `starts`, or none for `seesaw` above ENUM_MAX_WIDTH.
     """
-    values, _, _, _, vvecs, _ = run_seesaw(signs, dmat, starts, _MAX_ITERS, _TOL)
-    return values, vvecs
-
-
-def _warm_start(start, k: int, i: int) -> np.ndarray:
-    """A caller's warm start as a finite (k, 3) array; zero rows are allowed."""
-    try:
-        arr = np.asarray(start, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"extra start {i} is not a numeric array: {exc}") from None
-    if arr.shape != (k, 3):
-        raise InvalidInputError(f"extra start {i} must have shape ({k}, 3), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError(f"extra start {i} must be finite")
-    return arr
+    starts = [_random_unit_rows(np.random.default_rng((seed, j)), k) for j in range(restarts)]
+    return np.stack(starts + list(classical))
 
 
 def _safe_unit(vec: np.ndarray) -> tuple[float, float, float]:
@@ -224,28 +232,19 @@ def seesaw(
     tol: float = _TOL,
     seed: int = 0,
     channel=None,
-    extra_starts=None,
 ) -> SeesawReport:
     """Maximize the average success over one-qubit strategies by alternation.
 
-    Runs `restarts` sphere-uniform starts (sub-seeded from (seed, index)),
-    plus a classical-embedding start when the exhaustive classical optimum is
-    available, plus any caller-provided warm starts.
+    Runs the starts `_pm_starts` builds: `restarts` sphere-uniform ones and
+    the classical start along z when the exact classical search runs
+    (width up to ENUM_MAX_WIDTH).
     """
     check_budget(restarts, max_iters, tol)
     check_seed(seed)
-    k = len(fset)
-    extra = () if extra_starts is None else extra_starts
-    extra = [_warm_start(s, k, i) for i, s in enumerate(extra)]
-    starts = _random_starts(k, restarts, seed)
-    if fset.n <= ENUM_MAX_WIDTH:
-        starts.append(classical_start_vectors(fset))
-    starts.extend(extra)
-
-    signs = sign_matrix(fset)
-    dmat = _channel_matrix(channel)
+    classical = _game(fset).starts if fset.n <= ENUM_MAX_WIDTH else ()
+    starts = _pm_starts(len(fset), restarts, seed, classical)
     values, iters, min_deltas, rvecs, vvecs, conv = run_seesaw(
-        signs, dmat, np.stack(starts), max_iters, tol
+        sign_matrix(fset), _channel_matrix(channel), starts, max_iters, tol
     )
     best = int(np.argmax(values))
     m = 1 << fset.n

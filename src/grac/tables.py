@@ -205,7 +205,7 @@ def table_two() -> TableReport:
 _TABLE_Q_GRAC = {
     "k=2": pm_upper_bound(2),
     "k=3": pm_upper_bound(3),
-    "k=4:xor-closed": 0.75,
+    "k=4:xor-closed": pm_upper_bound(4),
     "k=4:open": reference_value("C"),
     "k=5": pm_upper_bound(5),
     "k=6": pm_upper_bound(6),

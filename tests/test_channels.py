@@ -5,17 +5,19 @@ import inspect
 import numpy as np
 import pytest
 
-from grac import channels, quantum
+from grac import channels, eacc, quantum
 from grac import (
     BlochMap,
+    FunctionSet,
     InvalidInputError,
     NoCrossingError,
+    WidthOutOfRangeError,
     classical_optimum,
-    classical_start_vectors,
     critical_depolarizing,
     crossing_window,
     dephasing_grid,
     dephasing_sweep,
+    eacc_seesaw,
     evaluate_pm,
     pm_upper_bound,
     reference_protocol,
@@ -152,12 +154,14 @@ def test_dephasing_grid():
 
 
 def test_bad_axis_and_empty_grid_are_rejected():
-    for axis in ((np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), (1.0, -np.inf, 0.0)):
+    for axis in ((np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), (1.0, -np.inf, 0.0), "abc"):
         with pytest.raises(InvalidInputError, match="axis"):
             channels._unit_axis(axis)
     with pytest.raises(InvalidInputError, match="axis"):
         BlochMap.dephasing(0.1, axis=(np.inf, 0.0, 0.0))
     fset = representative_set(3)
+    with pytest.raises(InvalidInputError, match="axis"):
+        dephasing_sweep(fset, axis="abc")
     with pytest.raises(InvalidInputError, match="grid"):
         dephasing_sweep(fset, grid=[])
     with pytest.raises(InvalidInputError, match="grid"):
@@ -165,12 +169,36 @@ def test_bad_axis_and_empty_grid_are_rejected():
 
 
 def _forbid_kernel(monkeypatch, what):
-    """Make the see-saw kernel, as the sweeps and windows reach it, fail the test."""
+    """Make both see-saw kernels, as the library reaches them, fail the test."""
 
     def no_kernel(*args, **kwargs):
         raise AssertionError(f"the see-saw kernel ran before {what}")
 
     monkeypatch.setattr(quantum, "run_seesaw", no_kernel)
+    monkeypatch.setattr(eacc, "alternate", no_kernel)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pair: seesaw(pair, tol=None),
+        lambda pair: seesaw(pair, tol=True),
+        lambda pair: seesaw(pair, tol="1e-10"),
+        lambda pair: eacc_seesaw(pair, tol=None),
+        lambda pair: eacc_seesaw(pair, tol=True),
+        lambda pair: crossing_window(pair, representative_set(3), refine_tol="x"),
+        lambda pair: crossing_window(pair, representative_set(3), refine_tol=True),
+        lambda pair: critical_depolarizing(pair, restarts=2.0),
+        lambda pair: BlochMap.depolarizing(None),
+        lambda pair: BlochMap.depolarizing(True),
+        lambda pair: BlochMap.dephasing("0.1"),
+        lambda pair: BlochMap.dephasing(0.1, axis=None),
+    ],
+)
+def test_non_real_arguments_are_refused_before_any_kernel(monkeypatch, call):
+    _forbid_kernel(monkeypatch, "the arguments were checked")
+    with pytest.raises(InvalidInputError):
+        call(representative_set(2))
 
 
 def test_crossing_window_checks_refine_tol_before_any_seesaw(monkeypatch):
@@ -214,40 +242,65 @@ SPECS = (2, 3, (4, "xor-closed"), (4, "open"), 5, 6, 7)
 def test_sweep_points_match_or_beat_a_one_point_seesaw(spec, axis, seed):
     """The batched sweep never loses to the point-by-point see-saw on its own starts.
 
-    Point i's first round runs the starts of this `seesaw` call: cold starts
-    seeded (seed + i, j), 8 at the first point and 1 elsewhere, the
-    see-saw's classical start along z and the classical start along the
-    axis.  Later rounds only add rows, so the sweep's value is at least the
-    call's, exactly.
+    Point i's first round runs the start set built here: cold starts seeded
+    (seed + i, j), 8 at the first point and 1 elsewhere, and the classical
+    starts along z and along the unit axis.  Later rounds only add rows, so
+    the sweep's value is at least the one-point solve's, exactly.
     """
     fset = representative_set(*spec) if isinstance(spec, tuple) else representative_set(spec)
     grid = dephasing_grid(11)
     sweep = dephasing_sweep(fset, axis=axis, grid=grid, seed=seed)
-    cls_start = classical_start_vectors(fset, axis)
+    game = quantum._game(fset, quantum._unit_axis(axis))
+    assert len(game.starts) == 2  # the axis start is in every one-point solve
     for i, lam in enumerate(grid):
-        solo = seesaw(
-            fset,
-            restarts=8 if i == 0 else 1,
-            seed=seed + i,
-            channel=BlochMap.dephasing(lam, axis),
-            extra_starts=[cls_start],
-        )
-        assert sweep.values[i] >= solo.value, (i, lam)
+        starts = quantum._pm_starts(len(fset), 8 if i == 0 else 1, seed + i, game.starts)
+        solo = game.solve(BlochMap.dephasing(lam, axis).matrix(), starts)[0].max()
+        assert sweep.values[i] >= solo, (i, lam)
 
 
 @pytest.mark.parametrize("points", [2, 11, 101])
 def test_dephasing_sweep_runs_one_classical_search(monkeypatch, points):
+    """One exact search per set: per sweep, per threshold, and per set of a window."""
     calls = []
-    search = channels.classical_optimum
+    search = quantum.classical_optimum
 
     def counting(*args, **kwargs):
         calls.append(args)
         return search(*args, **kwargs)
 
-    for module in (channels, quantum):
-        monkeypatch.setattr(module, "classical_optimum", counting)
-    dephasing_sweep(representative_set(5), grid=dephasing_grid(points), restarts=2)
+    monkeypatch.setattr(quantum, "classical_optimum", counting)
+    quint, quad = representative_set(5), representative_set(4, "open")
+    dephasing_sweep(quint, grid=dephasing_grid(points), restarts=2)
     assert len(calls) == 1
+    calls.clear()
+    critical_depolarizing(quint, restarts=2)
+    assert len(calls) == 1
+    calls.clear()
+    try:
+        crossing_window(quint, quad, grid=dephasing_grid(points), refine_tol=0.05, restarts=2)
+    except NoCrossingError:
+        pass
+    assert [args[0] for args in calls] == [quint, quad]
+
+
+WIDE = FunctionSet.from_ints(5, (1, 2, 4))  # above the exact search's width
+
+
+def test_a_wide_seesaw_runs_without_a_classical_start():
+    report = seesaw(WIDE, restarts=3, seed=0)
+    assert report.restarts_used == 3
+    assert 0.5 < report.value <= pm_upper_bound(3) + 1e-9
+
+
+def test_noise_functions_refuse_a_wide_set_before_any_kernel(monkeypatch):
+    _forbid_kernel(monkeypatch, "the width was checked")
+    with pytest.raises(WidthOutOfRangeError):
+        critical_depolarizing(WIDE)
+    with pytest.raises(WidthOutOfRangeError):
+        dephasing_sweep(WIDE, grid=[0.0, 0.5])
+    for pair in ((WIDE, representative_set(3)), (representative_set(3), WIDE)):
+        with pytest.raises(WidthOutOfRangeError):
+            crossing_window(*pair, grid=[0.0, 0.5])
 
 
 def test_noise_functions_share_one_restarts_default():

@@ -383,20 +383,6 @@ def test_non_finite_channel_matrix_rejected(bad):
             evaluate_pm(strategy, fset, channel)
 
 
-@pytest.mark.parametrize("case", ["nan", "short"])
-def test_malformed_warm_start_is_refused_before_the_kernel(case, monkeypatch):
-    fset = representative_set(4, "open")
-    k = len(fset)
-    start = np.full((k, 3), np.nan) if case == "nan" else np.ones((k - 1, 3))
-
-    def no_kernel(*args, **kwargs):
-        raise AssertionError("run_seesaw ran on a malformed warm start")
-
-    monkeypatch.setattr("grac.quantum.run_seesaw", no_kernel)
-    with pytest.raises(InvalidInputError, match="extra start 0"):
-        seesaw(fset, restarts=1, extra_starts=[start])
-
-
 def test_classical_start_vectors_refuse_a_zero_or_nan_axis():
     fset = representative_set(3)
     for axis in ((0.0, 0.0, 0.0), (np.nan, 0.0, 1.0)):

@@ -207,7 +207,7 @@ def _random_unit_rows(rng: np.random.Generator, k: int) -> np.ndarray:
     return vecs / norms
 
 
-def _pm_starts(k: int, restarts: int, seed: int, classical=()) -> np.ndarray:
+def _pm_starts(k: int, restarts: int, seed: int, classical) -> np.ndarray:
     """Every prepare-and-measure start set: an (R, k, 3) array of measurement vectors.
 
     First `restarts` sphere-uniform starts, the j-th drawn from

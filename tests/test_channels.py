@@ -195,7 +195,7 @@ def _forbid_kernel(monkeypatch, what):
         lambda pair: BlochMap.dephasing(0.1, axis=None),
     ],
 )
-def test_non_real_arguments_are_refused_before_any_kernel(monkeypatch, call):
+def test_malformed_numbers_are_refused_before_any_kernel(monkeypatch, call):
     _forbid_kernel(monkeypatch, "the arguments were checked")
     with pytest.raises(InvalidInputError):
         call(representative_set(2))

@@ -23,7 +23,7 @@ from .errors import (
     check_integer,
     reading,
 )
-from .mubs import BooleanFn, FunctionSet, ParityLabel, parity, sign_matrix
+from .mubs import BooleanFn, FunctionSet, bits_table, sign_matrix, table_bits
 
 # Widest set searched exactly; the see-saws add a classical start only up to here.
 ENUM_MAX_WIDTH = 4
@@ -103,13 +103,15 @@ def majority_encoding(n: int) -> BooleanFn:
 
 
 def identity_decoding(fset: FunctionSet, invert: tuple[int, ...] = ()) -> dict:
-    """Guess z = ω, flipped to z = ω ⊕ 1 on the labels listed in invert."""
-    inv = {lab.r if isinstance(lab, ParityLabel) else int(lab) for lab in invert}
-    return {
-        (lab.r, omega): omega ^ (lab.r in inv)
-        for lab in fset
-        for omega in (0, 1)
-    }
+    """Guess z = ω, flipped to z = ω ⊕ 1 on the labels listed in invert.
+
+    Each label in invert is an integer that must be in fset.
+    """
+    for r in invert:
+        check_integer("inverted label", r)
+        if r not in fset.ints:
+            raise InvalidInputError(f"inverted label {r} is not in the set {fset.ints}")
+    return {(r, omega): omega ^ (r in invert) for r in fset.ints for omega in (0, 1)}
 
 
 def evaluate_classical(strategy: ClassicalStrategy, fset: FunctionSet) -> Rational:
@@ -125,36 +127,30 @@ def per_label_wins(strategy: ClassicalStrategy, fset: FunctionSet) -> dict[int, 
             f"encoding width {strategy.encoding.n} != set width {fset.n}"
         )
     m = 1 << fset.n
-    out = {}
-    for lab in fset:
-        wins = sum(
-            1
-            for x in range(m)
-            if strategy.decode(lab.r, strategy.encoding(x)) == parity(lab.r, x)
-        )
-        out[lab.r] = Rational(wins, m)
-    return out
+    sent = table_bits(strategy.encoding.table, m)
+    guess = np.array([[strategy.decode(r, omega) for r in fset.ints] for omega in (0, 1)])
+    wins = (guess[sent] == (sign_matrix(fset) < 0)).sum(axis=0)
+    return {r: Rational(int(w), m) for r, w in zip(fset.ints, wins)}
 
 
 def best_decoding(encoding: BooleanFn, fset: FunctionSet) -> tuple[dict, Rational]:
     """Optimal decoding for a fixed encoding: majority vote on each message fiber.
 
-    Ties break to z = 0; an empty fiber (constant-ish encodings) also decodes
-    to 0, which costs nothing since no input lands there.
+    sums[ω, y], the column sum of g over the fiber of ω, counts zeros minus
+    ones of f_y there; the majority guess wins max(zeros, ones) =
+    (zeros + ones + |sums|) / 2.  Ties break to z = 0; an empty fiber
+    (constant-ish encodings) also decodes to 0, which costs nothing since no
+    input lands there.
     """
     if encoding.n != fset.n:
         raise WidthMismatchError(f"encoding width {encoding.n} != set width {fset.n}")
     m = 1 << fset.n
-    fibers = {omega: [x for x in range(m) if encoding(x) == omega] for omega in (0, 1)}
-    decoding = {}
-    wins = 0
-    for lab in fset:
-        for omega in (0, 1):
-            ones = sum(parity(lab.r, x) for x in fibers[omega])
-            zeros = len(fibers[omega]) - ones
-            decoding[(lab.r, omega)] = 1 if ones > zeros else 0
-            wins += max(ones, zeros)
-    return decoding, Rational(wins, m * len(fset))
+    k = len(fset)
+    sent = table_bits(encoding.table, m)
+    sums = np.stack([1 - sent, sent]) @ sign_matrix(fset)
+    guess = (sums < 0).astype(int).tolist()
+    decoding = {(r, omega): guess[omega][j] for j, r in enumerate(fset.ints) for omega in (0, 1)}
+    return decoding, Rational((m * k + int(np.abs(sums).sum())) // 2, m * k)
 
 
 def _optimal_tables(h: np.ndarray, limit: int) -> np.ndarray:
@@ -236,6 +232,12 @@ def classical_optimum(
 # act on k independent bits, so they get their own small representation: the
 # question-set width cap does not apply to the derived-bit alphabet.
 
+def _check_rac_size(k: int) -> None:
+    check_integer("RAC size", k)
+    if not 1 <= k <= 10:
+        raise InvalidInputError(f"RAC size must be in 1..10, got {k}")
+
+
 @dataclass(frozen=True)
 class RACStrategy:
     """Strategy for the standard k -> 1 random access code.
@@ -250,12 +252,19 @@ class RACStrategy:
     decoding: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k <= 10:
-            raise InvalidInputError(f"RAC size must be in 1..10, got {self.k}")
+        _check_rac_size(self.k)
+        check_integer("RAC encoding", self.encoding)
         if not 0 <= self.encoding < 1 << (1 << self.k):
             raise InvalidInputError("encoding mask wider than 2^k bits")
         if len(self.decoding) != self.k:
             raise InvalidInputError("decoding must list one (z0, z1) pair per position")
+        for pair in self.decoding:
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise InvalidInputError(f"a decoding entry must be a pair (z0, z1), got {pair!r}")
+            for z in pair:
+                check_integer("RAC guess", z)
+                if z not in (0, 1):
+                    raise InvalidInputError(f"a RAC guess must be 0 or 1, got {z}")
 
     def encode(self, b: int) -> int:
         return (self.encoding >> b) & 1
@@ -283,6 +292,7 @@ def optimal_rac_strategy(k: int) -> RACStrategy:
     message is 1, and by symmetry each position holds an equal share of
     that sum.
     """
+    _check_rac_size(k)
     return RACStrategy(k, _majority_table(k), ((0, 1),) * k)
 
 
@@ -309,22 +319,17 @@ def lift_rac_strategy(
         raise CardinalityMismatchError(f"RAC size {rac.k} != set size {k}")
     if perm is None:
         perm = tuple(range(k))
-    if sorted(perm) != list(range(k)):
+    order = np.asarray(perm)
+    if order.dtype.kind not in "iu" or sorted(order.tolist()) != list(range(k)):
         raise InvalidInputError(f"perm must permute 0..{k - 1}, got {perm}")
-    n = fset.n
-    labels = fset.labels
-    table = 0
-    for x in range(1 << n):
-        derived = 0
-        for p in range(k):
-            derived |= parity(labels[perm[p]].r, x) << (k - 1 - p)
-        table |= rac.encode(derived) << x
-    decoding = {}
-    for p in range(k):
-        r = labels[perm[p]].r
-        decoding[(r, 0)] = rac.decoding[p][0]
-        decoding[(r, 1)] = rac.decoding[p][1]
-    return ClassicalStrategy(BooleanFn(n, table), decoding)
+    # derived[x] reads f_{perm[p]}(x) as bit p, counted from the most significant
+    derived = (sign_matrix(fset)[:, order] < 0) @ (1 << np.arange(k - 1, -1, -1))
+    table = bits_table(table_bits(rac.encoding, 1 << k)[derived])
+    labels = np.array(fset.ints)[order].tolist()
+    decoding = {
+        (r, omega): rac.decoding[p][omega] for p, r in enumerate(labels) for omega in (0, 1)
+    }
+    return ClassicalStrategy(BooleanFn(fset.n, table), decoding)
 
 
 def best_lift(rac: RACStrategy, fset: FunctionSet) -> tuple[ClassicalStrategy, Rational]:

@@ -55,11 +55,12 @@ from .classical import ENUM_MAX_WIDTH, ClassicalStrategy, classical_optimum
 from .errors import (
     DimensionMismatchError,
     InvalidEffectError,
+    InvalidInputError,
     WidthMismatchError,
     check_integer,
     reading,
 )
-from .mubs import FunctionSet, sign_matrix
+from .mubs import FunctionSet, sign_matrix, table_bits
 
 _ATOL = 1e-10
 LOCAL_DIMS = (2, 3, 4)
@@ -238,47 +239,44 @@ def eacc_to_bell(strategy: EACCStrategy, fset: FunctionSet) -> BellValueReport:
     """
     eacc_value = evaluate_eacc(strategy, fset)  # checks the strategy against fset
     da, db = strategy.dims
-    m = 1 << fset.n
-    k = len(fset)
-    ftab = (0.5 * (1.0 - sign_matrix(fset))).astype(np.int64)
+    ftab = (sign_matrix(fset) < 0).astype(np.intp)
+    m, k = ftab.shape
     rho = strategy.state.reshape(da, db, da, db)
     # Bob-side operator left behind by Alice's outcome u on input x:
     # ka[x, u][j, k] = Σ_{a,b} ρ[(a,j),(b,k)] A^x_u[b,a]
     ka = np.einsum("ajbk,xuba->xujk", rho, strategy.alice)
-    bell = 0.0
-    for x in range(m):
-        for y0 in (0, 1):
-            for j in range(k):
-                v = int(ftab[x, j])
-                bell += float(
-                    np.einsum("jk,kj->", ka[x, y0], strategy.bob[y0, j, v]).real
-                )
-    bell /= m * k
+    # Bob's right-answer effect: right[u, x, y] = B^{u,y}_{f_y(x)}
+    right = strategy.bob[:, np.arange(k), ftab]
+    bell = float(np.einsum("xujk,uxykj->", ka, right).real) / (m * k)
     return BellValueReport(bell_value=bell, eacc_value=eacc_value)
+
+
+def _check_local_dim(local_dim: int) -> None:
+    check_integer("local dimension", local_dim)
+    if local_dim < 1:
+        raise InvalidInputError(f"local dimension must be positive, got {local_dim}")
 
 
 def classical_embed(
     strategy: ClassicalStrategy, fset: FunctionSet, local_dim: int = 2
 ) -> EACCStrategy:
     """Embed a deterministic strategy: product state, identity/zero effects."""
+    _check_local_dim(local_dim)
+    if strategy.encoding.n != fset.n:
+        raise WidthMismatchError(
+            f"encoding width {strategy.encoding.n} != set width {fset.n}"
+        )
     d = local_dim
     m = 1 << fset.n
     k = len(fset)
     state = np.zeros((d * d, d * d), dtype=np.complex128)
     state[0, 0] = 1.0
     eye = np.eye(d, dtype=np.complex128)
-    zero = np.zeros((d, d), dtype=np.complex128)
-    alice = np.empty((m, 2, d, d), dtype=np.complex128)
-    for x in range(m):
-        omega = strategy.encoding(x)
-        alice[x, omega] = eye
-        alice[x, 1 - omega] = zero
-    bob = np.empty((2, k, 2, d, d), dtype=np.complex128)
-    for omega in (0, 1):
-        for j, lab in enumerate(fset):
-            z = strategy.decode(lab.r, omega)
-            bob[omega, j, z] = eye
-            bob[omega, j, 1 - z] = zero
+    alice = np.zeros((m, 2, d, d), dtype=np.complex128)
+    alice[np.arange(m), table_bits(strategy.encoding.table, m)] = eye
+    guess = np.array([[strategy.decode(r, omega) for r in fset.ints] for omega in (0, 1)])
+    bob = np.zeros((2, k, 2, d, d), dtype=np.complex128)
+    bob[np.arange(2)[:, None], np.arange(k), guess] = eye
     return EACCStrategy(fset.n, fset.ints, state, alice, bob)
 
 
@@ -296,6 +294,7 @@ def random_strategy(
     fset: FunctionSet, local_dim: int = 2, rng: np.random.Generator | None = None
 ) -> EACCStrategy:
     """Random valid strategy: Haar pure state, random projective effect pairs."""
+    _check_local_dim(local_dim)
     if rng is None:
         rng = np.random.default_rng()
     d = local_dim

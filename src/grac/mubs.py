@@ -20,19 +20,27 @@ from .errors import (
     WidthMismatchError,
     WidthOutOfRangeError,
     WrongCardinalityError,
+    check_integer,
 )
 
 MAX_WIDTH = 6
 
 
 def _check_width(n: int) -> None:
+    check_integer("input width", n)
     if not 1 <= n <= MAX_WIDTH:
         raise WidthOutOfRangeError(f"input width must be in 1..{MAX_WIDTH}, got {n}")
 
 
-def parity(r: int, x: int) -> int:
-    """Parity of the bits of x selected by the label r."""
-    return (r & x).bit_count() & 1
+def table_bits(table: int, size: int) -> np.ndarray:
+    """Bits 0..size-1 of a truth-table mask as a 0/1 array, entry x holding bit x."""
+    raw = np.frombuffer(int(table).to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little")
+
+
+def bits_table(bits: np.ndarray) -> int:
+    """The truth-table mask whose bit x is bits[x]; inverts table_bits."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,7 @@ class BooleanFn:
 
     def __post_init__(self) -> None:
         _check_width(self.n)
+        check_integer("truth table", self.table)
         if not 0 <= self.table < 1 << (1 << self.n):
             raise InvalidInputError(f"table must use only the low {1 << self.n} bits")
 
@@ -78,6 +87,7 @@ class ParityLabel:
 
     def __post_init__(self) -> None:
         _check_width(self.n)
+        check_integer("label", self.r)
         if not 0 < self.r < 1 << self.n:
             raise InvalidInputError(f"label must be a nonzero {self.n}-bit value, got {self.r}")
 
@@ -153,7 +163,11 @@ class FunctionSet:
 
 
 def sign_matrix(fset: FunctionSet) -> np.ndarray:
-    """(2^n, k) matrix of (-1)^{f_y(x)}, one row per input x."""
+    """(2^n, k) matrix g of (-1)^{f_y(x)}, one row per input x.
+
+    The one place a parity is computed: every count reads off g, or off the
+    0/1 table f_y(x) = [g < 0].
+    """
     m = 1 << fset.n
     xs = np.arange(m, dtype=np.uint32)
     rs = np.array(fset.ints, dtype=np.uint32)

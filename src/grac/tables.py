@@ -31,7 +31,7 @@ from .classical import (
     rac_optimum,
 )
 from .eacc import eacc_seesaw
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integer
 from .mubs import MAX_WIDTH, BooleanFn, FunctionSet, QuadrupleClass, full_mubs
 from .protocols import reference_value
 from .quantum import pm_upper_bound, seesaw
@@ -46,6 +46,7 @@ def representative_labels(k: int, quad_class: str | None = None) -> tuple[int, .
     required at cardinality 4 and refused elsewhere.  The labels are the same
     at every width, so the CLI applies them at --n.
     """
+    check_integer("cardinality", k)
     if not 1 <= k < 1 << MAX_WIDTH:
         raise InvalidInputError(f"cardinality must be in 1..{(1 << MAX_WIDTH) - 1}, got {k}")
     names = [c.value for c in QuadrupleClass]

@@ -16,6 +16,7 @@ from grac import (
     FunctionSet,
     GracError,
     InvalidInputError,
+    ParityLabel,
     QuadrupleClass,
     RACStrategy,
     Rational,
@@ -34,6 +35,7 @@ from grac import (
     per_label_wins,
     rac_optimum,
     rac_value,
+    representative_set,
     sign_matrix,
 )
 
@@ -328,3 +330,132 @@ def test_sign_search_matches_scan_property(labels, limit):
 def test_non_integer_or_nonpositive_counts_are_refused(call):
     with pytest.raises(InvalidInputError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: full_mubs(2.5),
+        lambda: BooleanFn(3.0, 1),
+        lambda: representative_set(2.5),
+        lambda: ParityLabel(3, 1.5),
+        lambda: BooleanFn(3, 1.5),
+        lambda: RACStrategy(2.5, 0, ((0, 1), (0, 1))),
+        lambda: RACStrategy(2, 1.5, ((0, 1), (0, 1))),
+        lambda: optimal_rac_strategy(2.5),
+        lambda: RACStrategy(1, 0b10, ((0,),)),
+        lambda: RACStrategy(1, 0b10, ((0, 2),)),
+        lambda: lift_rac_strategy(
+            optimal_rac_strategy(3), representative_set(3), perm=(0.0, 1.0, 2.0)
+        ),
+        lambda: identity_decoding(representative_set(3), invert=("x",)),
+        lambda: identity_decoding(representative_set(3), invert=(5,)),
+    ],
+    ids=[
+        "full_mubs(2.5)",
+        "BooleanFn(3.0,1)",
+        "representative_set(2.5)",
+        "ParityLabel(3,1.5)",
+        "BooleanFn(3,1.5)",
+        "RACStrategy(2.5)",
+        "RAC encoding 1.5",
+        "optimal_rac_strategy(2.5)",
+        "RAC entry (0,)",
+        "RAC entry (0,2)",
+        "float perm",
+        "invert=('x',)",
+        "invert label not in set",
+    ],
+)
+def test_malformed_widths_labels_and_rac_entries_are_refused(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-input loops that the parity-table counts replaced.
+
+def _parity(r, x):
+    return (r & x).bit_count() & 1
+
+
+def _wins_by_loop(strategy, fset):
+    """Wins of each label, one input at a time."""
+    return {
+        r: sum(
+            strategy.decode(r, strategy.encoding(x)) == _parity(r, x)
+            for x in range(1 << fset.n)
+        )
+        for r in fset.ints
+    }
+
+
+def _best_decoding_by_loop(encoding, fset):
+    """Majority vote on each message fiber; ties and empty fibers decode to 0."""
+    m = 1 << fset.n
+    fibers = {omega: [x for x in range(m) if encoding(x) == omega] for omega in (0, 1)}
+    decoding = {}
+    wins = 0
+    for r in fset.ints:
+        for omega in (0, 1):
+            ones = sum(_parity(r, x) for x in fibers[omega])
+            zeros = len(fibers[omega]) - ones
+            decoding[(r, omega)] = 1 if ones > zeros else 0
+            wins += max(ones, zeros)
+    return decoding, wins
+
+
+def _lifted_table_by_loop(rac, fset, perm):
+    """Encoding table of the lift: the RAC's message on each input's derived string."""
+    k = len(fset)
+    table = 0
+    for x in range(1 << fset.n):
+        derived = 0
+        for p in range(k):
+            derived |= _parity(fset.ints[perm[p]], x) << (k - 1 - p)
+        table |= rac.encode(derived) << x
+    return table
+
+
+def _draw_set(data, max_size):
+    n = data.draw(st.integers(1, 6), label="n")
+    labels = data.draw(
+        st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=max_size), label="labels"
+    )
+    return FunctionSet.from_ints(n, sorted(labels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_counts_match_per_input_loops(data):
+    fset = _draw_set(data, max_size=63)
+    m, k = 1 << fset.n, len(fset)
+    enc = BooleanFn(fset.n, data.draw(st.integers(0, (1 << m) - 1), label="encoding"))
+    guesses = data.draw(st.lists(st.integers(0, 1), min_size=2 * k, max_size=2 * k))
+    keys = [(r, omega) for r in fset.ints for omega in (0, 1)]
+    strat = ClassicalStrategy(enc, dict(zip(keys, guesses)))
+
+    wins = _wins_by_loop(strat, fset)
+    assert per_label_wins(strat, fset) == {r: Rational(w, m) for r, w in wins.items()}
+    assert evaluate_classical(strat, fset) == Rational(sum(wins.values()), m * k)
+    decoding, best = _best_decoding_by_loop(enc, fset)
+    assert best_decoding(enc, fset) == (decoding, Rational(best, m * k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lift_matches_per_input_loop(data):
+    fset = _draw_set(data, max_size=10)
+    k = len(fset)
+    bit = st.integers(0, 1)
+    rac_encoding = data.draw(st.integers(0, (1 << (1 << k)) - 1), label="rac encoding")
+    rac_decoding = data.draw(st.lists(st.tuples(bit, bit), min_size=k, max_size=k))
+    rac = RACStrategy(k, rac_encoding, tuple(rac_decoding))
+    perm = tuple(data.draw(st.permutations(range(k)), label="perm"))
+    strat = lift_rac_strategy(rac, fset, perm)
+    assert strat.encoding == BooleanFn(fset.n, _lifted_table_by_loop(rac, fset, perm))
+    assert strat.decoding == {
+        (fset.ints[perm[p]], omega): rac.decoding[p][omega]
+        for p in range(k)
+        for omega in (0, 1)
+    }

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grac import (
+    BooleanFn,
+    ClassicalStrategy,
     DimensionMismatchError,
     EACCStrategy,
     FunctionSet,
@@ -19,6 +21,7 @@ from grac import (
     eacc_to_bell,
     evaluate_eacc,
     full_mubs,
+    identity_decoding,
     pm_upper_bound,
     random_strategy,
     representative_set,
@@ -136,6 +139,69 @@ def test_bell_reading_matches_communication_value():
         strat = random_strategy(fset, local_dim=d, rng=rng)
         rep = eacc_to_bell(strat, fset)
         assert rep.bell_value == pytest.approx(rep.eacc_value, abs=1e-10)
+
+
+def _bell_by_loop(strategy, fset):
+    """The Bell score summed one (x, u, y) term at a time."""
+    da, db = strategy.dims
+    m = 1 << fset.n
+    k = len(fset)
+    rho = strategy.state.reshape(da, db, da, db)
+    ka = np.einsum("ajbk,xuba->xujk", rho, strategy.alice)
+    bell = 0.0
+    for x in range(m):
+        for u in (0, 1):
+            for j, r in enumerate(fset.ints):
+                v = (r & x).bit_count() & 1
+                bell += float(np.einsum("jk,kj->", ka[x, u], strategy.bob[u, j, v]).real)
+    return bell / (m * k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_bell_reading_matches_per_input_loop(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    labels = data.draw(st.sets(st.integers(1, (1 << n) - 1), min_size=1), label="labels")
+    fset = FunctionSet.from_ints(n, sorted(labels))
+    d = data.draw(st.sampled_from((2, 3)), label="d")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    strat = random_strategy(fset, local_dim=d, rng=np.random.default_rng(seed))
+    assert eacc_to_bell(strat, fset).bell_value == pytest.approx(
+        _bell_by_loop(strat, fset), abs=1e-12
+    )
+
+
+_PAIR = FunctionSet.from_ints(3, (1, 2))
+_PAIR_STRATEGY = ClassicalStrategy(BooleanFn(3, 0b11110000), identity_decoding(_PAIR))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: classical_embed(_PAIR_STRATEGY, _PAIR, local_dim=0), InvalidInputError),
+        (lambda: classical_embed(_PAIR_STRATEGY, _PAIR, local_dim=2.5), InvalidInputError),
+        (lambda: classical_embed(_PAIR_STRATEGY, _PAIR, local_dim=True), InvalidInputError),
+        (lambda: random_strategy(_PAIR, local_dim=0), InvalidInputError),
+        (lambda: random_strategy(_PAIR, local_dim=2.5), InvalidInputError),
+        (
+            lambda: classical_embed(
+                ClassicalStrategy(BooleanFn(2, 0b1000), identity_decoding(_PAIR)), _PAIR
+            ),
+            WidthMismatchError,
+        ),
+    ],
+    ids=[
+        "embed local_dim=0",
+        "embed local_dim=2.5",
+        "embed local_dim=True",
+        "random local_dim=0",
+        "random local_dim=2.5",
+        "embed width-2 strategy on width-3 set",
+    ],
+)
+def test_strategy_builders_refuse_bad_dimensions_and_widths(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def _projector(rng, d):

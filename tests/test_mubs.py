@@ -15,17 +15,22 @@ from grac import (
     WrongCardinalityError,
     classify_quadruple,
     full_mubs,
-    parity,
     sign_matrix,
 )
 
 
 def test_parity_basics():
-    assert parity(0b100, 0b100) == 1
-    assert parity(0b100, 0b011) == 0
-    assert parity(0b111, 0b110) == 0
-    assert parity(0b111, 0b100) == 1
-    assert parity(0b101, 0b111) == 0
+    """Five parities read as sign-matrix entries g[x, y] = (-1)^{f_r(x)}."""
+    g = sign_matrix(FunctionSet.from_ints(3, (0b100, 0b101, 0b111)))
+    column = {0b100: 0, 0b101: 1, 0b111: 2}
+    for r, x, bit in [
+        (0b100, 0b100, 1),
+        (0b100, 0b011, 0),
+        (0b111, 0b110, 0),
+        (0b111, 0b100, 1),
+        (0b101, 0b111, 0),
+    ]:
+        assert g[x, column[r]] == (-1) ** bit
 
 
 def test_boolean_fn_call_and_bits():

@@ -11,7 +11,10 @@ tree runs, in its own Python process, the same CLI ops through
   this script sits in;
 - `tables` with each artifact format (json, text, csv);
 - the crossing window `noise --labels k=5 --window k=4:open` on its
-  default grid.
+  default grid;
+- the three `classical` ops that call `best_decoding` the most: the full
+  sets of widths 3 and 4 and the width-4 set of weight-one labels, each
+  with a large `--max-strategies`.
 
 It prints one line per op saying whether the exit code, stdout and artifact
 bytes match, then a count.  The exit code is 0 when every op matches and 1
@@ -34,6 +37,9 @@ EXTRA_OPS = (
     ["tables", "--format", "text"],
     ["tables", "--format", "csv"],
     ["noise", "--labels", "k=5", "--window", "k=4:open"],
+    ["classical", "--n", "3", "--labels", "all", "--max-strategies", "1000"],
+    ["classical", "--n", "4", "--labels", "all", "--max-strategies", "500"],
+    ["classical", "--n", "4", "--labels", "0001,0010,0100,1000", "--max-strategies", "300"],
 )
 
 # Runs in a fresh interpreter with one source tree first on sys.path; reads

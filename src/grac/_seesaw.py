@@ -198,10 +198,10 @@ def run_seesaw(signs, dmat, v0, max_iters, tol):
     winner, so Alice's half is not repeated.  A trip's halves are Bob's half, Alice's half and
     the winner, each at least the one before.  A row's beta starts at
     _BETA_START and moves by `next_beta`; it rides in the state so that it
-    shrinks with the rows.  A per-row channel rides in the state
-    too; a shared one is closed over with its contiguous transpose.  Either
-    way a row's arithmetic is the same, so it gets the same result in any
-    batch.
+    shrinks with the rows.  A shared channel is broadcast to one matrix per
+    row at entry, and each row's channel and its contiguous transpose ride
+    in the state too, so a row's arithmetic, and its result, do not depend
+    on the batch.
 
     Parameters
     ----------
@@ -222,7 +222,6 @@ def run_seesaw(signs, dmat, v0, max_iters, tol):
     converged : (R,) bool
     """
     signs = np.ascontiguousarray(signs, dtype=np.float64)
-    dmat = np.array(dmat, dtype=np.float64)  # a copy: a per-row channel is written back
     v = np.array(v0, dtype=np.float64, copy=True)
     if v.ndim == 2:
         v = v[None]
@@ -230,14 +229,14 @@ def run_seesaw(signs, dmat, v0, max_iters, tol):
     m = signs.shape[0]
     scale = 1.0 / (2.0 * m * k)
     signs_t = np.ascontiguousarray(signs.T)
-    dmat_t = np.ascontiguousarray(dmat.T) if dmat.ndim == 2 else None
-    channel = (dmat,) if dmat.ndim == 3 else ()  # per-row channels shrink with the rows
+    # copies: final channels are written back, and a transposed view slows every matmul
+    dmat = np.array(np.broadcast_to(np.asarray(dmat, dtype=np.float64), (n_restarts, 3, 3)))
+    dmat_t = np.ascontiguousarray(dmat.transpose(0, 2, 1))
 
     r, _ = best_reply(signs, dmat, v, np.zeros((n_restarts, m, 3)))
     beta = np.full(n_restarts, _BETA_START)
 
-    def step(r, v, beta, *channel):
-        d, d_t = (channel[0], channel[0].transpose(0, 2, 1)) if channel else (dmat, dmat_t)
+    def step(r, v, beta, d, d_t):
         w = np.matmul(signs_t, np.matmul(r, d_t))  # (R, k, 3): sum_x g[x,y] D r_x
         v_new, wnorms = _unit_rows(w, v)
         value_bob = 0.5 + scale * wnorms.sum(axis=(1, 2))
@@ -247,11 +246,11 @@ def run_seesaw(signs, dmat, v0, max_iters, tol):
         pick = take[:, None, None]
         beta = next_beta(beta, take)
         return (
-            (np.where(pick, both_r[1], both_r[0]), np.where(pick, v_e, v_new), beta, *channel),
+            (np.where(pick, both_r[1], both_r[0]), np.where(pick, v_e, v_new), beta, d, d_t),
             (value_bob, both_value[0], np.maximum(both_value[0], both_value[1])),
         )
 
     values, iters, min_deltas, converged = alternate(
-        step, (r, v, beta, *channel), max_iters, tol
+        step, (r, v, beta, dmat, dmat_t), max_iters, tol
     )
     return values, iters, min_deltas, r, v, converged

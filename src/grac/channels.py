@@ -12,14 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seesaw import best_reply, check_budget, check_seed
+from ._seesaw import check_budget, check_seed
 from .classical import Rational
 from .errors import InvalidInputError, NoCrossingError, check_integer, check_real
 from .mubs import FunctionSet
-from .quantum import _MAX_ITERS, _TOL, _game, _Game, _pm_starts, _unit_axis
+from .quantum import _MAX_ITERS, _TOL, _game, _solve_points, _unit_axis
 
 DEPOLARIZING = "depolarizing"
 DEPHASING = "dephasing"
+DEFAULT_AXIS = (1.0, 0.0, 0.0)  # the dephasing axis when none is given
+REFINE_TOL = 1e-4  # a crossing window's default bisection tolerance, in lambda
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class BlochMap:
         return cls(DEPOLARIZING, lam)
 
     @classmethod
-    def dephasing(cls, lam: float, axis=(1.0, 0.0, 0.0)) -> "BlochMap":
+    def dephasing(cls, lam: float, axis=DEFAULT_AXIS) -> "BlochMap":
         return cls(DEPHASING, lam, axis)
 
     def matrix(self) -> np.ndarray:
@@ -75,14 +77,14 @@ def critical_depolarizing(fset: FunctionSet, restarts: int = 8, seed: int = 0) -
     stays optimal and its value is 1/2 + (1-lambda)(S_Q - 1/2); solving
     against S_C gives lambda = 1 - (S_C - 1/2)/(S_Q - 1/2).  Zero when the
     set offers no quantum advantage.  S_Q is the best noiseless value on the
-    starts `seesaw` runs (`quantum._pm_starts`), and S_C comes from the same
-    exact search as their classical start.
+    starts `seesaw` runs, solved as one point (`quantum._solve_points`), and
+    S_C comes from the same exact search as their classical start.
     """
     check_budget(restarts, _MAX_ITERS, _TOL)
     check_seed(seed)
     game = _game(fset)
     s_c = game.classical.value
-    s_q = float(game.solve(np.eye(3), _pm_starts(len(fset), restarts, seed, game.starts))[0].max())
+    s_q = float(_solve_points(game, np.eye(3)[None], restarts, seed)[0])
     if s_q <= s_c:
         return 0.0
     return 1.0 - (s_c - 0.5) / (s_q - 0.5)
@@ -115,9 +117,6 @@ class SweepResult:
             yield (lam, 1.0 - lam, val, c, rat)
 
 
-_WARM_MARGIN = 1e-4  # a neighbour's optimum reruns at a point only if it starts this close
-
-
 def _sweep_inputs(axis, grid, restarts: int, seed: int):
     """Unit axis, grid (default `dephasing_grid()`) and one channel matrix per point.
 
@@ -140,51 +139,9 @@ def _sweep_inputs(axis, grid, restarts: int, seed: int):
     return axis, grid, dmats
 
 
-def _sweep_values(game: _Game, dmats, restarts: int, seed: int) -> np.ndarray:
-    """Best see-saw value at each channel of dmats, all points batched into one call per round.
-
-    Round one runs, at each point i, the `quantum._pm_starts` set of
-    `restarts` random starts at the first point and one elsewhere, seeded
-    seed + i, and the game's classical starts along z and the axis.  Each
-    later round restarts every point from the new best of each neighbour
-    that improved (by more than the kernel's tolerance) in the round
-    before, keeping only the rows whose start scores, with Alice's best
-    reply at that point's channel, within _WARM_MARGIN of the point's
-    best.  The rounds stop when no point improves.  A point's value is its
-    best row over all rounds.
-    """
-    signs = game.signs
-    n_points, k = len(dmats), signs.shape[1]
-    owner, starts = [], []
-    for i in range(n_points):
-        cold = _pm_starts(k, restarts if i == 0 else 1, seed + i, game.starts)
-        owner += [i] * len(cold)
-        starts.append(cold)
-    owner, starts = np.array(owner), np.concatenate(starts)
-    best = np.full(n_points, -np.inf)
-    best_v = np.zeros((n_points, k, 3))
-    points = np.arange(n_points)
-    while True:
-        values, vvecs = game.solve(dmats[owner], starts)
-        before = best.copy()
-        for i, value, v in zip(owner.tolist(), values.tolist(), vvecs):
-            if value > best[i]:
-                best[i], best_v[i] = value, v
-        improved = best - before > _TOL  # smaller gains are the kernel's own convergence noise
-        # point i + 1 restarts from point i's new best, and point i from point i + 1's
-        owner = np.concatenate((points[1:][improved[:-1]], points[:-1][improved[1:]]))
-        source = np.concatenate((points[:-1][improved[:-1]], points[1:][improved[1:]]))
-        starts = best_v[source]
-        _, start_values = best_reply(signs, dmats[owner], starts, np.zeros(3))
-        near = start_values >= best[owner] - _WARM_MARGIN
-        if not near.any():
-            return best
-        owner, starts = owner[near], starts[near]
-
-
 def dephasing_sweep(
     fset: FunctionSet,
-    axis=(1.0, 0.0, 0.0),
+    axis=DEFAULT_AXIS,
     grid=None,
     restarts: int = 8,
     seed: int = 0,
@@ -192,9 +149,10 @@ def dephasing_sweep(
     """Re-optimized quantum value across dephasing strengths (default `dephasing_grid()`).
 
     Every grid point is optimized with its channel in the objective, and
-    all points share one batched see-saw call per round.  The first round
-    runs each point's `quantum._pm_starts` set (`restarts` random starts
-    at the first point and one elsewhere, seeded from seed + point index),
+    all points share one batched see-saw call per round
+    (`quantum._solve_points`).  The first round runs each point's
+    `quantum._pm_starts` set (`restarts` random starts at the first point
+    and one elsewhere, seeded from seed + point index),
     with the classical starts along z and along the dephasing axis, which
     the channel never damps.  Later rounds restart each point from a
     neighbour's improved optimum when that start comes within 1e-4 of the
@@ -203,16 +161,16 @@ def dephasing_sweep(
     """
     axis, grid, dmats = _sweep_inputs(axis, grid, restarts, seed)
     game = _game(fset, axis)
-    values = _sweep_values(game, dmats, restarts, seed)
+    values = _solve_points(game, dmats, restarts, seed)
     return SweepResult(grid, tuple(float(v) for v in values), game.classical)
 
 
 def crossing_window(
     set_a: FunctionSet,
     set_b: FunctionSet,
-    axis=(1.0, 0.0, 0.0),
+    axis=DEFAULT_AXIS,
     grid=None,
-    refine_tol: float = 1e-4,
+    refine_tol: float = REFINE_TOL,
     restarts: int = 8,
     seed: int = 0,
 ) -> tuple[float, float]:
@@ -222,10 +180,10 @@ def crossing_window(
     `dephasing_grid()`); the longest run of strictly positive difference is
     the window, and endpoints interior to the grid are sharpened by
     bisection down to refine_tol (in lambda).  The j-th midpoint solves each
-    set on its `quantum._pm_starts` set: `restarts` random starts seeded
-    seed + 7919 j (plus one for set_b) and the classical starts along z and
-    the axis.  Raises NoCrossing when either curve dominates the whole grid
-    (or they tie everywhere).
+    set as one point (`quantum._solve_points`) on its `quantum._pm_starts`
+    set: `restarts` random starts seeded seed + 7919 j (plus one for set_b)
+    and the classical starts along z and the axis.  Raises NoCrossing when
+    either curve dominates the whole grid (or they tie everywhere).
     """
     check_real("refine_tol", refine_tol)
     if not (np.isfinite(refine_tol) and refine_tol > 0):
@@ -234,7 +192,7 @@ def crossing_window(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError(f"a crossing window needs a strictly increasing grid, got {grid}")
     game_a, game_b = _game(set_a, axis), _game(set_b, axis)
-    diff = _sweep_values(game_a, dmats, restarts, seed) - _sweep_values(
+    diff = _solve_points(game_a, dmats, restarts, seed) - _solve_points(
         game_b, dmats, restarts, seed
     )
     positive = diff > 0
@@ -257,11 +215,12 @@ def crossing_window(
     lo_i, hi_i = max(runs, key=lambda ab: grid[ab[1]] - grid[ab[0]])
 
     def diff_at(lam, j):
-        dmat = BlochMap.dephasing(lam, axis).matrix()
+        dmat = BlochMap.dephasing(lam, axis).matrix()[None]
         seed_j = seed + 7919 * j
-        starts_a = _pm_starts(len(set_a), restarts, seed_j, game_a.starts)
-        starts_b = _pm_starts(len(set_b), restarts, seed_j + 1, game_b.starts)
-        return game_a.solve(dmat, starts_a)[0].max() - game_b.solve(dmat, starts_b)[0].max()
+        return (
+            _solve_points(game_a, dmat, restarts, seed_j)[0]
+            - _solve_points(game_b, dmat, restarts, seed_j + 1)[0]
+        )
 
     def refine(inside_i, outside_i):
         lo, hi = grid[inside_i], grid[outside_i]

@@ -23,7 +23,7 @@ from .errors import (
     check_integer,
     reading,
 )
-from .mubs import BooleanFn, FunctionSet, bits_table, sign_matrix, table_bits
+from .mubs import BooleanFn, FunctionSet, _check_width, bits_table, sign_matrix, table_bits
 
 # Widest set searched exactly; the see-saws add a classical start only up to here.
 ENUM_MAX_WIDTH = 4
@@ -61,11 +61,26 @@ class ClassicalStrategy:
     """Deterministic one-bit strategy: encoding plus per-question decoding.
 
     decoding maps (label integer r, message ω) to the guess z and must be
-    total over the set it is used with.
+    total over the set it is used with.  Each ω and each z is an integer 0
+    or 1.
     """
 
     encoding: BooleanFn
     decoding: dict[tuple[int, int], int]
+
+    def __post_init__(self) -> None:
+        try:
+            bits = [omega for _, omega in self.decoding] + list(self.decoding.values())
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                f"decoding keys must be pairs (r, ω), got {list(self.decoding)}"
+            ) from None
+        if set(map(type, bits)) != {int}:  # plain ints, the common case, need no per-entry check
+            for bit in bits:
+                check_integer("a message or guess", bit)
+        bad = set(bits) - {0, 1}
+        if bad:
+            raise InvalidInputError(f"a message or guess must be 0 or 1, got {min(bad)}")
 
     def decode(self, r: int, omega: int) -> int:
         try:
@@ -88,7 +103,7 @@ class ClassicalStrategy:
             dec = {}
             for key, z in d["decoding"].items():
                 bits, omega = key.split(":")
-                dec[(int(bits, 2), int(omega))] = int(z)
+                dec[(int(bits, 2), int(omega))] = z
         return cls(enc, dec)
 
 
@@ -99,6 +114,7 @@ def _majority_table(n: int) -> int:
 
 def majority_encoding(n: int) -> BooleanFn:
     """Send the majority bit of x; ties (even n) send 0."""
+    _check_width(n)
     return BooleanFn(n, _majority_table(n))
 
 

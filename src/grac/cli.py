@@ -17,8 +17,10 @@ import tempfile
 
 from . import tables as tables_mod
 from .channels import (
+    DEFAULT_AXIS,
     DEPHASING,
     DEPOLARIZING,
+    REFINE_TOL,
     SweepResult,
     critical_depolarizing,
     crossing_window,
@@ -30,6 +32,9 @@ from .eacc import LOCAL_DIMS, eacc_seesaw
 from .errors import GracError, InvalidInputError
 from .mubs import FunctionSet, classify_quadruple, full_mubs
 from .quantum import pm_upper_bound, seesaw
+
+
+_DEFAULT_AXIS_TEXT = ",".join(f"{c:g}" for c in DEFAULT_AXIS)  # "1,0,0"
 
 
 def parse_label_spec(n: int, spec: str) -> FunctionSet:
@@ -183,8 +188,8 @@ def _cmd_noise(args) -> int:
         _emit(args, payload, f"critical depolarizing noise: lambda = {lam:.5f}")
         return 0
     # The sweep's result line echoes the axis as typed and the window
-    # artifact records its tolerance, so these two defaults are stated here.
-    axis_text = "1,0,0" if args.axis is None else args.axis
+    # artifact records its tolerance, so these two defaults are read here.
+    axis_text = _DEFAULT_AXIS_TEXT if args.axis is None else args.axis
     try:
         axis = tuple(float(c) for c in axis_text.split(","))
     except ValueError:
@@ -192,7 +197,7 @@ def _cmd_noise(args) -> int:
     if args.grid_points is not None:
         opts["grid"] = dephasing_grid(args.grid_points)
     if args.window:
-        refine_tol = 1e-4 if args.refine_tol is None else args.refine_tol
+        refine_tol = REFINE_TOL if args.refine_tol is None else args.refine_tol
         other = parse_label_spec(args.n, args.window)
         low, high = crossing_window(fset, other, axis=axis, refine_tol=refine_tol, **opts)
         payload = {"low": low, "high": high, "tol": refine_tol}
@@ -339,10 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(DEPOLARIZING, DEPHASING),
         help="depolarizing threshold or dephasing sweep (default depolarizing)",
     )
-    p.add_argument("--axis", help="dephasing axis (default 1,0,0)")
+    p.add_argument("--axis", help=f"dephasing axis (default {_DEFAULT_AXIS_TEXT})")
     p.add_argument("--grid-points", type=int)
     p.add_argument("--window", metavar="LABELS", help="second set: report where --labels beats it")
-    p.add_argument("--refine-tol", type=float, help="window bisection tolerance (default 1e-4)")
+    p.add_argument(
+        "--refine-tol", type=float, help=f"window bisection tolerance (default {REFINE_TOL:g})"
+    )
     p.add_argument("--restarts", type=int)
     p.set_defaults(func=_cmd_noise)
 

@@ -19,13 +19,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._seesaw import SeesawReport, check_budget, check_seed, run_seesaw
+from ._seesaw import SeesawReport, best_reply, check_budget, check_seed, run_seesaw
 from .classical import ENUM_MAX_WIDTH, Rational, classical_optimum
 from .errors import InvalidInputError, WidthMismatchError, check_integer, reading
 from .mubs import FunctionSet, sign_matrix
 
 _UNIT_TOL = 1e-12
-_MAX_ITERS = 10000  # the see-saw's default budget, also used by the batched noise sweeps
+_MAX_ITERS = 10000  # the see-saw's default budget, also used by `_solve_points`
 _TOL = 1e-10
 _Z_AXIS = (0.0, 0.0, 1.0)  # every prepare-and-measure solve runs a classical start along it
 
@@ -174,15 +174,6 @@ class _Game(NamedTuple):
     classical: Rational
     starts: tuple[np.ndarray, ...]  # along z, then along the game's axis if it has one
 
-    def solve(self, dmat: np.ndarray, starts: np.ndarray):
-        """Final value and measurement vectors of each start, at the default budget.
-
-        dmat is one (3, 3) channel for every start or (R, 3, 3), one per start;
-        a start's result does not depend on the other starts in the batch.
-        """
-        values, _, _, _, vvecs, _ = run_seesaw(self.signs, dmat, starts, _MAX_ITERS, _TOL)
-        return values, vvecs
-
 
 def _game(fset: FunctionSet, axis=None) -> _Game:
     """The one exact classical search of a prepare-and-measure solve.
@@ -216,6 +207,52 @@ def _pm_starts(k: int, restarts: int, seed: int, classical) -> np.ndarray:
     """
     starts = [_random_unit_rows(np.random.default_rng((seed, j)), k) for j in range(restarts)]
     return np.stack(starts + list(classical))
+
+
+_WARM_MARGIN = 1e-4  # a neighbour's optimum reruns at a point only if it starts this close
+
+
+def _solve_points(game: _Game, dmats: np.ndarray, restarts: int, seed: int) -> np.ndarray:
+    """Best see-saw value at each channel of dmats, all points batched into one call per round.
+
+    Every noisy prepare-and-measure solve is this call: a dephasing sweep
+    is its grid, and a depolarizing threshold or a window midpoint is one
+    point.  Round one runs, at each point i, the `_pm_starts` set of
+    `restarts` random starts at the first point and one elsewhere, seeded
+    seed + i, and the game's classical starts.  Each later round restarts
+    every point from the new best of each neighbour that improved (by more
+    than the kernel's tolerance) in the round before, keeping only the rows
+    whose start scores, with Alice's best reply at that point's channel,
+    within _WARM_MARGIN of the point's best, until no point improves; a
+    lone point has no neighbour.  A point's value is its best row overall.
+    """
+    signs = game.signs
+    n_points, k = len(dmats), signs.shape[1]
+    owner, starts = [], []
+    for i in range(n_points):
+        cold = _pm_starts(k, restarts if i == 0 else 1, seed + i, game.starts)
+        owner += [i] * len(cold)
+        starts.append(cold)
+    owner, starts = np.array(owner), np.concatenate(starts)
+    best = np.full(n_points, -np.inf)
+    best_v = np.zeros((n_points, k, 3))
+    points = np.arange(n_points)
+    while True:
+        values, _, _, _, vvecs, _ = run_seesaw(signs, dmats[owner], starts, _MAX_ITERS, _TOL)
+        before = best.copy()
+        for i, value, v in zip(owner.tolist(), values.tolist(), vvecs):
+            if value > best[i]:
+                best[i], best_v[i] = value, v
+        improved = best - before > _TOL  # smaller gains are the kernel's own convergence noise
+        # point i + 1 restarts from point i's new best, and point i from point i + 1's
+        owner = np.concatenate((points[1:][improved[:-1]], points[:-1][improved[1:]]))
+        source = np.concatenate((points[:-1][improved[:-1]], points[1:][improved[1:]]))
+        starts = best_v[source]
+        _, start_values = best_reply(signs, dmats[owner], starts, np.zeros(3))
+        near = start_values >= best[owner] - _WARM_MARGIN
+        if not near.any():
+            return best
+        owner, starts = owner[near], starts[near]
 
 
 def _safe_unit(vec: np.ndarray) -> tuple[float, float, float]:

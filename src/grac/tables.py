@@ -255,7 +255,7 @@ def table_four(seed: int = 0) -> TableReport:
             value = eacc_seesaw(_spec_set(spec), local_dim=2, restarts=8, seed=seed).value
             rows.append(_row(f"EACC {_spec_name(spec)}, local dim 2", value, ref))
     value = eacc_seesaw(_spec_set("k=4:open"), local_dim=4, restarts=64, seed=seed).value
-    rows.append(_row("EACC k=4 (open), local dim 4", value, 0.75))
+    rows.append(_row("EACC k=4 (open), local dim 4", value, pm_upper_bound(4)))
     return TableReport("IV", 1e-4, tuple(rows))
 
 

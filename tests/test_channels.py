@@ -242,10 +242,11 @@ SPECS = (2, 3, (4, "xor-closed"), (4, "open"), 5, 6, 7)
 def test_sweep_points_match_or_beat_a_one_point_seesaw(spec, axis, seed):
     """The batched sweep never loses to the point-by-point see-saw on its own starts.
 
-    Point i's first round runs the start set built here: cold starts seeded
-    (seed + i, j), 8 at the first point and 1 elsewhere, and the classical
-    starts along z and along the unit axis.  Later rounds only add rows, so
-    the sweep's value is at least the one-point solve's, exactly.
+    Point i's first round runs the start set of the one-point solve here:
+    cold starts seeded (seed + i, j), 8 at the first point and 1 elsewhere,
+    and the classical starts along z and along the unit axis.  Later rounds
+    only add rows, so the sweep's value is at least the one-point solve's,
+    exactly.
     """
     fset = representative_set(*spec) if isinstance(spec, tuple) else representative_set(spec)
     grid = dephasing_grid(11)
@@ -253,9 +254,25 @@ def test_sweep_points_match_or_beat_a_one_point_seesaw(spec, axis, seed):
     game = quantum._game(fset, quantum._unit_axis(axis))
     assert len(game.starts) == 2  # the axis start is in every one-point solve
     for i, lam in enumerate(grid):
-        starts = quantum._pm_starts(len(fset), 8 if i == 0 else 1, seed + i, game.starts)
-        solo = game.solve(BlochMap.dephasing(lam, axis).matrix(), starts)[0].max()
+        dmat = BlochMap.dephasing(lam, axis).matrix()[None]
+        solo = quantum._solve_points(game, dmat, 8 if i == 0 else 1, seed + i)[0]
         assert sweep.values[i] >= solo, (i, lam)
+
+
+@pytest.mark.parametrize("spec", SPECS + ("one label",), ids=str)
+@pytest.mark.parametrize("restarts, seed", [(1, 0), (4, 3), (8, 0)])
+def test_threshold_reads_off_the_noiseless_seesaw(spec, restarts, seed):
+    """The threshold is the closed form at seesaw's value on the same starts, exactly."""
+    if spec == "one label":
+        fset = FunctionSet.from_ints(2, (1,))  # a classical bit answers it: no advantage
+    elif isinstance(spec, tuple):
+        fset = representative_set(*spec)
+    else:
+        fset = representative_set(spec)
+    s_c = classical_optimum(fset)[0].value
+    s_q = seesaw(fset, restarts=restarts, seed=seed).value
+    expected = 1.0 - (s_c - 0.5) / (s_q - 0.5) if s_q > s_c else 0.0
+    assert critical_depolarizing(fset, restarts=restarts, seed=seed) == expected
 
 
 @pytest.mark.parametrize("points", [2, 11, 101])

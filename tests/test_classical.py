@@ -372,6 +372,56 @@ def test_malformed_widths_labels_and_rac_entries_are_refused(call):
         call()
 
 
+def _with_decoding(key, z):
+    """A width-2 strategy's dict with decoding[key] set to z."""
+    fset = representative_set(2)
+    d = ClassicalStrategy(majority_encoding(2), identity_decoding(fset)).to_dict()
+    return {**d, "decoding": {**d["decoding"], key: z}}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ClassicalStrategy.from_dict(_with_decoding("01:0", 2)),
+        lambda: ClassicalStrategy.from_dict(_with_decoding("01:0", True)),
+        lambda: ClassicalStrategy.from_dict(_with_decoding("01:0", 0.0)),
+        lambda: ClassicalStrategy.from_dict(_with_decoding("01:2", 0)),
+        lambda: ClassicalStrategy(majority_encoding(2), {(1, 0): True, (1, 1): 1}),
+        lambda: ClassicalStrategy(majority_encoding(2), {(1, 0): 0, (1, 1): -1}),
+        lambda: ClassicalStrategy(majority_encoding(2), {(1, True): 0, (1, 0): 1}),
+        lambda: ClassicalStrategy(majority_encoding(2), {1: 0}),
+    ],
+    ids=[
+        "guess 2",
+        "guess True",
+        "guess 0.0",
+        "message 2",
+        "guess True, built",
+        "guess -1, built",
+        "message True, built",
+        "key not a pair",
+    ],
+)
+def test_a_classical_guess_or_message_that_is_not_a_bit_is_refused(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "n, error",
+    [
+        (2.5, InvalidInputError),
+        (True, InvalidInputError),
+        (0, WidthOutOfRangeError),
+        (7, WidthOutOfRangeError),
+        (40, WidthOutOfRangeError),  # would build a 2^40-entry table before the check
+    ],
+)
+def test_majority_encoding_checks_the_width_first(n, error):
+    with pytest.raises(error):
+        majority_encoding(n)
+
+
 # ---------------------------------------------------------------------------
 # Reference: the per-input loops that the parity-table counts replaced.
 

@@ -334,6 +334,30 @@ def test_kernel_rows_independent_of_batch(n):
     assert np.array_equal(per_row, before)  # the caller's matrices are left as given
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_shared_channel_equals_its_per_row_broadcast(data):
+    """A (3, 3) channel and its (R, 3, 3) broadcast give bit-identical arrays, all six."""
+    n = data.draw(st.integers(2, 6), label="n")
+    labels = data.draw(
+        st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=min(8, (1 << n) - 1)),
+        label="labels",
+    )
+    rows = data.draw(st.integers(1, 6), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    signs = sign_matrix(FunctionSet.from_ints(n, tuple(sorted(labels))))
+    if data.draw(st.booleans(), label="dephasing"):
+        dmat = BlochMap.dephasing(float(rng.uniform(0.0, 0.5)), rng.standard_normal(3)).matrix()
+    else:
+        dmat = BlochMap.depolarizing(float(rng.uniform(0.0, 1.0))).matrix()
+    v0 = rng.standard_normal((rows, len(labels), 3))
+    v0 /= np.linalg.norm(v0, axis=2, keepdims=True)
+    shared = run_seesaw(signs, dmat, v0, 300, 1e-10)
+    per_row = run_seesaw(signs, np.repeat(dmat[None], rows, axis=0), v0, 300, 1e-10)
+    for one, other in zip(shared, per_row, strict=True):
+        assert np.array_equal(one, other)
+
+
 @pytest.mark.parametrize(
     "budget",
     [

@@ -12,6 +12,10 @@ tree runs, in its own Python process, the same CLI ops through
 - `tables` with each artifact format (json, text, csv);
 - the crossing window `noise --labels k=5 --window k=4:open` on its
   default grid;
+- the dephasing sweep `noise --labels k=5 --channel dephasing` on the
+  default axis and grid, whose result line echoes the default axis;
+- the depolarizing threshold `noise --labels k=4:open --channel
+  depolarizing` at the default restarts;
 - the three `classical` ops that call `best_decoding` the most: the full
   sets of widths 3 and 4 and the width-4 set of weight-one labels, each
   with a large `--max-strategies`.
@@ -37,6 +41,8 @@ EXTRA_OPS = (
     ["tables", "--format", "text"],
     ["tables", "--format", "csv"],
     ["noise", "--labels", "k=5", "--window", "k=4:open"],
+    ["noise", "--labels", "k=5", "--channel", "dephasing"],
+    ["noise", "--labels", "k=4:open", "--channel", "depolarizing"],
     ["classical", "--n", "3", "--labels", "all", "--max-strategies", "1000"],
     ["classical", "--n", "4", "--labels", "all", "--max-strategies", "500"],
     ["classical", "--n", "4", "--labels", "0001,0010,0100,1000", "--max-strategies", "300"],

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 
@@ -23,7 +23,16 @@ from .errors import (
     check_integer,
     reading,
 )
-from .mubs import BooleanFn, FunctionSet, _check_width, bits_table, sign_matrix, table_bits
+from .mubs import (
+    BooleanFn,
+    FunctionSet,
+    _check_width,
+    bits_table,
+    bitstring,
+    read_bitstring,
+    sign_matrix,
+    table_bits,
+)
 
 # Widest set searched exactly; the see-saws add a classical start only up to here.
 ENUM_MAX_WIDTH = 4
@@ -90,10 +99,7 @@ class ClassicalStrategy:
 
     def to_dict(self) -> dict:
         n = self.encoding.n
-        dec = {
-            f"{format(r, f'0{n}b')}:{omega}": z
-            for (r, omega), z in sorted(self.decoding.items())
-        }
+        dec = {f"{bitstring(r, n)}:{omega}": z for (r, omega), z in sorted(self.decoding.items())}
         return {"encoding": self.encoding.bits(), "decoding": dec}
 
     @classmethod
@@ -102,8 +108,8 @@ class ClassicalStrategy:
             enc = BooleanFn.from_bits(d["encoding"])
             dec = {}
             for key, z in d["decoding"].items():
-                bits, omega = key.split(":")
-                dec[(int(bits, 2), int(omega))] = z
+                label, omega = key.split(":")
+                dec[(read_bitstring(label, enc.n), read_bitstring(omega, 1))] = z
         return cls(enc, dec)
 
 
@@ -149,24 +155,34 @@ def per_label_wins(strategy: ClassicalStrategy, fset: FunctionSet) -> dict[int, 
     return {r: Rational(int(w), m) for r, w in zip(fset.ints, wins)}
 
 
+def _best_decodings(sent: np.ndarray, g: np.ndarray, ints: tuple[int, ...]):
+    """Majority decodings of the encodings whose 0/1 tables are the rows of sent.
+
+    sums[t, ω, y], the column sum of g over encoding t's fiber of ω, counts
+    zeros minus ones of f_y there; the majority guess wins max(zeros, ones) =
+    (zeros + ones + |sums|) / 2.  Returns the decodings and each Σ|sums|.
+    """
+    sums = np.stack([1 - sent, sent], axis=1) @ g
+    decodings = [
+        {(r, omega): guess[omega][j] for j, r in enumerate(ints) for omega in (0, 1)}
+        for guess in (sums < 0).astype(int).tolist()
+    ]
+    return decodings, np.abs(sums).sum(axis=(1, 2))
+
+
 def best_decoding(encoding: BooleanFn, fset: FunctionSet) -> tuple[dict, Rational]:
     """Optimal decoding for a fixed encoding: majority vote on each message fiber.
 
-    sums[ω, y], the column sum of g over the fiber of ω, counts zeros minus
-    ones of f_y there; the majority guess wins max(zeros, ones) =
-    (zeros + ones + |sums|) / 2.  Ties break to z = 0; an empty fiber
-    (constant-ish encodings) also decodes to 0, which costs nothing since no
-    input lands there.
+    Ties break to z = 0; an empty fiber (constant-ish encodings) also
+    decodes to 0, which costs nothing since no input lands there.
     """
     if encoding.n != fset.n:
         raise WidthMismatchError(f"encoding width {encoding.n} != set width {fset.n}")
     m = 1 << fset.n
     k = len(fset)
-    sent = table_bits(encoding.table, m)
-    sums = np.stack([1 - sent, sent]) @ sign_matrix(fset)
-    guess = (sums < 0).astype(int).tolist()
-    decoding = {(r, omega): guess[omega][j] for j, r in enumerate(fset.ints) for omega in (0, 1)}
-    return decoding, Rational((m * k + int(np.abs(sums).sum())) // 2, m * k)
+    sent = table_bits(encoding.table, m)[None]
+    decodings, score = _best_decodings(sent, sign_matrix(fset), fset.ints)
+    return decodings[0], Rational((m * k + int(score[0])) // 2, m * k)
 
 
 def _optimal_tables(h: np.ndarray, limit: int) -> np.ndarray:
@@ -235,11 +251,11 @@ def classical_optimum(
         h[:half] += g[:, j]
     score = np.abs(h).sum(axis=1)
     best = score.max()
-    strategies = []
-    for t in _optimal_tables(h[score == best], max_strategies):
-        enc = BooleanFn(n, int(t))
-        dec, _ = best_decoding(enc, fset)
-        strategies.append(ClassicalStrategy(enc, dec))
+    tables = _optimal_tables(h[score == best], max_strategies)
+    decodings, _ = _best_decodings((tables[:, None] >> np.arange(m)) & 1, g, fset.ints)
+    strategies = [
+        ClassicalStrategy(BooleanFn(n, int(t)), dec) for t, dec in zip(tables, decodings)
+    ]
     return Rational((m * k + int(best)) // 2, m * k), strategies
 
 
@@ -331,30 +347,50 @@ def lift_rac_strategy(
     RAC's position-p decoding.
     """
     k = len(fset)
-    if rac.k != k:
-        raise CardinalityMismatchError(f"RAC size {rac.k} != set size {k}")
     if perm is None:
         perm = tuple(range(k))
     order = np.asarray(perm)
     if order.dtype.kind not in "iu" or sorted(order.tolist()) != list(range(k)):
         raise InvalidInputError(f"perm must permute 0..{k - 1}, got {perm}")
-    # derived[x] reads f_{perm[p]}(x) as bit p, counted from the most significant
-    derived = (sign_matrix(fset)[:, order] < 0) @ (1 << np.arange(k - 1, -1, -1))
-    table = bits_table(table_bits(rac.encoding, 1 << k)[derived])
+    _, sent = _lift_bits(rac, sign_matrix(fset) < 0, order[None])
     labels = np.array(fset.ints)[order].tolist()
     decoding = {
         (r, omega): rac.decoding[p][omega] for p, r in enumerate(labels) for omega in (0, 1)
     }
-    return ClassicalStrategy(BooleanFn(fset.n, table), decoding)
+    return ClassicalStrategy(BooleanFn(fset.n, bits_table(sent[0])), decoding)
+
+
+def _lift_bits(rac: RACStrategy, f: np.ndarray, orders: np.ndarray):
+    """Derived bits and lifted encoding bits of each row of orders, from f = [g < 0].
+
+    derived[i, x, p] is f_{orders[i, p]}(x), read as bit p of the RAC input
+    counted from the most significant; sent[i, x] is the RAC's message on it.
+    """
+    k = f.shape[1]
+    if rac.k != k:
+        raise CardinalityMismatchError(f"RAC size {rac.k} != set size {k}")
+    derived = f[:, orders].transpose(1, 0, 2)
+    sent = table_bits(rac.encoding, 1 << k)[derived @ (1 << np.arange(k - 1, -1, -1))]
+    return derived, sent
+
+
+_PERM_CHUNK = 40320  # permutations per batch: all of them up to k = 8; bounds memory above
 
 
 def best_lift(rac: RACStrategy, fset: FunctionSet) -> tuple[ClassicalStrategy, Rational]:
-    """Best ordering of the derived string, by scanning all k! permutations."""
-    best_val = None
-    best_strat = None
-    for perm in permutations(range(len(fset))):
-        strat = lift_rac_strategy(rac, fset, perm)
-        val = evaluate_classical(strat, fset)
-        if best_val is None or val.wins > best_val.wins:
-            best_val, best_strat = val, strat
-    return best_strat, best_val
+    """Best ordering of the derived string, scoring all k! permutations from one g.
+
+    Ties go to the first permutation in itertools.permutations order.
+    """
+    k = len(fset)
+    f = sign_matrix(fset) < 0
+    decode = np.array(rac.decoding, dtype=bool)
+    perms = permutations(range(k))
+    best_wins, best_perm = -1, None
+    while chunk := list(islice(perms, _PERM_CHUNK)):
+        derived, sent = _lift_bits(rac, f, np.array(chunk))
+        wins = (decode[np.arange(k), sent[..., None]] == derived).sum(axis=(1, 2))
+        i = int(np.argmax(wins))
+        if wins[i] > best_wins:
+            best_wins, best_perm = int(wins[i]), chunk[i]
+    return lift_rac_strategy(rac, fset, best_perm), Rational(best_wins, len(f) * k)

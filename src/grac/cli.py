@@ -74,6 +74,11 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
+def _set_fields(fset: FunctionSet) -> dict:
+    """The "n" and "labels" fields of every artifact about one question set."""
+    return {"n": fset.n, "labels": [lab.bitstring() for lab in fset]}
+
+
 def _csv_available(args) -> bool:
     """Only tables and the dephasing sweep have a CSV artifact."""
     if args.command == "noise":
@@ -106,8 +111,7 @@ def _cmd_mubs(args) -> int:
     fset = parse_label_spec(args.n, args.labels)
     qclass = classify_quadruple(fset).value if len(fset) == 4 else None
     payload = {
-        "n": fset.n,
-        "labels": [lab.bitstring() for lab in fset],
+        **_set_fields(fset),
         "is_mubs": True,
         "quadruple_class": qclass,
     }
@@ -122,8 +126,7 @@ def _cmd_classical(args) -> int:
     fset = parse_label_spec(args.n, args.labels)
     value, strategies = classical_optimum(fset, **_given(args, "max_strategies"))
     payload = {
-        "n": fset.n,
-        "labels": [lab.bitstring() for lab in fset],
+        **_set_fields(fset),
         "value": {"wins": value.wins, "total": value.total, "float": value.value},
         "strategies": [s.to_dict() for s in strategies],
     }
@@ -131,7 +134,7 @@ def _cmd_classical(args) -> int:
         f"classical optimum {value} = {value.value:.6f} for {len(fset)} questions "
         f"(n={fset.n}); kept {len(strategies)} optimal encodings"
     )
-    text = summary + "\n" + "\n".join(s.to_dict()["encoding"] for s in strategies)
+    text = summary + "\n" + "\n".join(s.encoding.bits() for s in strategies)
     _emit(args, payload, summary, text)
     return 0
 
@@ -141,8 +144,7 @@ def _cmd_quantum(args) -> int:
     report = seesaw(fset, **_given(args, "restarts", "max_iters", "tol", "seed"))
     bound = pm_upper_bound(len(fset))
     payload = {
-        "n": fset.n,
-        "labels": [lab.bitstring() for lab in fset],
+        **_set_fields(fset),
         "value": report.value,
         "upper_bound": bound,
         "iterations": report.iterations,
@@ -179,12 +181,7 @@ def _cmd_noise(args) -> int:
     else:
         _refuse(args, "a depolarizing threshold", "axis", "grid_points", "refine_tol")
         lam = critical_depolarizing(fset, **opts)
-        payload = {
-            "n": fset.n,
-            "labels": [lab.bitstring() for lab in fset],
-            "channel": DEPOLARIZING,
-            "lambda_crit": lam,
-        }
+        payload = {**_set_fields(fset), "channel": DEPOLARIZING, "lambda_crit": lam}
         _emit(args, payload, f"critical depolarizing noise: lambda = {lam:.5f}")
         return 0
     # The sweep's result line echoes the axis as typed and the window
@@ -205,8 +202,7 @@ def _cmd_noise(args) -> int:
         return 0
     sweep = dephasing_sweep(fset, axis=axis, **opts)
     payload = {
-        "n": fset.n,
-        "labels": [lab.bitstring() for lab in fset],
+        **_set_fields(fset),
         "channel": DEPHASING,
         "axis": list(axis),
         "lambda": list(sweep.lam),
@@ -227,8 +223,7 @@ def _cmd_eacc(args) -> int:
     report = eacc_seesaw(fset, **_given(args, "local_dim", "restarts", "max_iters", "tol", "seed"))
     local_dim = report.best_strategy.dims[0]
     payload = {
-        "n": fset.n,
-        "labels": [lab.bitstring() for lab in fset],
+        **_set_fields(fset),
         "local_dim": local_dim,
         "value": report.value,
         "iterations": report.iterations,

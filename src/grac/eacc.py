@@ -58,9 +58,10 @@ from .errors import (
     InvalidInputError,
     WidthMismatchError,
     check_integer,
+    read_reals,
     reading,
 )
-from .mubs import FunctionSet, sign_matrix, table_bits
+from .mubs import FunctionSet, _check_width, bitstring, read_bitstring, sign_matrix, table_bits
 
 _ATOL = 1e-10
 LOCAL_DIMS = (2, 3, 4)
@@ -112,22 +113,16 @@ class EACCStrategy:
     def to_dict(self) -> dict:
         n = self.n
 
-        def mat(m):
-            return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+        def pairs(arr):  # complex entries as nested [re, im] lists
+            return np.stack([arr.real, arr.imag], -1).tolist()
 
         return {
             "n": n,
-            "labels": [format(r, f"0{n}b") for r in self.labels],
-            "state": mat(self.state),
-            "alice": {
-                format(x, f"0{n}b"): [mat(self.alice[x, 0]), mat(self.alice[x, 1])]
-                for x in range(1 << n)
-            },
+            "labels": [bitstring(r, n) for r in self.labels],
+            "state": pairs(self.state),
+            "alice": {bitstring(x, n): pairs(self.alice[x]) for x in range(1 << n)},
             "bob": {
-                f"{omega}:{format(r, f'0{n}b')}": [
-                    mat(self.bob[omega, j, 0]),
-                    mat(self.bob[omega, j, 1]),
-                ]
+                f"{omega}:{bitstring(r, n)}": pairs(self.bob[omega, j])
                 for omega in (0, 1)
                 for j, r in enumerate(self.labels)
             },
@@ -135,27 +130,22 @@ class EACCStrategy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EACCStrategy":
-        def mat(entries):
-            return np.array(
-                [[complex(re, im) for re, im in row] for row in entries],
-                dtype=np.complex128,
-            )
+        def entries(value):
+            pair = read_reals("a matrix entry", value)
+            if pair.shape[-1:] != (2,):
+                raise InvalidInputError("matrix entries must be [re, im] pairs")
+            return pair.view(np.complex128)[..., 0]
 
         with reading("entanglement-assisted strategy"):
-            n = int(d["n"])
-            labels = tuple(int(b, 2) for b in d["labels"])
-            m = 1 << n
-            state = mat(d["state"])
-            alice_pairs = [d["alice"][format(x, f"0{n}b")] for x in range(m)]
-            alice = np.array([[mat(p[0]), mat(p[1])] for p in alice_pairs])
-            bob = np.array(
-                [
-                    [
-                        [mat(d["bob"][f"{omega}:{format(r, f'0{n}b')}"][z]) for z in (0, 1)]
-                        for r in labels
-                    ]
-                    for omega in (0, 1)
-                ]
+            n = d["n"]
+            _check_width(n)
+            labels = tuple(read_bitstring(b, n) for b in d["labels"])
+            if len(d["alice"]) != 1 << n or len(d["bob"]) != 2 * len(labels):
+                raise InvalidInputError("expected one effect pair per input and per (ω, label)")
+            state = entries(d["state"])
+            alice = entries([d["alice"][bitstring(x, n)] for x in range(1 << n)])
+            bob = entries(
+                [[d["bob"][f"{omega}:{bitstring(r, n)}"] for r in labels] for omega in (0, 1)]
             )
         return cls(n, labels, state, alice, bob)
 
@@ -280,14 +270,20 @@ def classical_embed(
     return EACCStrategy(fset.n, fset.ints, state, alice, bob)
 
 
-def _haar_rank_projectors(
-    rng: np.random.Generator, count: int, d: int, rank: int
-) -> np.ndarray:
-    """Stack of rank-`rank` projectors from Haar-random frames."""
-    g = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
-    q, _ = np.linalg.qr(g)
-    cols = q[:, :, :rank]
-    return np.einsum("cij,ckj->cik", cols, cols.conj())
+def _haar_effects(rng: np.random.Generator, m: int, k: int, d: int):
+    """Random outcome-0 effects: Alice's A^x_0 (m, d, d), then Bob's B^{ω,y}_0 (2, k, d, d).
+
+    Each is the projector onto the first ceil(d/2) columns of a Haar-random
+    frame, the QR factor of a complex Gaussian matrix.
+    """
+    rank = (d + 1) // 2
+
+    def draw(count):
+        g = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+        cols = np.linalg.qr(g)[0][:, :, :rank]
+        return np.einsum("cij,ckj->cik", cols, cols.conj())
+
+    return draw(m), draw(2 * k).reshape(2, k, d, d)
 
 
 def random_strategy(
@@ -303,10 +299,8 @@ def random_strategy(
     psi = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
     psi /= np.linalg.norm(psi)
     state = np.outer(psi, psi.conj())
-    rank = (d + 1) // 2
-    a0 = _haar_rank_projectors(rng, m, d, rank)
+    a0, b0 = _haar_effects(rng, m, k, d)
     alice = np.stack([a0, np.eye(d) - a0], axis=1)
-    b0 = _haar_rank_projectors(rng, 2 * k, d, rank).reshape(2, k, d, d)
     bob = np.stack([b0, np.eye(d) - b0], axis=2)
     return EACCStrategy(fset.n, fset.ints, state, alice, bob)
 
@@ -362,21 +356,14 @@ def eacc_seesaw(
     m = 1 << fset.n
     k = len(fset)
     signs = sign_matrix(fset)
-    rank = (d + 1) // 2
 
-    a_list = []
-    b_list = []
-    for i in range(restarts):
-        rng = np.random.default_rng((seed, i))
-        a_list.append(_haar_rank_projectors(rng, m, d, rank))
-        b_list.append(_haar_rank_projectors(rng, 2 * k, d, rank).reshape(2, k, d, d))
+    starts = [_haar_effects(np.random.default_rng((seed, i)), m, k, d) for i in range(restarts)]
     if fset.n <= ENUM_MAX_WIDTH:
         _, strategies = classical_optimum(fset, max_strategies=1)
         emb = classical_embed(strategies[0], fset, local_dim=d)
-        a_list.append(emb.alice[:, 0])
-        b_list.append(emb.bob[:, :, 0])
-    a0 = np.stack(a_list)  # (R, m, d, d): A^x_0
-    b0 = np.stack(b_list)  # (R, 2, k, d, d): B^{ω,y}_0
+        starts.append((emb.alice[:, 0], emb.bob[:, :, 0]))
+    a0 = np.stack([a for a, _ in starts])  # (R, m, d, d): A^x_0
+    b0 = np.stack([b for _, b in starts])  # (R, 2, k, d, d): B^{ω,y}_0
     n_restarts = a0.shape[0]
     psi = np.zeros((n_restarts, d * d), dtype=np.complex128)
     scale = 1.0 / (m * k)

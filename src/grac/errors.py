@@ -1,8 +1,10 @@
 """Exception types shared across the package, the integer and real argument
-checks, and the guard that reads a serialized strategy."""
+checks, and the guards that read a serialized strategy."""
 
 import numbers
 from contextlib import contextmanager
+
+import numpy as np
 
 
 class GracError(Exception):
@@ -57,13 +59,22 @@ def check_real(what: str, value) -> None:
         raise InvalidInputError(f"{what} must be a real number, got {value!r}")
 
 
+def read_reals(what: str, value) -> np.ndarray:
+    """A nested list of real numbers, each checked like check_real, as a float array."""
+    arr = np.array(value, dtype=object)
+    if not set(map(type, arr.flat)) <= {float, int}:  # plain JSON numbers need no per-entry check
+        for entry in arr.flat:
+            check_real(what, entry)
+    try:
+        return arr.astype(np.float64)
+    except OverflowError:
+        raise InvalidInputError(f"{what} is too large for a float") from None
+
+
 @contextmanager
 def reading(what: str):
-    """Report a missing key or a malformed entry met while reading `what`
-    as InvalidInputError; an InvalidInputError passes through unchanged."""
+    """Raise InvalidInputError naming `what` for a missing key, bad entry or refusal within."""
     try:
         yield
-    except InvalidInputError:
-        raise
     except (KeyError, IndexError, ValueError, TypeError, AttributeError) as exc:
         raise InvalidInputError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc

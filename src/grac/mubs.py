@@ -32,6 +32,18 @@ def _check_width(n: int) -> None:
         raise WidthOutOfRangeError(f"input width must be in 1..{MAX_WIDTH}, got {n}")
 
 
+def bitstring(value: int, n: int) -> str:
+    """The serialized key form: value as exactly n binary digits, most significant first."""
+    return format(value, f"0{n}b")
+
+
+def read_bitstring(text: str, n: int) -> int:
+    """The value a key spells: exactly n >= 1 characters, each 0 or 1, or InvalidInputError."""
+    if not isinstance(text, str) or not 0 < len(text) == n or text.strip("01"):
+        raise InvalidInputError(f"expected {n} binary digits, got {text!r}")
+    return int(text, 2)
+
+
 def table_bits(table: int, size: int) -> np.ndarray:
     """Bits 0..size-1 of a truth-table mask as a 0/1 array, entry x holding bit x."""
     raw = np.frombuffer(int(table).to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
@@ -60,22 +72,15 @@ class BooleanFn:
         return (self.table >> x) & 1
 
     def bits(self) -> str:
-        """Truth table as a string, character i holding f(i)."""
-        return "".join(str(self(x)) for x in range(1 << self.n))
+        """Truth table as a string, character i holding f(i): the table's bitstring reversed."""
+        return bitstring(self.table, 1 << self.n)[::-1]
 
     @classmethod
     def from_bits(cls, bits: str) -> "BooleanFn":
         n = (len(bits) - 1).bit_length()
         if len(bits) != 1 << n:
-            raise InvalidInputError(
-                f"truth table length must be a power of two, got {len(bits)}"
-            )
-        table = 0
-        for x, c in enumerate(bits):
-            if c not in "01":
-                raise InvalidInputError(f"truth table may contain only 0/1, got {bits!r}")
-            table |= int(c) << x
-        return cls(n, table)
+            raise InvalidInputError(f"truth table length must be a power of two, got {len(bits)}")
+        return cls(n, read_bitstring(bits[::-1], len(bits)))
 
 
 @dataclass(frozen=True, order=True)
@@ -92,13 +97,11 @@ class ParityLabel:
             raise InvalidInputError(f"label must be a nonzero {self.n}-bit value, got {self.r}")
 
     def bitstring(self) -> str:
-        return format(self.r, f"0{self.n}b")
+        return bitstring(self.r, self.n)
 
     @classmethod
     def from_bitstring(cls, bits: str) -> "ParityLabel":
-        if not bits or set(bits) - {"0", "1"}:
-            raise InvalidInputError(f"label must be a nonempty bitstring, got {bits!r}")
-        return cls(len(bits), int(bits, 2))
+        return cls(len(bits), read_bitstring(bits, len(bits)))
 
 
 class QuadrupleClass(str, Enum):

@@ -21,8 +21,8 @@ import numpy as np
 
 from ._seesaw import SeesawReport, best_reply, check_budget, check_seed, run_seesaw
 from .classical import ENUM_MAX_WIDTH, Rational, classical_optimum
-from .errors import InvalidInputError, WidthMismatchError, check_integer, reading
-from .mubs import FunctionSet, sign_matrix
+from .errors import InvalidInputError, WidthMismatchError, check_integer, read_reals, reading
+from .mubs import FunctionSet, _check_width, bitstring, read_bitstring, sign_matrix
 
 _UNIT_TOL = 1e-12
 _MAX_ITERS = 10000  # the see-saw's default budget, also used by `_solve_points`
@@ -36,7 +36,7 @@ def _channel_matrix(channel) -> np.ndarray:
         return np.eye(3)
     if hasattr(channel, "matrix"):
         channel = channel.matrix()
-    mat = np.asarray(channel, dtype=np.float64)
+    mat = read_reals("a channel matrix entry", channel)
     if mat.shape != (3, 3):
         raise InvalidInputError(f"channel matrix must be 3x3, got shape {mat.shape}")
     if not np.isfinite(mat).all():
@@ -45,7 +45,7 @@ def _channel_matrix(channel) -> np.ndarray:
 
 
 def _as_unit(vec, what: str) -> tuple[float, float, float]:
-    arr = np.asarray(vec, dtype=np.float64)
+    arr = read_reals(f"a coordinate of {what}", vec)
     if arr.shape != (3,):
         raise InvalidInputError(f"{what} must be a 3-vector, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -58,10 +58,7 @@ def _as_unit(vec, what: str) -> tuple[float, float, float]:
 
 def _unit_axis(axis) -> tuple[float, float, float]:
     """A finite nonzero 3-vector, divided by its norm."""
-    try:
-        arr = np.asarray(axis, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"axis must be a 3-vector of numbers: {exc}") from None
+    arr = read_reals("an axis coordinate", axis)
     if arr.shape != (3,):
         raise InvalidInputError(f"axis must be a 3-vector, got shape {arr.shape}")
     norm = float(np.linalg.norm(arr))
@@ -81,17 +78,14 @@ class PMStrategy:
     measurements: dict[int, tuple[float, float, float]]
 
     def __post_init__(self) -> None:
+        _check_width(self.n)
         m = 1 << self.n
         if set(self.preparations) != set(range(m)):
             raise InvalidInputError(f"preparations must cover all {m} inputs")
+        if not set(self.measurements) <= set(range(1, m)):
+            raise InvalidInputError(f"measurement labels must be nonzero {self.n}-bit values")
         prep = {x: _as_unit(vec, f"preparation {x}") for x, vec in self.preparations.items()}
-        meas = {}
-        for r, vec in self.measurements.items():
-            if not 0 < r < m:
-                raise InvalidInputError(
-                    f"measurement label {r} is not a nonzero {self.n}-bit value"
-                )
-            meas[r] = _as_unit(vec, f"measurement {r}")
+        meas = {r: _as_unit(vec, f"measurement {r}") for r, vec in self.measurements.items()}
         object.__setattr__(self, "preparations", prep)
         object.__setattr__(self, "measurements", meas)
 
@@ -106,13 +100,12 @@ class PMStrategy:
             raise InvalidInputError(f"strategy has no measurement for label {exc.args[0]}")
 
     def to_dict(self) -> dict:
-        n = self.n
         return {
             "preparations": {
-                format(x, f"0{n}b"): list(vec) for x, vec in sorted(self.preparations.items())
+                bitstring(x, self.n): list(vec) for x, vec in sorted(self.preparations.items())
             },
             "measurements": {
-                format(r, f"0{n}b"): list(vec) for r, vec in sorted(self.measurements.items())
+                bitstring(r, self.n): list(vec) for r, vec in sorted(self.measurements.items())
             },
         }
 
@@ -121,9 +114,9 @@ class PMStrategy:
         with reading("prepare-and-measure strategy"):
             if not d["preparations"]:
                 raise InvalidInputError("preparations must not be empty")
-            preps = {int(b, 2): tuple(v) for b, v in d["preparations"].items()}
             n = len(next(iter(d["preparations"])))
-            meas = {int(b, 2): tuple(v) for b, v in d["measurements"].items()}
+            preps = {read_bitstring(b, n): v for b, v in d["preparations"].items()}
+            meas = {read_bitstring(b, n): v for b, v in d["measurements"].items()}
         return cls(n, preps, meas)
 
 

@@ -32,7 +32,7 @@ from .classical import (
 )
 from .eacc import eacc_seesaw
 from .errors import InvalidInputError, check_integer
-from .mubs import MAX_WIDTH, BooleanFn, FunctionSet, QuadrupleClass, full_mubs
+from .mubs import MAX_WIDTH, BooleanFn, FunctionSet, QuadrupleClass, bitstring, full_mubs
 from .protocols import reference_value
 from .quantum import pm_upper_bound, seesaw
 
@@ -155,7 +155,7 @@ def table_one() -> TableReport:
         for r in _TABLE_I_LABEL_ORDER:
             rows.append(
                 _row(
-                    f"{name}: label {format(r, '03b')}",
+                    f"{name}: label {bitstring(r, 3)}",
                     wins[r].value,
                     label_refs[r] / 8.0,
                     detail=str(wins[r]),

@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -509,3 +510,23 @@ def test_lift_matches_per_input_loop(data):
         for p in range(k)
         for omega in (0, 1)
     }
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_best_lift_matches_a_scan_of_every_permutation(data):
+    fset = _draw_set(data, max_size=5)
+    k = len(fset)
+    bit = st.integers(0, 1)
+    rac_encoding = data.draw(st.integers(0, (1 << (1 << k)) - 1), label="rac encoding")
+    rac_decoding = data.draw(st.lists(st.tuples(bit, bit), min_size=k, max_size=k))
+    rac = RACStrategy(k, rac_encoding, tuple(rac_decoding))
+    best_strat, best_val = None, None
+    for perm in permutations(range(k)):  # the first permutation with the most wins
+        strat = lift_rac_strategy(rac, fset, perm)
+        val = evaluate_classical(strat, fset)
+        if best_val is None or val.wins > best_val.wins:
+            best_strat, best_val = strat, val
+    assert best_lift(rac, fset) == (best_strat, best_val)
+    with mock.patch("grac.classical._PERM_CHUNK", 7):  # the scan in several batches
+        assert best_lift(rac, fset) == (best_strat, best_val)

@@ -90,6 +90,13 @@ def test_pm_strategy_rejects_non_finite_vectors():
         PMStrategy.from_dict(good)
 
 
+def test_non_numeric_channels_and_axes_are_refused():
+    with pytest.raises(InvalidInputError, match="channel matrix entry"):
+        seesaw(full_mubs(2), restarts=1, channel=[["a"] * 3] * 3)
+    with pytest.raises(InvalidInputError, match="axis coordinate"):
+        classical_start_vectors(full_mubs(2), axis=(True, 0.0, 0.0))
+
+
 def test_pm_strategy_roundtrip():
     strat = _diag_strategy(1)
     back = PMStrategy.from_dict(strat.to_dict())

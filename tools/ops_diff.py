@@ -16,12 +16,17 @@ tree runs, in its own Python process, the same CLI ops through
   default axis and grid, whose result line echoes the default axis;
 - the depolarizing threshold `noise --labels k=4:open --channel
   depolarizing` at the default restarts;
-- the three `classical` ops that call `best_decoding` the most: the full
+- the three `classical` ops that decode the most kept strategies: the full
   sets of widths 3 and 4 and the width-4 set of weight-one labels, each
   with a large `--max-strategies`.
 
 It prints one line per op saying whether the exit code, stdout and artifact
-bytes match, then a count.  The exit code is 0 when every op matches and 1
+bytes match, then a count.  Then CHANGE_SRC reads every JSON strategy
+artifact that PARENT_SRC wrote with its own `from_dict` and replays it: each
+classical strategy must replay to the reported wins exactly, and each
+prepare-and-measure or entanglement-assisted strategy to the reported value
+within 1e-9.  It prints a line per artifact that fails, then a count.  The
+exit code is 0 when every op matches and every artifact replays, and 1
 otherwise.
 """
 
@@ -72,19 +77,74 @@ json.dump(out, sys.stdout)
 """
 
 
+# Runs in a fresh interpreter like WORKER; reads the parsed JSON strategy
+# artifacts on stdin and writes, per artifact, the replayed classical wins
+# of each kept strategy or the replayed value, or the reader's error text.
+REPLAY = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from grac.classical import ClassicalStrategy, evaluate_classical
+from grac.eacc import EACCStrategy, evaluate_eacc
+from grac.errors import GracError
+from grac.mubs import FunctionSet
+from grac.quantum import PMStrategy, evaluate_pm
+out = []
+for payload in json.load(sys.stdin):
+    fset = FunctionSet.from_bitstrings(",".join(payload["labels"]))
+    try:
+        if "strategies" in payload:
+            strategies = [ClassicalStrategy.from_dict(d) for d in payload["strategies"]]
+            out.append([evaluate_classical(s, fset).wins for s in strategies])
+        elif "local_dim" in payload:
+            out.append(evaluate_eacc(EACCStrategy.from_dict(payload["strategy"]), fset))
+        else:
+            out.append(evaluate_pm(PMStrategy.from_dict(payload["strategy"]), fset))
+    except GracError as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
+json.dump(out, sys.stdout)
+"""
+REPLAY_TOL = 1e-9
+
+
 def ops() -> list[tuple[str, list[str]]]:
     """(group, argv) of every op, in run order."""
     todo = [(w, op["argv"]) for w in WORKLOADS for op in build(w)]
     return todo + [("extra", list(argv)) for argv in EXTRA_OPS]
 
 
-def run_tree(src: str, argvs: list[list[str]]) -> list[dict]:
+def run_tree(src: str, script: str, items: list) -> list:
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", WORKER, os.path.abspath(src)],
-        input=json.dumps(argvs), capture_output=True, text=True, check=True, env=env,
+        [sys.executable, "-c", script, os.path.abspath(src)],
+        input=json.dumps(items), capture_output=True, text=True, check=True, env=env,
     )
     return json.loads(proc.stdout)
+
+
+def strategy_artifacts(todo: list, results: list[dict]) -> list[tuple[str, dict]]:
+    """(op text, payload) of every artifact that is a JSON object holding a strategy."""
+    found = []
+    for (_, op), res in zip(todo, results):
+        if res["artifact"] is None:
+            continue
+        try:
+            payload = json.loads(bytes.fromhex(res["artifact"]))
+        except ValueError:  # a text or csv artifact
+            continue
+        if isinstance(payload, dict) and ("strategy" in payload or "strategies" in payload):
+            found.append((" ".join(op), payload))
+    return found
+
+
+def replay_failure(payload: dict, got) -> str | None:
+    """Why a replay does not reproduce the reported value, or None."""
+    if isinstance(got, str):
+        return got
+    if "strategies" in payload:
+        wins = payload["value"]["wins"]
+        return None if all(w == wins for w in got) else f"wins {got} != reported {wins}"
+    value = payload["value"]
+    return None if abs(got - value) <= REPLAY_TOL else f"value {got!r} != reported {value!r}"
 
 
 def main(argv: list[str]) -> int:
@@ -92,7 +152,7 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     todo = ops()
-    parent, change = (run_tree(src, [op for _, op in todo]) for src in argv)
+    parent, change = (run_tree(src, WORKER, [op for _, op in todo]) for src in argv)
     same = 0
     for (group, op), old, new in zip(todo, parent, change):
         flags = {part: old[part] == new[part] for part in ("exit", "stdout", "artifact")}
@@ -101,7 +161,16 @@ def main(argv: list[str]) -> int:
         verdict = "same" if ok else "DIFF " + ",".join(p for p, f in flags.items() if not f)
         print(f"{verdict:<24} {group:<10} {' '.join(op)}")
     print(f"{same} of {len(todo)} ops match in exit code, stdout and artifact bytes")
-    return 0 if same == len(todo) else 1
+    artifacts = strategy_artifacts(todo, parent)
+    replays = run_tree(argv[1], REPLAY, [payload for _, payload in artifacts])
+    read = 0
+    for (op, payload), got in zip(artifacts, replays):
+        failure = replay_failure(payload, got)
+        read += failure is None
+        if failure:
+            print(f"REPLAY FAILS  {op}: {failure}")
+    print(f"{read} of {len(artifacts)} parent strategy artifacts replay with the change's readers")
+    return 0 if same == len(todo) and read == len(artifacts) else 1
 
 
 if __name__ == "__main__":

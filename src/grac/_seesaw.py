@@ -33,6 +33,36 @@ halves, to no less than 1.25, when it is refused.  On slowly converging
 rows this cuts the trips about threefold.  `grac.eacc.eacc_seesaw` takes the
 same kind of step, with the same beta rule (`next_beta`), on its state and
 effects.
+
+Near a degenerate optimum the alternation still converges only linearly,
+and one slow row holds up a whole batched call.  So `run_seesaw` gives each
+row _NEWTON_AFTER trips; a row still running then gets a second-order
+finish, `newton_finish`: saddle-free Riemannian Newton steps on (S^2)^k
+(Absil, Mahony and Sepulchre, "Optimization Algorithms on Matrix
+Manifolds", 2008, ch. 6; Dauphin et al., "Identifying and attacking the
+saddle point problem", NeurIPS 2014).  `tangent_model` gives the gradient
+and Hessian of F(v) = sum_x |D^T V_x| in a 2k-dimensional tangent basis;
+a step divides by |eigenvalue|, drops null (gauge) directions and
+backtracks so that no step lowers the value.  A row the finish converges
+usually takes two to six steps and stops at a tangent gradient below
+1e-10; a thin row (some |D^T V_x| < 1e-6, where F has no Hessian) and a
+row the finish cannot converge go back to the see-saw for the rest of
+max_iters, resuming exactly where their trips left off.  `certificate`
+reads the same model at a point: its gradient max-norm and top non-gauge
+Hessian eigenvalue, which certify a strict local maximum when the first
+is ~0 and the second negative.
+
+The finish eigendecomposes a 2k x 2k matrix per row and step, so it stays
+off above k = _NEWTON_MAX_DIM / 2 = 10, where rows run the see-saw alone.
+Measured on 2 cores (numpy 2.4, OpenBLAS with two threads):
+- on the benchmark's width-4 census, the rows still running after 40 trips
+  at k = 11 and 12 (34 to 44 of 65) need only 20 to 70 more trips, and
+  finishing them by Newton made those solves 25-35% slower, while at
+  k = 7 to 10, where rows run up to 550 trips, it made most of them 15-35%
+  faster;
+- numpy's eigh calls LAPACK syevd, which switches to a threaded divide and
+  conquer above dimension 25: about 16 ms per 26 x 26 to 28 x 28 matrix,
+  against 0.11 ms at 24 x 24.
 """
 
 from __future__ import annotations
@@ -54,11 +84,25 @@ _EPS = 1e-12  # vectors shorter than this keep their previous direction
 _BETA_START = 2.0  # extrapolation factor of a fresh row
 _BETA_GROW = 1.5  # beta multiplier after a taken candidate
 _BETA_MIN = 1.25  # floor of beta after a refused candidate halves it
+_NEWTON_AFTER = 40  # see-saw trips before a row still running gets the Newton finish
+_NEWTON_STEPS = 20  # Newton steps a row may take before it counts as failed
+_GRAD_DONE = 1e-10  # tangent-gradient max-norm of a converged row
+_GRAD_STALL = 1e-6  # below this, a row that takes no step is converged too
+_THIN = 1e-6  # a row with some |D^T V_x| below this is left to the see-saw
+_NULL = 1e-9  # relative size below which a Hessian eigenvalue is null (`_non_null`)
+_HALVINGS = 12  # the finish tries steps 1, 1/2, ..., 2**-(_HALVINGS - 1)
+_NEWTON_MAX_DIM = 20  # largest tangent dimension 2k the finish runs at (module docstring)
+_AXES = np.eye(3)
+_CROSS = np.cross(_AXES[:, None, :], _AXES[None, :, :])  # _CROSS[i] @ v = v x e_i
 
 
 @dataclass(frozen=True)
 class SeesawReport:
-    """Best restart of a see-saw run."""
+    """Best restart of a see-saw run.
+
+    tangent_grad and top_hessian_eig are the best restart's `certificate`,
+    where the optimizer computes one (the one-qubit `seesaw`); else None.
+    """
 
     value: float
     iterations: int
@@ -67,6 +111,8 @@ class SeesawReport:
     best_strategy: PMStrategy | EACCStrategy
     seed: int
     min_step_delta: float
+    tangent_grad: float | None = None
+    top_hessian_eig: float | None = None
 
 
 def check_budget(restarts: int, max_iters: int, tol: float) -> None:
@@ -94,18 +140,18 @@ def next_beta(beta, take):
     return np.maximum(beta * np.where(take, _BETA_GROW, 0.5), _BETA_MIN)
 
 
-def alternate(step, state, max_iters, tol):
+def alternate(step, state, max_iters, tol, start=None):
     """Iterate step over a batch of restarts until every restart converges.
 
     Only restarts still running are stepped.  The loop keeps the caller
     index of each running row and a compacted working copy of their state.
-    On an iteration where some row freezes, and on the last iteration, it
-    writes the frozen rows' final state, value, iteration count, smallest
-    half-step improvement and convergence into the caller's arrays, then
-    drops them from the working copy; other iterations do no indexing.  The
-    batch that step sees therefore shrinks: step must not capture the batch
-    size, and a per-restart constant must be one of the state arrays (step
-    returns it unchanged) so that it shrinks with the rows it belongs to.
+    On an iteration where some row freezes, it writes the frozen rows' final
+    state, value, iteration count, smallest half-step improvement and
+    convergence into the caller's arrays, then drops them from the working
+    copy; other iterations do no indexing.  The batch that step sees
+    therefore shrinks: step must not capture the batch size, and a
+    per-restart constant must be one of the state arrays (step returns it
+    unchanged) so that it shrinks with the rows it belongs to.
 
     Parameters
     ----------
@@ -114,15 +160,18 @@ def alternate(step, state, max_iters, tol):
         and the objective of each row after each half-step
     state : tuple of arrays with one leading row per restart; each row
         receives its restart's final state when the restart freezes
-    max_iters : iteration cap per restart
+    max_iters : iteration cap, shared or one positive cap per restart
     tol : freeze a restart once its per-iteration improvement drops below tol
+    start : (R,) objective of each row's starting state, when the run resumes
+        rows that have already stepped; the first iteration's improvement is
+        measured from it (from -1 when not given)
 
     Returns
     -------
     values : (R,) final objective per restart
     iters : (R,) iterations actually used
     min_deltas : (R,) smallest half-step improvement seen (monotonicity check)
-    converged : (R,) bool, False for restarts still running at max_iters
+    converged : (R,) bool, False for restarts still running at their cap
     """
     n_restarts = state[0].shape[0]
     values = np.full(n_restarts, -1.0)
@@ -131,10 +180,12 @@ def alternate(step, state, max_iters, tol):
     converged = np.zeros(n_restarts, dtype=bool)
 
     rows = np.arange(n_restarts)  # caller index of each working row
+    caps = np.broadcast_to(np.asarray(max_iters, dtype=np.int64), (n_restarts,))
+    next_cap = caps.min()
     work = tuple(state)
-    value = values.copy()
+    value = values.copy() if start is None else np.array(start, dtype=np.float64)
     min_delta = min_deltas.copy()
-    for it in range(1, max_iters + 1):
+    for it in range(1, int(caps.max()) + 1):
         work, halves = step(*work)
         step_min = halves[0] - value
         for before, after in zip(halves, halves[1:]):
@@ -142,10 +193,9 @@ def alternate(step, state, max_iters, tol):
         min_delta = np.minimum(min_delta, step_min)
         done = halves[-1] - value < tol
         value = halves[-1]
-        last = it == max_iters
-        if not (last or done.any()):
+        if not (it == next_cap or done.any()):
             continue
-        freeze = np.ones_like(done) if last else done
+        freeze = done | (caps == it)
         dest = rows[freeze]
         for arr, new in zip(state, work):
             arr[dest] = new[freeze]
@@ -157,6 +207,8 @@ def alternate(step, state, max_iters, tol):
         if not keep.any():
             break
         rows = rows[keep]
+        caps = caps[keep]
+        next_cap = caps.min()
         work = tuple(arr[keep] for arr in work)
         value = value[keep]
         min_delta = min_delta[keep]
@@ -186,6 +238,196 @@ def best_reply(signs, dmat, v, r):
     return r_new, 0.5 + scale * norms.sum(axis=(-2, -1))
 
 
+def _slope(signs, dmat, r, v):
+    """First-order half of `tangent_model`: Alice's best reply r to v, the
+    lengths |D^T V_x|, q_x = D r_x, w_y = sum_x g[x,y] q_x, each v_y's
+    tangent basis and the tangent gradient."""
+    n_rows, k, _ = v.shape
+    r, norms = _unit_rows(np.matmul(np.matmul(signs, v), dmat), r)
+    q = np.matmul(r, dmat.transpose(0, 2, 1))
+    w = np.matmul(signs.T, q)
+    # each v_y's basis starts from the coordinate axis it is least aligned with
+    near = np.argmin(np.abs(v), axis=-1)
+    axis = _AXES[near]
+    along = np.sum(axis * v, axis=-1, keepdims=True)
+    scale = 1.0 / np.sqrt(1.0 - along * along)
+    basis = np.stack(
+        ((axis - along * v) * scale, np.matmul(_CROSS[near], v[..., None])[..., 0] * scale),
+        axis=-2,
+    )
+    grad = np.matmul(basis, w[..., None]).reshape(n_rows, 2 * k)
+    return r, norms, q, w, basis, grad
+
+
+def _curvature(signs, dmat, v, norms, q, w, basis):
+    """Second-order half of `tangent_model`: the tangent Hessian."""
+    n_rows, k, _ = v.shape
+    flat = basis.reshape(n_rows, 2 * k, 3)
+    inv = 1.0 / np.maximum(norms, _THIN)
+    c = np.repeat(np.repeat(np.matmul(signs.T, signs * inv), 2, axis=1), 2, axis=2)
+    bd = np.matmul(flat, dmat)
+    p = np.matmul(flat, q.transpose(0, 2, 1)) * np.repeat(signs.T, 2, axis=0)
+    p *= np.sqrt(inv).transpose(0, 2, 1)
+    hess = c * np.matmul(bd, bd.transpose(0, 2, 1)) - np.matmul(p, p.transpose(0, 2, 1))
+    diag = np.arange(2 * k)
+    hess[:, diag, diag] -= np.repeat(np.sum(v * w, axis=-1), 2, axis=1)
+    return hess
+
+
+def tangent_model(signs, dmat, r, v):
+    """The objective's tangent gradient and Riemannian Hessian at each row's v.
+
+    The objective is F(v) = sum_x |D^T V_x| with V_x = sum_y g[x,y] v_y, so
+    s = 1/2 + F / (2 m k).  Each v_y gets an orthonormal tangent basis
+    (b_y1, b_y2), from the coordinate axis it is least aligned with.  With
+    Alice's best reply r_x = D^T V_x / |D^T V_x|, q_x = D r_x and
+    w_y = sum_x g[x,y] q_x, the tangent gradient is b_ya . w_y, and the
+    Hessian is B^T [sum_x g[x,y] g[x,z] D (I - r_x r_x^T) D^T / |D^T V_x|] B
+    less (v_y . w_y) I on the diagonal blocks.  Its bracket splits into
+
+        c_yz (D^T b_ya) . (D^T b_zb) - sum_x p_x,ya p_x,zb,
+
+    with c = g^T diag(1/|D^T V_x|) g and p_x,ya = g[x,y] (b_ya . q_x) /
+    sqrt|D^T V_x|, so the whole Hessian is three batched matmuls.  r holds
+    the rows kept where D^T V_x vanishes.  A row with some |D^T V_x| < _THIN
+    is thin: F has no Hessian there, and its entries are not to be read.
+
+    Parameters
+    ----------
+    signs : (m, k) sign matrix
+    dmat : (R, 3, 3) one channel matrix per row
+    r : (R, m, 3) fallback preparations
+    v : (R, k, 3) unit measurement vectors
+
+    Returns
+    -------
+    r : (R, m, 3) Alice's best reply to v
+    basis : (R, k, 2, 3) the tangent basis, b_ya in basis[:, y, a]
+    grad : (R, 2k) tangent gradient, coordinates (y, a) in row-major order
+    hess : (R, 2k, 2k) tangent Hessian in the same coordinates
+    thin : (R,) bool
+    """
+    r, norms, q, w, basis, grad = _slope(signs, dmat, r, v)
+    hess = _curvature(signs, dmat, v, norms, q, w, basis)
+    return r, basis, grad, hess, (norms < _THIN).any(axis=(1, 2))
+
+
+def _non_null(lam, v, w):
+    """Mask of the eigenvalues outside the null (gauge) directions.
+
+    An eigenvalue is null when |lam| <= _NULL * max|lam|, or _NULL times the
+    Hessian's own scale max_y |v_y . w_y| when that is larger, so that a
+    Hessian that vanishes up to rounding is all null.
+    """
+    size = np.abs(lam)
+    scale = np.maximum(size.max(axis=1), np.abs(np.sum(v * w, axis=-1)).max(axis=1))
+    return size > _NULL * scale[:, None]
+
+
+def certificate(signs, dmat, r, v):
+    """Stationarity and curvature of each row: its tangent-gradient max-norm and
+    its top non-gauge Hessian eigenvalue, from the model of `tangent_model`.
+
+    Null directions (`_non_null`), such as the rotations that leave the
+    objective unchanged, are skipped.  The eigenvalue is NaN on a thin row
+    or when every direction is null.  A max-norm <= _GRAD_DONE with a
+    negative eigenvalue certifies a strict local maximum up to those null
+    directions; it is not a global certificate.
+    """
+    _, norms, q, w, basis, grad = _slope(signs, dmat, r, v)
+    lam = np.linalg.eigvalsh(_curvature(signs, dmat, v, norms, q, w, basis))
+    real = _non_null(lam, v, w) & ~(norms < _THIN).any(axis=(1, 2))[:, None]
+    top = np.where(real, lam, -np.inf).max(axis=1)
+    return np.abs(grad).max(axis=1), np.where(np.isfinite(top), top, np.nan)
+
+
+def _climb(signs, dmat, r, v, value, move):
+    """Each row's point v + t move, retracted to unit rows, with Alice's best reply
+    and its score, for the largest t in 1, 1/2, ..., 2**-(_HALVINGS - 1) that
+    scores strictly above value, or failing that the largest that ties it; a
+    row that every t lowers gets a lower point (the caller keeps its old one)."""
+    trial_v, _ = _unit_rows(v + move, v)
+    trial_r, trial_value = best_reply(signs, dmat, trial_v, r)
+    short = np.flatnonzero(~(trial_value > value))
+    if short.size:
+        sizes = 0.5 ** np.arange(_HALVINGS)[:, None, None, None]
+        more_v, _ = _unit_rows(v[short] + sizes * move[short], v[short])
+        more_r, more_value = best_reply(signs, dmat[short], more_v, r[short])
+        raised, tied = more_value > value[short], more_value == value[short]
+        pick = np.where(raised.any(axis=0), raised.argmax(axis=0), tied.argmax(axis=0))
+        first = pick, np.arange(short.size)
+        trial_v[short], trial_r[short], trial_value[short] = (
+            more_v[first], more_r[first], more_value[first]
+        )
+    return trial_r, trial_v, trial_value
+
+
+def newton_finish(signs, dmat, r, v, value, max_steps):
+    """Saddle-free Riemannian Newton steps on rows (r, v) that score `value`.
+
+    A step solves the tangent model of `tangent_model` through `eigh`,
+    dividing by |lam| and dropping null directions (`_non_null`), so it
+    climbs at a saddle as well as at a maximum.  The point
+    moves by v_y <- normalize(v_y + t B_y xi_y) with the largest t in 1,
+    1/2, ..., 2**-(_HALVINGS - 1) whose point, with Alice's best reply,
+    scores at least as high, and stays put when there is none: no step
+    lowers the value.  A step that only ties is taken unless the row's last
+    step also only tied, so that a row whose gains have fallen below the
+    value's rounding still drives its gradient down, but a row on a flat
+    ridge does not wander along it.  A row converges when its tangent gradient's
+    max-norm falls below _GRAD_DONE, or when no step is taken and that
+    max-norm is below _GRAD_STALL.  It fails when it is thin, when no step
+    is taken at a larger gradient, or when it is still stepping after
+    max_steps steps.
+
+    r, v and value are (R, m, 3), (R, k, 3) and (R,) arrays with r Alice's
+    best reply to v; each row's last point is written into them.  dmat holds
+    one channel matrix per row.  Returns each row's step count, smallest
+    step gain (inf if it took none) and convergence.
+    """
+    n_rows, k, _ = v.shape
+    steps = np.zeros(n_rows, dtype=np.int64)
+    gains = np.full(n_rows, np.inf)
+    converged = np.zeros(n_rows, dtype=bool)
+    if 2 * k > _NEWTON_MAX_DIM:
+        return steps, gains, converged
+    live = np.arange(n_rows)  # caller index of each working row
+    d, r_l, v_l, value_l = dmat, r, v, value
+    tied = np.zeros(n_rows, dtype=bool)  # the row's last step only tied
+    for it in range(max_steps + 1):
+        r_l, norms, q, w, basis, grad = _slope(signs, d, r_l, v_l)
+        gmax = np.abs(grad).max(axis=1)
+        done = gmax < _GRAD_DONE
+        thin = (norms < _THIN).any(axis=(1, 2))
+        converged[live[done & ~thin]] = True
+        go = ~(done | thin)
+        if it == max_steps or not go.any():
+            break
+        if not go.all():
+            live, d, r_l, v_l, value_l = live[go], d[go], r_l[go], v_l[go], value_l[go]
+            norms, q, w, basis, grad, gmax = norms[go], q[go], w[go], basis[go], grad[go], gmax[go]
+            tied = tied[go]
+        lam, vecs = np.linalg.eigh(_curvature(signs, d, v_l, norms, q, w, basis))
+        keep = _non_null(lam, v_l, w)
+        coef = np.matmul(grad[:, None, :], vecs)[:, 0] / np.where(keep, np.abs(lam), 1.0)
+        xi = np.matmul(vecs, np.where(keep, coef, 0.0)[..., None])
+        move = np.matmul(xi.reshape(len(live), k, 1, 2), basis)[..., 0, :]
+        trial_r, trial_v, trial_value = _climb(signs, d, r_l, v_l, value_l, move)
+        tie = trial_value == value_l
+        took = (trial_value > value_l) | (tie & ~tied)
+        rows = live[took]
+        r[rows], v[rows] = trial_r[took], trial_v[took]
+        gains[rows] = np.minimum(gains[rows], (trial_value - value_l)[took])
+        value[rows] = trial_value[took]
+        steps[rows] += 1
+        converged[live[~took & (gmax < _GRAD_STALL)]] = True
+        if not took.any():
+            break
+        live, d, tied = rows, d[took], tie[took]
+        r_l, v_l, value_l = trial_r[took], trial_v[took], trial_value[took]
+    return steps, gains, converged
+
+
 def run_seesaw(signs, dmat, v0, max_iters, tol):
     """Run batched one-qubit see-saw iterations with a safeguarded extrapolated step.
 
@@ -203,6 +445,11 @@ def run_seesaw(signs, dmat, v0, max_iters, tol):
     in the state too, so a row's arithmetic, and its result, do not depend
     on the batch.
 
+    A row still running after _NEWTON_AFTER trips gets `newton_finish`
+    (for k up to _NEWTON_MAX_DIM / 2); a row the finish does not converge
+    resumes its trips for the rest of max_iters.  Iterations count trips
+    plus Newton steps, and min_deltas takes in the Newton gains.
+
     Parameters
     ----------
     signs : (m, k) array of +-1 floats, g[x,y] = (-1)^{f_y(x)}
@@ -215,8 +462,9 @@ def run_seesaw(signs, dmat, v0, max_iters, tol):
     Returns
     -------
     values : (R,) final objective per restart
-    iters : (R,) iterations actually used
-    min_deltas : (R,) smallest half-step improvement seen (monotonicity check)
+    iters : (R,) iterations actually used, trips plus Newton steps
+    min_deltas : (R,) smallest half-step or Newton-step improvement seen
+        (monotonicity check)
     rvecs : (R, m, 3) final preparations
     vvecs : (R, k, 3) final measurement vectors
     converged : (R,) bool
@@ -250,7 +498,29 @@ def run_seesaw(signs, dmat, v0, max_iters, tol):
             (value_bob, both_value[0], np.maximum(both_value[0], both_value[1])),
         )
 
+    state = (r, v, beta, dmat, dmat_t)
     values, iters, min_deltas, converged = alternate(
-        step, (r, v, beta, dmat, dmat_t), max_iters, tol
+        step, state, min(max_iters, _NEWTON_AFTER), tol
     )
+    slow = np.flatnonzero(~converged & (iters < max_iters))
+    if slow.size:
+        r_s, v_s, values_s = r[slow], v[slow], values[slow]
+        steps, gains, finished = newton_finish(
+            signs, dmat[slow], r_s, v_s, values_s, min(_NEWTON_STEPS, max_iters - _NEWTON_AFTER)
+        )
+        r[slow], v[slow], values[slow] = r_s, v_s, values_s
+        iters[slow] += steps
+        min_deltas[slow] = np.minimum(min_deltas[slow], gains)
+        converged[slow] = finished
+        back = slow[~finished & (iters[slow] < max_iters)]
+        if back.size:
+            rest = tuple(arr[back] for arr in state)
+            values_b, iters_b, min_deltas_b, converged[back] = alternate(
+                step, rest, max_iters - iters[back], tol, values[back]
+            )
+            for arr, rows in zip(state, rest):
+                arr[back] = rows
+            values[back] = values_b
+            iters[back] += iters_b
+            min_deltas[back] = np.minimum(min_deltas[back], min_deltas_b)
     return values, iters, min_deltas, r, v, converged

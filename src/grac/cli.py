@@ -151,6 +151,8 @@ def _cmd_quantum(args) -> int:
         "restarts_used": report.restarts_used,
         "converged": report.converged,
         "min_step_delta": report.min_step_delta,
+        "tangent_grad": report.tangent_grad,
+        "top_hessian_eig": report.top_hessian_eig,
         "seed": report.seed,
         "strategy": report.best_strategy.to_dict(),
     }

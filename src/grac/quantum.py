@@ -19,7 +19,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._seesaw import SeesawReport, best_reply, check_budget, check_seed, run_seesaw
+from ._seesaw import (
+    _NEWTON_STEPS,
+    SeesawReport,
+    best_reply,
+    certificate,
+    check_budget,
+    check_seed,
+    newton_finish,
+    run_seesaw,
+)
 from .classical import ENUM_MAX_WIDTH, Rational, classical_optimum
 from .errors import InvalidInputError, WidthMismatchError, check_integer, read_reals, reading
 from .mubs import FunctionSet, _check_width, bitstring, read_bitstring, sign_matrix
@@ -217,7 +226,10 @@ def _solve_points(game: _Game, dmats: np.ndarray, restarts: int, seed: int) -> n
     than the kernel's tolerance) in the round before, keeping only the rows
     whose start scores, with Alice's best reply at that point's channel,
     within _WARM_MARGIN of the point's best, until no point improves; a
-    lone point has no neighbour.  A point's value is its best row overall.
+    lone point has no neighbour.  Each round polishes, with the kernel's
+    Newton finish, the new best row of every point it improved, so a
+    point's first round still equals the one-point solve of its starts.  A
+    point's value is its best row overall.
     """
     signs = game.signs
     n_points, k = len(dmats), signs.shape[1]
@@ -236,6 +248,12 @@ def _solve_points(game: _Game, dmats: np.ndarray, restarts: int, seed: int) -> n
         for i, value, v in zip(owner.tolist(), values.tolist(), vvecs):
             if value > best[i]:
                 best[i], best_v[i] = value, v
+        new = np.flatnonzero(best > before)
+        if new.size:
+            r, value = best_reply(signs, dmats[new], best_v[new], np.zeros(3))
+            v = best_v[new]
+            newton_finish(signs, dmats[new], r, v, value, _NEWTON_STEPS)
+            best[new], best_v[new] = value, v
         improved = best - before > _TOL  # smaller gains are the kernel's own convergence noise
         # point i + 1 restarts from point i's new best, and point i from point i + 1's
         owner = np.concatenate((points[1:][improved[:-1]], points[:-1][improved[1:]]))
@@ -267,28 +285,40 @@ def seesaw(
 
     Runs the starts `_pm_starts` builds: `restarts` sphere-uniform ones and
     the classical start along z when the exact classical search runs
-    (width up to ENUM_MAX_WIDTH).
+    (width up to ENUM_MAX_WIDTH).  The best restart is then polished by the
+    kernel's Newton finish within what is left of max_iters, and the report
+    carries its `certificate`: the tangent-gradient max-norm and the top
+    non-gauge Hessian eigenvalue (None where there is none).
     """
     check_budget(restarts, max_iters, tol)
     check_seed(seed)
     classical = _game(fset).starts if fset.n <= ENUM_MAX_WIDTH else ()
     starts = _pm_starts(len(fset), restarts, seed, classical)
+    signs, dmat = sign_matrix(fset), _channel_matrix(channel)[None]
     values, iters, min_deltas, rvecs, vvecs, conv = run_seesaw(
-        sign_matrix(fset), _channel_matrix(channel), starts, max_iters, tol
+        signs, dmat, starts, max_iters, tol
     )
     best = int(np.argmax(values))
+    pick = slice(best, best + 1)
+    r, v, value = rvecs[pick], vvecs[pick], values[pick]
+    steps, gains, finished = newton_finish(
+        signs, dmat, r, v, value, min(_NEWTON_STEPS, max_iters - int(iters[best]))
+    )
+    grad, eig = certificate(signs, dmat, r, v)
     m = 1 << fset.n
     strategy = PMStrategy(
         fset.n,
-        {x: _safe_unit(rvecs[best, x]) for x in range(m)},
-        {lab.r: _safe_unit(vvecs[best, j]) for j, lab in enumerate(fset)},
+        {x: _safe_unit(r[0, x]) for x in range(m)},
+        {lab.r: _safe_unit(v[0, j]) for j, lab in enumerate(fset)},
     )
     return SeesawReport(
-        value=float(values[best]),
-        iterations=int(iters[best]),
+        value=float(value[0]),
+        iterations=int(iters[best] + steps[0]),
         restarts_used=len(starts),
-        converged=bool(conv[best]),
+        converged=bool(conv[best] or finished[0]),
         best_strategy=strategy,
         seed=seed,
-        min_step_delta=float(min_deltas[best]),
+        min_step_delta=float(min(min_deltas[best], gains[0])),
+        tangent_grad=float(grad[0]),
+        top_hessian_eig=None if np.isnan(eig[0]) else float(eig[0]),
     )

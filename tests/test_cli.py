@@ -154,6 +154,16 @@ def test_json_artifact_and_reproducibility(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == sorted(["a.json", "b.json"])
 
 
+def test_quantum_artifact_carries_the_certificate(tmp_path, capsys):
+    """The quantum artifact reports the best row's certificate; stdout does not."""
+    out = tmp_path / "q.json"
+    assert cli.main(["quantum", "--labels", "k=5", "--restarts", "8", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["tangent_grad"] <= 1e-9
+    assert payload["top_hessian_eig"] < 0
+    assert "tangent" not in capsys.readouterr().out
+
+
 def test_sweep_csv_header(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = cli.main(

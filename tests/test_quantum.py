@@ -21,7 +21,8 @@ from grac import (
     seesaw,
     sign_matrix,
 )
-from grac._seesaw import alternate
+from grac import _seesaw
+from grac._seesaw import _NEWTON_AFTER, alternate, certificate, newton_finish, tangent_model
 from grac.channels import BlochMap
 from grac.eacc import eacc_seesaw
 from grac.quantum import run_seesaw
@@ -339,6 +340,155 @@ def test_kernel_rows_independent_of_batch(n):
                 for whole, one in zip(batch, solo):
                     assert np.array_equal(np.asarray(whole)[i], np.asarray(one)[0])
     assert np.array_equal(per_row, before)  # the caller's matrices are left as given
+
+
+def _record_finished_rows(monkeypatch):
+    """Wrap the kernel's Newton finish; the list fills with (r, v, value, steps)
+    for each row it converges and (None, v, value, steps) for each it fails."""
+    rows = []
+
+    def spy(signs, dmat, r, v, value, max_steps):
+        steps, gains, converged = newton_finish(signs, dmat, r, v, value, max_steps)
+        for i in range(len(v)):
+            kept = r[i].copy() if converged[i] else None
+            rows.append((kept, v[i].copy(), float(value[i]), int(steps[i])))
+        return steps, gains, converged
+
+    monkeypatch.setattr(_seesaw, "newton_finish", spy)
+    return rows
+
+
+def _gauge_free_top_eigenvalue(basis, hess, v, axes):
+    """Top eigenvalue of a tangent Hessian on the complement of the rotations about axes.
+
+    A rotation about a moves each v_y by a x v_y; those tangent vectors span
+    directions along which the objective is constant.
+    """
+    gauge = np.stack([np.matmul(basis, np.cross(a, v)[..., None]).ravel() for a in axes], axis=1)
+    q, _ = np.linalg.qr(gauge)
+    proj = np.eye(len(hess)) - q @ q.T
+    return np.linalg.eigvalsh(proj @ hess @ proj).max()
+
+
+@pytest.mark.parametrize(
+    "labels, lam",
+    [(None, 0.03), (None, 0.045), ((2, 5, 6, 8, 10, 14, 15), None)],
+    ids=["open-quadruple-0.03", "open-quadruple-0.045", "width-4-k7-noiseless"],
+)
+def test_newton_finished_rows_are_certified_local_maxima(monkeypatch, labels, lam):
+    """Rows still running after _NEWTON_AFTER trips finish by saddle-free Newton steps.
+
+    The open quadruple under dephasing along x, and this noiseless width-4
+    set, converge slowly near their optima (at dephasing 0.045 the plain
+    see-saw took 1,981 trips).  Every row the finish converges must replay
+    to its value, reach a tangent gradient <= 1e-9 and have no ascent
+    direction left: its tangent Hessian, with the gauge rotations removed
+    (the one about the dephasing axis, or all three without noise), is
+    negative semidefinite.  The kernel returns such a row as converged,
+    with the finish's steps added to its trips.
+    """
+    rows = _record_finished_rows(monkeypatch)
+    fset = representative_set(4, "open") if labels is None else FunctionSet.from_ints(4, labels)
+    signs = sign_matrix(fset)
+    m, k = signs.shape
+    axis = np.array([1.0, 0.0, 0.0])
+    dmat = np.eye(3) if lam is None else BlochMap.dephasing(lam, axis).matrix()
+    rng = np.random.default_rng(19)
+    v0 = rng.standard_normal((24, k, 3))
+    v0 /= np.linalg.norm(v0, axis=2, keepdims=True)
+    values, iters, _, _, vvecs, converged = run_seesaw(signs, dmat, v0, 10000, 1e-10)
+
+    finished = [row for row in rows if row[0] is not None]
+    assert len(finished) >= 3
+    for r, v, value, steps in finished:
+        replay = 0.5 + np.einsum("xy,xc,yc->", signs, r @ dmat.T, v) / (2 * m * k)
+        assert abs(replay - value) <= 1e-12
+        _, basis, grad, hess, thin = tangent_model(signs, dmat[None], r[None], v[None])
+        assert not thin[0]
+        assert np.abs(grad).max() <= 1e-9
+        axes = np.eye(3) if lam is None else axis[None]
+        assert _gauge_free_top_eigenvalue(basis[0], hess[0], v, axes) <= 1e-9
+        i = int(np.flatnonzero((vvecs == v).all(axis=(1, 2)))[0])
+        assert values[i] == value and converged[i] and iters[i] == _NEWTON_AFTER + steps
+
+
+def test_the_finish_makes_slow_rows_fast():
+    """One slow restart of the open quadruple at dephasing 0.045 ends in a few Newton steps.
+
+    The extrapolated see-saw alone took 757 trips on it and stopped 2.3e-8
+    lower, at 0.7292479509.
+    """
+    fset = representative_set(4, "open")
+    report = seesaw(fset, restarts=1, seed=0, channel=BlochMap.dephasing(0.045))
+    assert report.converged
+    assert _NEWTON_AFTER < report.iterations <= _NEWTON_AFTER + 12
+    assert report.tangent_grad <= 1e-9
+    assert report.top_hessian_eig < 0
+    assert report.value >= 0.72924797414
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tangent_model_matches_finite_differences(seed):
+    """The tangent gradient and Hessian are the first and second derivatives of
+    the objective along geodesics, at random points and channels."""
+    rng = np.random.default_rng(seed)
+    for n, k in ((3, 4), (4, 7)):
+        labels = rng.choice(range(1, 1 << n), size=k, replace=False)
+        signs = sign_matrix(FunctionSet.from_ints(n, tuple(int(x) for x in labels)))
+        m = signs.shape[0]
+        for dmat in (np.eye(3), BlochMap.dephasing(0.3, rng.standard_normal(3)).matrix()):
+            v = rng.standard_normal((k, 3))
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            r, _ = _seesaw.best_reply(signs, dmat[None], v[None], np.zeros((1, m, 3)))
+            _, basis, grad, hess, _ = tangent_model(signs, dmat[None], r, v[None])
+            xi = rng.standard_normal(2 * k)
+            move = np.matmul(xi.reshape(k, 1, 2), basis[0])[:, 0]  # tangent vector per label
+            size = np.linalg.norm(move, axis=1, keepdims=True)
+
+            def objective(t):
+                point = np.cos(t * size) * v + np.sin(t * size) * move / size
+                return _seesaw.best_reply(signs, dmat[None], point[None], r)[1][0] * (2 * m * k)
+
+            first = (objective(1e-5) - objective(-1e-5)) / 2e-5
+            second = (objective(1e-4) - 2 * objective(0.0) + objective(-1e-4)) / 1e-8
+            assert first == pytest.approx(grad[0] @ xi, rel=1e-6, abs=1e-6)
+            assert second == pytest.approx(xi @ hess[0] @ xi, rel=1e-5, abs=1e-5)
+
+
+def test_seesaw_reports_the_best_rows_certificate():
+    """seesaw's certificate is `certificate` at its best strategy, after the polish."""
+    fset = representative_set(3)
+    report = seesaw(fset, restarts=6, seed=2)
+    signs = sign_matrix(fset)
+    strategy = report.best_strategy
+    grad, eig = certificate(
+        signs, np.eye(3)[None], strategy.prep_array()[None], strategy.meas_array(fset)[None]
+    )
+    assert report.tangent_grad == pytest.approx(float(grad[0]), abs=1e-12)
+    assert report.tangent_grad <= 1e-9
+    assert report.top_hessian_eig == pytest.approx(float(eig[0]), rel=1e-6)
+    assert report.top_hessian_eig < 0
+
+
+def test_kernel_rows_independent_of_batch_through_the_finish(monkeypatch):
+    """Rows that the Newton finish converges, and rows it hands back to the
+    see-saw, equal solo runs bit for bit.
+
+    The width-4 set has its optimum on the 1/2(1 + 1/sqrt(8)) ceiling, where
+    the optimum is not isolated and some rows stall in the finish.
+    """
+    rows = _record_finished_rows(monkeypatch)
+    signs = sign_matrix(FunctionSet.from_ints(4, (1, 2, 4, 6, 8, 9, 10, 14)))
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal((15, 8, 3))
+    v0 /= np.linalg.norm(v0, axis=2, keepdims=True)
+    batch = run_seesaw(signs, np.eye(3), v0, 400, 1e-10)
+    assert any(row[0] is not None for row in rows)  # converged by the finish
+    assert any(row[0] is None for row in rows)  # handed back to the see-saw
+    for i in range(len(v0)):
+        solo = run_seesaw(signs, np.eye(3), v0[i], 400, 1e-10)
+        for whole, one in zip(batch, solo):
+            assert np.array_equal(np.asarray(whole)[i], np.asarray(one)[0])
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,7 +21,12 @@ tree runs, in its own Python process, the same CLI ops through
   with a large `--max-strategies`.
 
 It prints one line per op saying whether the exit code, stdout and artifact
-bytes match, then a count.  Then CHANGE_SRC reads every JSON strategy
+bytes match, then a count.  For each op whose two artifacts are JSON, it
+compares every reported optimum (each number under a `value`, `values`,
+`lambda_crit` or `computed` key, which the optimizers only ever raise) and
+prints a line per op where one moved, with the smallest and largest
+difference (CHANGE minus PARENT), then the number of values that fell.
+Then CHANGE_SRC reads every JSON strategy
 artifact that PARENT_SRC wrote with its own `from_dict` and replays it: each
 classical strategy must replay to the reported wins exactly, and each
 prepare-and-measure or entanglement-assisted strategy to the reported value
@@ -104,6 +109,7 @@ for payload in json.load(sys.stdin):
 json.dump(out, sys.stdout)
 """
 REPLAY_TOL = 1e-9
+VALUE_KEYS = ("value", "values", "lambda_crit", "computed")
 
 
 def ops() -> list[tuple[str, list[str]]]:
@@ -136,6 +142,28 @@ def strategy_artifacts(todo: list, results: list[dict]) -> list[tuple[str, dict]
     return found
 
 
+def reported_values(payload, key: str | None = None) -> list[float]:
+    """Every number under a VALUE_KEYS key of a parsed JSON artifact, in document order."""
+    if isinstance(payload, dict):
+        return [x for k, v in payload.items() for x in reported_values(v, k)]
+    if isinstance(payload, list):
+        return [x for v in payload for x in reported_values(v, key)]
+    numeric = isinstance(payload, (int, float)) and not isinstance(payload, bool)
+    return [float(payload)] if numeric and key in VALUE_KEYS else []
+
+
+def value_moves(old: dict, new: dict) -> list[float] | None:
+    """CHANGE minus PARENT for each reported optimum of one op, or None without two JSON artifacts."""
+    try:
+        before, after = (reported_values(json.loads(bytes.fromhex(res["artifact"])))
+                         for res in (old, new))
+    except (TypeError, ValueError):  # no artifact, or a text or csv one
+        return None
+    if len(before) != len(after):
+        return None
+    return [b - a for a, b in zip(before, after)]
+
+
 def replay_failure(payload: dict, got) -> str | None:
     """Why a replay does not reproduce the reported value, or None."""
     if isinstance(got, str):
@@ -161,6 +189,14 @@ def main(argv: list[str]) -> int:
         verdict = "same" if ok else "DIFF " + ",".join(p for p, f in flags.items() if not f)
         print(f"{verdict:<24} {group:<10} {' '.join(op)}")
     print(f"{same} of {len(todo)} ops match in exit code, stdout and artifact bytes")
+    moved = fell = 0
+    for (group, op), old, new in zip(todo, parent, change):
+        diffs = value_moves(old, new)
+        if diffs and any(diffs):
+            moved += sum(d != 0 for d in diffs)
+            fell += sum(d < 0 for d in diffs)
+            print(f"VALUES MOVED  min {min(diffs):+.2e} max {max(diffs):+.2e}  {' '.join(op)}")
+    print(f"{moved} reported values moved, {fell} of them fell")
     artifacts = strategy_artifacts(todo, parent)
     replays = run_tree(argv[1], REPLAY, [payload for _, payload in artifacts])
     read = 0

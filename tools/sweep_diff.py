@@ -14,8 +14,9 @@ tree runs, in its own Python process, the same sweeps through the library's
 
 It prints one line per sweep with the smallest and largest value difference
 (CHANGE minus PARENT) over its points and each side's time, then the
-minimum and maximum over each group.  The exit code is 0 whatever the
-differences are.
+minimum and maximum over each group, then the number of points where
+CHANGE < PARENT and the largest such fall.  The exit code is 1 when that
+number is nonzero, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -109,7 +110,10 @@ def main(argv: list[str]) -> int:
               f"{min(diffs):>10.2e} {max(diffs):>10.2e} {old['s']:>9.3f} {new['s']:>9.3f}")
     for group, diffs in groups.items():
         print(f"{group}: {len(diffs)} points, min diff {min(diffs):.2e}, max diff {max(diffs):.2e}")
-    return 0
+    falls = [d for diffs in groups.values() for d in diffs if d < 0]
+    print(f"{len(falls)} points where CHANGE < PARENT"
+          + (f", the largest fall {-min(falls):.2e}" if falls else ""))
+    return 1 if falls else 0
 
 
 if __name__ == "__main__":

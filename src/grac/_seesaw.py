@@ -382,8 +382,9 @@ def newton_finish(signs, dmat, r, v, value, max_steps):
 
     r, v and value are (R, m, 3), (R, k, 3) and (R,) arrays with r Alice's
     best reply to v; each row's last point is written into them.  dmat holds
-    one channel matrix per row.  Returns each row's step count, smallest
-    step gain (inf if it took none) and convergence.
+    one channel matrix per row, and max_steps is one budget for every row or
+    one per row.  Returns each row's step count, smallest step gain (inf if
+    it took none) and convergence.
     """
     n_rows, k, _ = v.shape
     steps = np.zeros(n_rows, dtype=np.int64)
@@ -391,17 +392,18 @@ def newton_finish(signs, dmat, r, v, value, max_steps):
     converged = np.zeros(n_rows, dtype=bool)
     if 2 * k > _NEWTON_MAX_DIM:
         return steps, gains, converged
+    budget = np.broadcast_to(max_steps, (n_rows,))
     live = np.arange(n_rows)  # caller index of each working row
     d, r_l, v_l, value_l = dmat, r, v, value
     tied = np.zeros(n_rows, dtype=bool)  # the row's last step only tied
-    for it in range(max_steps + 1):
+    for it in range(int(budget.max()) + 1):
         r_l, norms, q, w, basis, grad = _slope(signs, d, r_l, v_l)
         gmax = np.abs(grad).max(axis=1)
         done = gmax < _GRAD_DONE
         thin = (norms < _THIN).any(axis=(1, 2))
         converged[live[done & ~thin]] = True
-        go = ~(done | thin)
-        if it == max_steps or not go.any():
+        go = ~(done | thin) & (budget[live] > it)
+        if not go.any():
             break
         if not go.all():
             live, d, r_l, v_l, value_l = live[go], d[go], r_l[go], v_l[go], value_l[go]

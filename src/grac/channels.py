@@ -14,7 +14,7 @@ import numpy as np
 
 from ._seesaw import check_budget, check_seed
 from .classical import Rational
-from .errors import InvalidInputError, NoCrossingError, check_integer, check_real
+from .errors import InvalidInputError, NoCrossingError, check_integer, check_real, read_reals
 from .mubs import FunctionSet
 from .quantum import _MAX_ITERS, _TOL, _game, _solve_points, _unit_axis
 
@@ -76,15 +76,15 @@ def critical_depolarizing(fset: FunctionSet, restarts: int = 8, seed: int = 0) -
     Depolarizing shrinks every preparation uniformly, so the optimal strategy
     stays optimal and its value is 1/2 + (1-lambda)(S_Q - 1/2); solving
     against S_C gives lambda = 1 - (S_C - 1/2)/(S_Q - 1/2).  Zero when the
-    set offers no quantum advantage.  S_Q is the best noiseless value on the
-    starts `seesaw` runs, solved as one point (`quantum._solve_points`), and
-    S_C comes from the same exact search as their classical start.
+    set offers no quantum advantage.  S_Q is `seesaw`'s value at the same
+    restarts and seed, from the same one-point `quantum._solve_points` call,
+    and S_C comes from the exact search behind its classical start.
     """
     check_budget(restarts, _MAX_ITERS, _TOL)
     check_seed(seed)
     game = _game(fset)
     s_c = game.classical.value
-    s_q = float(_solve_points(game, np.eye(3)[None], restarts, seed)[0])
+    s_q = float(_solve_points(game, np.eye(3)[None], restarts, seed)[0][0])
     if s_q <= s_c:
         return 0.0
     return 1.0 - (s_c - 0.5) / (s_q - 0.5)
@@ -121,13 +121,11 @@ def _sweep_inputs(axis, grid, restarts: int, seed: int):
     """Unit axis, grid (default `dephasing_grid()`) and one channel matrix per point.
 
     Every input is checked here, before any work: the grid must be a
-    nonempty flat list of numbers, and each point is range-checked.
+    nonempty flat list of real numbers (no bool or string), and each point
+    is range-checked.
     """
     axis = _unit_axis(axis)
-    try:
-        arr = np.asarray(dephasing_grid() if grid is None else grid, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"the dephasing grid must be a list of numbers: {exc}") from None
+    arr = read_reals("a dephasing grid point", dephasing_grid() if grid is None else grid)
     if arr.ndim != 1:
         raise InvalidInputError(f"the dephasing grid must be a flat list, got shape {arr.shape}")
     if not arr.size:
@@ -161,7 +159,7 @@ def dephasing_sweep(
     """
     axis, grid, dmats = _sweep_inputs(axis, grid, restarts, seed)
     game = _game(fset, axis)
-    values = _solve_points(game, dmats, restarts, seed)
+    values = _solve_points(game, dmats, restarts, seed)[0]
     return SweepResult(grid, tuple(float(v) for v in values), game.classical)
 
 
@@ -192,9 +190,8 @@ def crossing_window(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError(f"a crossing window needs a strictly increasing grid, got {grid}")
     game_a, game_b = _game(set_a, axis), _game(set_b, axis)
-    diff = _solve_points(game_a, dmats, restarts, seed) - _solve_points(
-        game_b, dmats, restarts, seed
-    )
+    diff = _solve_points(game_a, dmats, restarts, seed)[0]
+    diff -= _solve_points(game_b, dmats, restarts, seed)[0]
     positive = diff > 0
     if not positive.any():
         raise NoCrossingError("the second set dominates (or ties) everywhere on the grid")
@@ -218,8 +215,8 @@ def crossing_window(
         dmat = BlochMap.dephasing(lam, axis).matrix()[None]
         seed_j = seed + 7919 * j
         return (
-            _solve_points(game_a, dmat, restarts, seed_j)[0]
-            - _solve_points(game_b, dmat, restarts, seed_j + 1)[0]
+            _solve_points(game_a, dmat, restarts, seed_j)[0][0]
+            - _solve_points(game_b, dmat, restarts, seed_j + 1)[0][0]
         )
 
     def refine(inside_i, outside_i):

@@ -7,8 +7,8 @@ guesses the parity from the outcome sign.  The average success is
 
 with g_y(x) = (-1)^{f_y(x)} and Lam an optional linear channel on the
 prepared states.  The see-saw alternation (both half-steps closed form)
-lower-bounds the optimum; the 1/2(1+1/sqrt(k)) bound certifies it from above
-for all cardinalities except the open quadruple.
+lower-bounds the optimum.  The 1/2(1+1/sqrt(k)) bound caps it: every width-3
+set but the open quadruple attains the cap, and 8 width-4 classes fall short.
 """
 
 from __future__ import annotations
@@ -214,53 +214,66 @@ def _pm_starts(k: int, restarts: int, seed: int, classical) -> np.ndarray:
 _WARM_MARGIN = 1e-4  # a neighbour's optimum reruns at a point only if it starts this close
 
 
-def _solve_points(game: _Game, dmats: np.ndarray, restarts: int, seed: int) -> np.ndarray:
-    """Best see-saw value at each channel of dmats, all points batched into one call per round.
+def _solve_points(
+    game: _Game, dmats: np.ndarray, restarts: int, seed: int, max_iters=_MAX_ITERS, tol=_TOL
+) -> tuple[np.ndarray, ...]:
+    """`run_seesaw`'s six arrays at each channel of dmats, one row per point: its best row.
 
-    Every noisy prepare-and-measure solve is this call: a dephasing sweep
-    is its grid, and a depolarizing threshold or a window midpoint is one
-    point.  Round one runs, at each point i, the `_pm_starts` set of
+    Every one-qubit prepare-and-measure solve is this call: `seesaw` and a
+    depolarizing threshold or a window midpoint are one point, and a
+    dephasing sweep is its grid, all points batched into one kernel call
+    per round.  Round one runs, at each point i, the `_pm_starts` set of
     `restarts` random starts at the first point and one elsewhere, seeded
     seed + i, and the game's classical starts.  Each later round restarts
     every point from the new best of each neighbour that improved (by more
-    than the kernel's tolerance) in the round before, keeping only the rows
-    whose start scores, with Alice's best reply at that point's channel,
-    within _WARM_MARGIN of the point's best, until no point improves; a
-    lone point has no neighbour.  Each round polishes, with the kernel's
-    Newton finish, the new best row of every point it improved, so a
-    point's first round still equals the one-point solve of its starts.  A
-    point's value is its best row overall.
+    than tol) in the round before, keeping only the rows whose start
+    scores, with Alice's best reply at that point's channel, within
+    _WARM_MARGIN of the point's best, until no point improves; a lone point
+    has no neighbour.  Each round polishes, with the kernel's Newton finish
+    and within what is left of max_iters, the new best row of every point
+    it improved, so a point's first round is the one-point solve of its
+    starts.
     """
     signs = game.signs
-    n_points, k = len(dmats), signs.shape[1]
+    (m, k), n_points = signs.shape, len(dmats)
     owner, starts = [], []
     for i in range(n_points):
         cold = _pm_starts(k, restarts if i == 0 else 1, seed + i, game.starts)
         owner += [i] * len(cold)
         starts.append(cold)
     owner, starts = np.array(owner), np.concatenate(starts)
-    best = np.full(n_points, -np.inf)
-    best_v = np.zeros((n_points, k, 3))
+    best = (
+        np.full(n_points, -np.inf),
+        np.zeros(n_points, dtype=np.int64),
+        np.zeros(n_points),
+        np.zeros((n_points, m, 3)),
+        np.zeros((n_points, k, 3)),
+        np.zeros(n_points, dtype=bool),
+    )
+    best_value, best_v = best[0], best[4]  # updated in place with the rest of best
     points = np.arange(n_points)
     while True:
-        values, _, _, _, vvecs, _ = run_seesaw(signs, dmats[owner], starts, _MAX_ITERS, _TOL)
-        before = best.copy()
-        for i, value, v in zip(owner.tolist(), values.tolist(), vvecs):
-            if value > best[i]:
-                best[i], best_v[i] = value, v
-        new = np.flatnonzero(best > before)
+        rows = run_seesaw(signs, dmats[owner], starts, max_iters, tol)
+        before = best_value.copy()
+        winner = np.zeros(n_points, dtype=np.int64)  # each point's best row this round
+        for j, (i, value) in enumerate(zip(owner.tolist(), rows[0].tolist())):
+            if value > best_value[i]:
+                best_value[i], winner[i] = value, j
+        new = np.flatnonzero(best_value > before)
         if new.size:
-            r, value = best_reply(signs, dmats[new], best_v[new], np.zeros(3))
-            v = best_v[new]
-            newton_finish(signs, dmats[new], r, v, value, _NEWTON_STEPS)
-            best[new], best_v[new] = value, v
-        improved = best - before > _TOL  # smaller gains are the kernel's own convergence noise
+            value, iters, min_delta, r, v, conv = (row[winner[new]] for row in rows)
+            budget = np.minimum(_NEWTON_STEPS, max_iters - iters)
+            steps, gains, finished = newton_finish(signs, dmats[new], r, v, value, budget)
+            polished = (value, iters + steps, np.minimum(min_delta, gains), r, v, conv | finished)
+            for mine, theirs in zip(best, polished):
+                mine[new] = theirs
+        improved = best_value - before > tol  # smaller gains are the kernel's own convergence noise
         # point i + 1 restarts from point i's new best, and point i from point i + 1's
         owner = np.concatenate((points[1:][improved[:-1]], points[:-1][improved[1:]]))
         source = np.concatenate((points[:-1][improved[:-1]], points[1:][improved[1:]]))
         starts = best_v[source]
         _, start_values = best_reply(signs, dmats[owner], starts, np.zeros(3))
-        near = start_values >= best[owner] - _WARM_MARGIN
+        near = start_values >= best_value[owner] - _WARM_MARGIN
         if not near.any():
             return best
         owner, starts = owner[near], starts[near]
@@ -283,28 +296,18 @@ def seesaw(
 ) -> SeesawReport:
     """Maximize the average success over one-qubit strategies by alternation.
 
-    Runs the starts `_pm_starts` builds: `restarts` sphere-uniform ones and
-    the classical start along z when the exact classical search runs
-    (width up to ENUM_MAX_WIDTH).  The best restart is then polished by the
-    kernel's Newton finish within what is left of max_iters, and the report
-    carries its `certificate`: the tangent-gradient max-norm and the top
-    non-gauge Hessian eigenvalue (None where there is none).
+    One `_solve_points` call at the channel, on `restarts` sphere-uniform
+    starts and, up to width ENUM_MAX_WIDTH, the classical start along z.
+    The report carries the polished best row's `certificate`: its
+    tangent-gradient max-norm and top non-gauge Hessian eigenvalue (None
+    where there is none).
     """
     check_budget(restarts, max_iters, tol)
     check_seed(seed)
-    classical = _game(fset).starts if fset.n <= ENUM_MAX_WIDTH else ()
-    starts = _pm_starts(len(fset), restarts, seed, classical)
-    signs, dmat = sign_matrix(fset), _channel_matrix(channel)[None]
-    values, iters, min_deltas, rvecs, vvecs, conv = run_seesaw(
-        signs, dmat, starts, max_iters, tol
-    )
-    best = int(np.argmax(values))
-    pick = slice(best, best + 1)
-    r, v, value = rvecs[pick], vvecs[pick], values[pick]
-    steps, gains, finished = newton_finish(
-        signs, dmat, r, v, value, min(_NEWTON_STEPS, max_iters - int(iters[best]))
-    )
-    grad, eig = certificate(signs, dmat, r, v)
+    dmat = _channel_matrix(channel)[None]
+    game = _game(fset) if fset.n <= ENUM_MAX_WIDTH else _Game(sign_matrix(fset), None, ())
+    value, iters, min_delta, r, v, conv = _solve_points(game, dmat, restarts, seed, max_iters, tol)
+    grad, eig = certificate(game.signs, dmat, r, v)
     m = 1 << fset.n
     strategy = PMStrategy(
         fset.n,
@@ -313,12 +316,12 @@ def seesaw(
     )
     return SeesawReport(
         value=float(value[0]),
-        iterations=int(iters[best] + steps[0]),
-        restarts_used=len(starts),
-        converged=bool(conv[best] or finished[0]),
+        iterations=int(iters[0]),
+        restarts_used=restarts + len(game.starts),
+        converged=bool(conv[0]),
         best_strategy=strategy,
         seed=seed,
-        min_step_delta=float(min(min_deltas[best], gains[0])),
+        min_step_delta=float(min_delta[0]),
         tangent_grad=float(grad[0]),
         top_hessian_eig=None if np.isnan(eig[0]) else float(eig[0]),
     )

@@ -260,7 +260,10 @@ def table_four(seed: int = 0) -> TableReport:
 
 
 def reproduce_tables(which=TABLE_IDS, seed: int = 0) -> list[TableReport]:
-    """Recompute the requested tables; invalid ids raise InvalidInputError."""
+    """Recompute the requested tables; an empty selection or an invalid id raises
+    InvalidInputError."""
+    if not which:
+        raise InvalidInputError(f"no table selected; valid ids: {TABLE_IDS}")
     builders = {
         "I": lambda: table_one(),
         "II": lambda: table_two(),

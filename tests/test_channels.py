@@ -223,7 +223,8 @@ def test_dephasing_sweep_checks_grid_range_before_any_seesaw(monkeypatch):
 def test_bad_grids_are_rejected_before_any_seesaw(monkeypatch):
     _forbid_kernel(monkeypatch, "the grid was checked")
     pair, triple = representative_set(2), representative_set(3)
-    for grid in ([[0.0, 0.1]], [[0.0], [0.1]], ["a"], 0.25):
+    # a bool or a numeric string is not a strength, though float() would read it as one
+    for grid in ([[0.0, 0.1]], [[0.0], [0.1]], ["a"], 0.25, [False, 0.25, 0.5], ["0.1", 0.3]):
         with pytest.raises(InvalidInputError, match="grid"):
             dephasing_sweep(pair, grid=grid)
         with pytest.raises(InvalidInputError, match="grid"):
@@ -255,7 +256,7 @@ def test_sweep_points_match_or_beat_a_one_point_seesaw(spec, axis, seed):
     assert len(game.starts) == 2  # the axis start is in every one-point solve
     for i, lam in enumerate(grid):
         dmat = BlochMap.dephasing(lam, axis).matrix()[None]
-        solo = quantum._solve_points(game, dmat, 8 if i == 0 else 1, seed + i)[0]
+        solo = quantum._solve_points(game, dmat, 8 if i == 0 else 1, seed + i)[0][0]
         assert sweep.values[i] >= solo, (i, lam)
 
 
@@ -279,18 +280,33 @@ def test_open_quadruple_sweep_makes_few_kernel_calls(monkeypatch):
     assert sweep.values[0] == pytest.approx(0.741481456572, abs=1e-11)
 
 
-@pytest.mark.parametrize("spec", SPECS + ("one label",), ids=str)
+WIDTH_4_LABELS = (
+    "0001,0010,0100,1000",
+    "0011,0101,1001,1110,1111",
+    "0010,0101,0110,1000,1010,1110,1111",  # short of 1/2(1+1/sqrt(7))
+)
+
+
+@pytest.mark.parametrize("spec", SPECS + ("one label",) + WIDTH_4_LABELS, ids=str)
 @pytest.mark.parametrize("restarts, seed", [(1, 0), (4, 3), (8, 0)])
 def test_threshold_reads_off_the_noiseless_seesaw(spec, restarts, seed):
-    """The threshold is the closed form at seesaw's value on the same starts, exactly."""
+    """The threshold is the closed form at seesaw's value on the same starts, exactly.
+
+    Both are one noiseless `quantum._solve_points` call on `restarts` random
+    starts and the classical start along z.
+    """
     if spec == "one label":
         fset = FunctionSet.from_ints(2, (1,))  # a classical bit answers it: no advantage
+    elif spec in WIDTH_4_LABELS:
+        fset = FunctionSet.from_ints(4, tuple(int(b, 2) for b in spec.split(",")))
     elif isinstance(spec, tuple):
         fset = representative_set(*spec)
     else:
         fset = representative_set(spec)
     s_c = classical_optimum(fset)[0].value
-    s_q = seesaw(fset, restarts=restarts, seed=seed).value
+    report = seesaw(fset, restarts=restarts, seed=seed)
+    assert report.restarts_used == restarts + 1
+    s_q = report.value
     expected = 1.0 - (s_c - 0.5) / (s_q - 0.5) if s_q > s_c else 0.0
     assert critical_depolarizing(fset, restarts=restarts, seed=seed) == expected
 

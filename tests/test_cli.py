@@ -251,6 +251,15 @@ def test_tables_unknown_id_is_module_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", [",", " ", " , "])
+def test_tables_empty_selection_is_module_error(capsys, which):
+    rc = cli.main(["tables", "--which", which])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "no table selected" in captured.err
+    assert captured.out == ""
+
+
 def test_csv_not_available_for_classical(capsys):
     rc = cli.main(["classical", "--n", "3", "--labels", "k=2", "--format", "csv", "--out", "/tmp/x.csv"])
     assert rc == 1

@@ -491,6 +491,31 @@ def test_kernel_rows_independent_of_batch_through_the_finish(monkeypatch):
             assert np.array_equal(np.asarray(whole)[i], np.asarray(one)[0])
 
 
+def test_newton_finish_takes_one_budget_per_row():
+    """Rows given their own step budgets in one call equal solo calls on those budgets.
+
+    The open quadruple at dephasing 0.045 after 40 trips has rows far from
+    converged, so a budget of 0, 1 or 2 binds and 20 does not.
+    """
+    signs = sign_matrix(representative_set(4, "open"))
+    dmat = BlochMap.dephasing(0.045).matrix()
+    rng = np.random.default_rng(3)
+    v0 = rng.standard_normal((8, 4, 3))
+    v0 /= np.linalg.norm(v0, axis=2, keepdims=True)
+    values, _, _, r, v, _ = run_seesaw(signs, dmat, v0, _NEWTON_AFTER, 1e-10)
+    budget = np.array([0, 1, 2, 20, 0, 1, 2, 20])
+    dmats = np.repeat(dmat[None], len(v0), axis=0)
+    batch = (r.copy(), v.copy(), values.copy())
+    out = newton_finish(signs, dmats, *batch, budget)
+    assert (out[0] <= budget).all() and out[0][budget == 0].sum() == 0
+    assert (out[0] == budget)[budget > 0].any()  # some budget binds
+    for i in range(len(v0)):
+        solo = (r[i : i + 1].copy(), v[i : i + 1].copy(), values[i : i + 1].copy())
+        solo_out = newton_finish(signs, dmats[i : i + 1], *solo, int(budget[i]))
+        for whole, one in zip(batch + out, solo + solo_out, strict=True):
+            assert np.array_equal(whole[i], one[0])
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_a_shared_channel_equals_its_per_row_broadcast(data):

@@ -48,4 +48,6 @@ def test_reproduce_tables_order_and_validation():
     assert [r.table_id for r in reports] == ["II", "I"]
     with pytest.raises(ValueError):
         reproduce_tables(("I", "X"))
+    with pytest.raises(InvalidInputError, match="no table selected"):
+        reproduce_tables(())
     assert TABLE_IDS == ("I", "II", "Q", "III", "IV")

@@ -18,7 +18,11 @@ tree runs, in its own Python process, the same CLI ops through
   depolarizing` at the default restarts;
 - the three `classical` ops that decode the most kept strategies: the full
   sets of widths 3 and 4 and the width-4 set of weight-one labels, each
-  with a large `--max-strategies`.
+  with a large `--max-strategies`;
+- two `quantum` ops on branches of the one-point solve that no workload
+  runs: a width-5 set, above the exact search's width, which has no
+  classical start, and a width-4 set whose `--max-iters 41` cap binds
+  after the Newton finish.
 
 It prints one line per op saying whether the exit code, stdout and artifact
 bytes match, then a count.  For each op whose two artifacts are JSON, it
@@ -56,6 +60,8 @@ EXTRA_OPS = (
     ["classical", "--n", "3", "--labels", "all", "--max-strategies", "1000"],
     ["classical", "--n", "4", "--labels", "all", "--max-strategies", "500"],
     ["classical", "--n", "4", "--labels", "0001,0010,0100,1000", "--max-strategies", "300"],
+    ["quantum", "--n", "5", "--labels", "00001,00010,00100,01000,10000,11111"],
+    ["quantum", "--n", "4", "--labels", "0010,0101,0110,1000,1010,1110,1111", "--max-iters", "41"],
 )
 
 # Runs in a fresh interpreter with one source tree first on sys.path; reads

@@ -54,15 +54,21 @@ is ~0 and the second negative.
 
 The finish eigendecomposes a 2k x 2k matrix per row and step, so it stays
 off above k = _NEWTON_MAX_DIM / 2 = 10, where rows run the see-saw alone.
-Measured on 2 cores (numpy 2.4, OpenBLAS with two threads):
-- on the benchmark's width-4 census, the rows still running after 40 trips
-  at k = 11 and 12 (34 to 44 of 65) need only 20 to 70 more trips, and
-  finishing them by Newton made those solves 25-35% slower, while at
-  k = 7 to 10, where rows run up to 550 trips, it made most of them 15-35%
-  faster;
-- numpy's eigh calls LAPACK syevd, which switches to a threaded divide and
-  conquer above dimension 25: about 16 ms per 26 x 26 to 28 x 28 matrix,
-  against 0.11 ms at 24 x 24.
+Measured on 2 cores (numpy 2.4, OpenBLAS at its default two threads):
+- trips: on the benchmark's width-4 census, the rows still running after
+  40 trips at k = 11 and 12 (34 to 44 of 65) need only 20 to 70 more
+  trips.  Lifting the cap alone made the 10 census solves at k >= 11 take
+  0.288 s against 0.213 s (sum of per-op medians, 3 alternated runs),
+  though each then met pm_upper_bound(k) within 1.1e-16 with a negative
+  top eigenvalue.  At k = 7 to 10, where rows run up to 550 trips, the
+  finish made most solves 15-35% faster;
+- eigh stalls above dimension 25, intermittently: numpy's eigh calls
+  LAPACK syevd, which switches to divide and conquer there.  In 1 of 3
+  in-process census passes with the cap lifted, eigh on (9, 26, 26)
+  Hessian stacks took 0.14-0.15 s per call, about 16 ms per matrix, and
+  about 15 ms on (1, 28, 28); the same captured stack, re-timed in that
+  process, took about 1 ms, and the other two passes showed no stall.
+  Without a stall one 26 x 26 to 28 x 28 eigh takes 0.11-0.13 ms.
 """
 
 from __future__ import annotations

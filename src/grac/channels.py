@@ -22,6 +22,7 @@ DEPOLARIZING = "depolarizing"
 DEPHASING = "dephasing"
 DEFAULT_AXIS = (1.0, 0.0, 0.0)  # the dephasing axis when none is given
 REFINE_TOL = 1e-4  # a crossing window's default bisection tolerance, in lambda
+MAX_GRID_POINTS = 10_001  # the most points `dephasing_grid` builds
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,15 @@ def critical_depolarizing(fset: FunctionSet, restarts: int = 8, seed: int = 0) -
 
 
 def dephasing_grid(points: int = 101) -> list[float]:
-    """`points` evenly spaced dephasing strengths from 0 to 1/2, both ends included."""
+    """`points` evenly spaced dephasing strengths from 0 to 1/2, both ends included.
+
+    `points` runs from 2 to MAX_GRID_POINTS = 10,001, one hundred times the
+    default grid; a larger count is refused before any list is built."""
     check_integer("grid points", points)
     if points < 2:
         raise InvalidInputError("need at least two grid points")
+    if points > MAX_GRID_POINTS:
+        raise InvalidInputError(f"at most {MAX_GRID_POINTS} grid points, got {points}")
     return [0.5 * i / (points - 1) for i in range(points)]
 
 

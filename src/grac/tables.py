@@ -260,8 +260,10 @@ def table_four(seed: int = 0) -> TableReport:
 
 
 def reproduce_tables(which=TABLE_IDS, seed: int = 0) -> list[TableReport]:
-    """Recompute the requested tables; an empty selection or an invalid id raises
-    InvalidInputError."""
+    """Recompute the requested tables; a bare string is one id.  An empty
+    selection or an invalid id raises InvalidInputError."""
+    if isinstance(which, str):
+        which = (which,)
     if not which:
         raise InvalidInputError(f"no table selected; valid ids: {TABLE_IDS}")
     builders = {

@@ -151,6 +151,10 @@ def test_dephasing_grid():
     for bad in (1, 0, -3, 2.0, True):
         with pytest.raises(InvalidInputError):
             dephasing_grid(bad)
+    assert len(dephasing_grid(channels.MAX_GRID_POINTS)) == channels.MAX_GRID_POINTS
+    for huge in (channels.MAX_GRID_POINTS + 1, 10**20):
+        with pytest.raises(InvalidInputError, match="at most 10001 grid points"):
+            dephasing_grid(huge)
 
 
 def test_bad_axis_and_empty_grid_are_rejected():

@@ -107,6 +107,16 @@ def test_sweep_malformed_axis_is_module_error(capsys):
     assert error["message"] == "--axis must be comma-separated numbers, got '1,a,0'"
 
 
+def test_sweep_huge_grid_is_module_error(capsys):
+    argv = ["noise", "--labels", "k=3", "--channel", "dephasing", "--grid-points", str(10**20)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "InvalidInputError"
+    assert "at most 10001 grid points" in error["message"]
+
+
 @pytest.mark.parametrize(
     "flags",
     [

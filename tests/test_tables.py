@@ -2,8 +2,9 @@
 
 import pytest
 
+import grac.tables as tables_mod
 from grac import TABLE_IDS, InvalidInputError, representative_set, reproduce_tables
-from grac.tables import representative_labels, table_q, table_three, table_two
+from grac.tables import TableReport, representative_labels, table_q, table_three, table_two
 
 
 def test_representative_set_rules():
@@ -50,4 +51,13 @@ def test_reproduce_tables_order_and_validation():
         reproduce_tables(("I", "X"))
     with pytest.raises(InvalidInputError, match="no table selected"):
         reproduce_tables(())
+
+
+def test_reproduce_tables_reads_a_bare_string_as_one_id(monkeypatch):
+    assert [r.table_id for r in reproduce_tables("II")] == ["II"]
+    # Table IV's see-saws are slow; only the id lookup is under test here.
+    monkeypatch.setattr(tables_mod, "table_four", lambda seed=0: TableReport("IV", 1e-4, ()))
+    assert [r.table_id for r in reproduce_tables("IV")] == ["IV"]
+    with pytest.raises(InvalidInputError, match="unknown table id 'V'"):
+        reproduce_tables(("IV", "V"))
     assert TABLE_IDS == ("I", "II", "Q", "III", "IV")

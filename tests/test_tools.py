@@ -1,0 +1,68 @@
+"""The before/after gate `tools/ops_diff.py`: its op list, value diffs and replay rule."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_ops_diff():
+    # The tool puts perfbench/ first on sys.path to read the workloads; undo
+    # that here so no later import in the test session resolves there.
+    path = sys.path[:]
+    spec = importlib.util.spec_from_file_location("ops_diff", ROOT / "tools" / "ops_diff.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
+
+
+ops_diff = _load_ops_diff()
+
+
+def _result(payload) -> dict:
+    """One op's worker result whose artifact is `payload`, a JSON object or text."""
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    return {"exit": 0, "stdout": "", "artifact": text.encode().hex(), "s": 0.0}
+
+
+def test_ops_hold_every_benchmark_sweep_and_the_default_grid_sweeps():
+    todo = ops_diff.ops()
+    sweeps = [op["argv"] for op in ops_diff.build("pm_sweep") if op["kind"] == "sweep"]
+    assert len(sweeps) == 21
+    assert all(("pm_sweep", argv) in todo for argv in sweeps)
+    default_grid = [
+        ["noise", "--labels", spec, "--channel", "dephasing", "--axis", axis]
+        for axis in ("1,0,0", "0,0,1", "0.48,-0.6,0.64")
+        for spec in ops_diff.K3_SPECS
+    ]
+    assert len(default_grid) == 21
+    assert all(todo.count(("extra", argv)) == 1 for argv in default_grid)
+    # the one op that checks the echo of the default axis stays
+    assert ("extra", ["noise", "--labels", "k=5", "--channel", "dephasing"]) in todo
+
+
+def test_value_moves_are_exact_change_minus_parent_diffs():
+    old = _result({"value": 0.8, "values": [0.5, 0.75], "ratio": [1.0, 2.0]})
+    new = _result({"value": 0.79, "values": [0.5, 0.7500000000000001], "ratio": [9.0, 9.0]})
+    diffs = ops_diff.value_moves(old, new)
+    assert diffs == [0.79 - 0.8, 0.0, 0.7500000000000001 - 0.75]
+    assert diffs[0] < 0 and diffs[2] == 2.0**-53  # a fall, and one ulp at 0.75
+    assert ops_diff.value_moves(old, old) == [0.0, 0.0, 0.0]
+    assert ops_diff.value_moves(_result("lambda,value\n0,0.8\n"), new) is None
+    assert ops_diff.value_moves({**old, "artifact": None}, new) is None
+
+
+def test_replay_failure_flags_wins_and_values_off_the_report():
+    classical = {"strategies": [{}, {}], "value": {"wins": 10, "total": 12}}
+    assert ops_diff.replay_failure(classical, [10, 10]) is None
+    assert "wins [10, 9] != reported 10" in ops_diff.replay_failure(classical, [10, 9])
+    pm = {"strategy": {}, "value": 0.8}
+    assert ops_diff.replay_failure(pm, 0.8 + 0.9e-9) is None
+    assert ops_diff.replay_failure(pm, 0.8 - 0.9e-9) is None
+    assert "!= reported 0.8" in ops_diff.replay_failure(pm, 0.8 + 1.1e-9)
+    assert ops_diff.replay_failure(pm, "InvalidInputError: bad key") == "InvalidInputError: bad key"

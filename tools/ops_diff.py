@@ -14,6 +14,8 @@ tree runs, in its own Python process, the same CLI ops through
   default grid;
 - the dephasing sweep `noise --labels k=5 --channel dephasing` on the
   default axis and grid, whose result line echoes the default axis;
+- the 7 width-3 representative sets swept on 3 axes (x, z and an oblique
+  one) on the default grid, seed and restarts: 21 sweeps;
 - the depolarizing threshold `noise --labels k=4:open --channel
   depolarizing` at the default restarts;
 - the three `classical` ops that decode the most kept strategies: the full
@@ -25,18 +27,19 @@ tree runs, in its own Python process, the same CLI ops through
   after the Newton finish.
 
 It prints one line per op saying whether the exit code, stdout and artifact
-bytes match, then a count.  For each op whose two artifacts are JSON, it
-compares every reported optimum (each number under a `value`, `values`,
-`lambda_crit` or `computed` key, which the optimizers only ever raise) and
-prints a line per op where one moved, with the smallest and largest
-difference (CHANGE minus PARENT), then the number of values that fell.
+bytes match, with the op's wall time on each tree, then a count.  For each
+op whose two artifacts are JSON, it compares every reported optimum (each
+number under a `value`, `values`, `lambda_crit` or `computed` key, which the
+optimizers only ever raise) and prints a line per op where one moved, with
+the smallest and largest difference (CHANGE minus PARENT), then the number
+of values that moved, how many fell and the largest fall.
 Then CHANGE_SRC reads every JSON strategy
 artifact that PARENT_SRC wrote with its own `from_dict` and replays it: each
 classical strategy must replay to the reported wins exactly, and each
 prepare-and-measure or entanglement-assisted strategy to the reported value
 within 1e-9.  It prints a line per artifact that fails, then a count.  The
-exit code is 0 when every op matches and every artifact replays, and 1
-otherwise.
+exit code is 0 when every op matches and every artifact replays, 1
+otherwise, and 2 for a wrong argument count.
 """
 
 from __future__ import annotations
@@ -48,7 +51,9 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-from workloads import WORKLOADS, build  # noqa: E402
+from workloads import K3_SPECS, WORKLOADS, build  # noqa: E402
+
+DEFAULT_GRID_AXES = ("1,0,0", "0,0,1", "0.48,-0.6,0.64")
 
 EXTRA_OPS = (
     ["tables", "--format", "json"],
@@ -62,13 +67,16 @@ EXTRA_OPS = (
     ["classical", "--n", "4", "--labels", "0001,0010,0100,1000", "--max-strategies", "300"],
     ["quantum", "--n", "5", "--labels", "00001,00010,00100,01000,10000,11111"],
     ["quantum", "--n", "4", "--labels", "0010,0101,0110,1000,1010,1110,1111", "--max-iters", "41"],
+    *(["noise", "--labels", spec, "--channel", "dephasing", "--axis", axis]
+      for axis in DEFAULT_GRID_AXES for spec in K3_SPECS),
 )
 
 # Runs in a fresh interpreter with one source tree first on sys.path; reads
-# the argv lists as JSON on stdin and writes, per op, its exit code, stdout
-# and artifact text (None when no artifact was written) as JSON to stdout.
+# the argv lists as JSON on stdin and writes, per op, its exit code, stdout,
+# artifact bytes as hex (None when no artifact was written) and wall time in
+# seconds as JSON to stdout.
 WORKER = """
-import contextlib, io, json, os, sys, tempfile
+import contextlib, io, json, os, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
 from grac.cli import main
 out = []
@@ -76,14 +84,16 @@ with tempfile.TemporaryDirectory() as tmp:
     for i, argv in enumerate(json.load(sys.stdin)):
         path = os.path.join(tmp, f"op{i}")
         buf = io.StringIO()
+        t0 = time.perf_counter()
         with contextlib.redirect_stdout(buf):
             code = main(argv + ["--out", path])
+        seconds = time.perf_counter() - t0
         artifact = None
         if os.path.exists(path):
             with open(path, "rb") as fh:
                 artifact = fh.read().hex()
             os.unlink(path)
-        out.append({"exit": code, "stdout": buf.getvalue(), "artifact": artifact})
+        out.append({"exit": code, "stdout": buf.getvalue(), "artifact": artifact, "s": seconds})
 json.dump(out, sys.stdout)
 """
 
@@ -188,21 +198,23 @@ def main(argv: list[str]) -> int:
     todo = ops()
     parent, change = (run_tree(src, WORKER, [op for _, op in todo]) for src in argv)
     same = 0
+    print(f"{'verdict':<24} {'group':<10} {'parent':>8} {'change':>8}  op")
     for (group, op), old, new in zip(todo, parent, change):
         flags = {part: old[part] == new[part] for part in ("exit", "stdout", "artifact")}
         ok = all(flags.values())
         same += ok
         verdict = "same" if ok else "DIFF " + ",".join(p for p, f in flags.items() if not f)
-        print(f"{verdict:<24} {group:<10} {' '.join(op)}")
+        print(f"{verdict:<24} {group:<10} {old['s']:7.3f}s {new['s']:7.3f}s  {' '.join(op)}")
     print(f"{same} of {len(todo)} ops match in exit code, stdout and artifact bytes")
-    moved = fell = 0
+    moves = []
     for (group, op), old, new in zip(todo, parent, change):
         diffs = value_moves(old, new)
         if diffs and any(diffs):
-            moved += sum(d != 0 for d in diffs)
-            fell += sum(d < 0 for d in diffs)
+            moves += [d for d in diffs if d]
             print(f"VALUES MOVED  min {min(diffs):+.2e} max {max(diffs):+.2e}  {' '.join(op)}")
-    print(f"{moved} reported values moved, {fell} of them fell")
+    falls = [d for d in moves if d < 0]
+    print(f"{len(moves)} reported values moved, {len(falls)} of them fell"
+          + (f", the largest fall {-min(falls):.2e}" if falls else ""))
     artifacts = strategy_artifacts(todo, parent)
     replays = run_tree(argv[1], REPLAY, [payload for _, payload in artifacts])
     read = 0

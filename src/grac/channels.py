@@ -21,7 +21,8 @@ from .quantum import _MAX_ITERS, _TOL, _game, _solve_points, _unit_axis
 DEPOLARIZING = "depolarizing"
 DEPHASING = "dephasing"
 DEFAULT_AXIS = (1.0, 0.0, 0.0)  # the dephasing axis when none is given
-REFINE_TOL = 1e-4  # a crossing window's default bisection tolerance, in lambda
+REFINE_TOL = 1e-4  # a crossing window's default refinement tolerance, in lambda
+_SECTIONS = 8  # a window refinement round splits its bracket into this many cells
 MAX_GRID_POINTS = 10_001  # the most points `dephasing_grid` builds
 
 
@@ -182,12 +183,15 @@ def crossing_window(
 
     Both dephasing sweeps run on a common, strictly increasing grid (default
     `dephasing_grid()`); the longest run of strictly positive difference is
-    the window, and endpoints interior to the grid are sharpened by
-    bisection down to refine_tol (in lambda).  The j-th midpoint solves each
-    set as one point (`quantum._solve_points`) on its `quantum._pm_starts`
-    set: `restarts` random starts seeded seed + 7919 j (plus one for set_b)
-    and the classical starts along z and the axis.  Raises NoCrossing when
-    either curve dominates the whole grid (or they tie everywhere).
+    the window.  Each end interior to the grid is refined to refine_tol (in
+    lambda) by rounds of 8-section search.  Round j halves the bracket's
+    cells three times (fewer once a cell is within refine_tol), so each new
+    point is one bisection would probe, and solves the new points, ordered
+    from the inside, as one sweep per set (`quantum._solve_points`) seeded
+    seed + 7919 j (plus one for set_b).  The next bracket is the first cell
+    from the inside whose far end has a difference <= 0, else the last cell;
+    a round that leaves it unchanged ends the refinement.  Raises NoCrossing
+    when either curve dominates the whole grid (or they tie everywhere).
     """
     check_real("refine_tol", refine_tol)
     if not (np.isfinite(refine_tol) and refine_tol > 0):
@@ -217,25 +221,24 @@ def crossing_window(
         runs.append((start, len(grid) - 1))
     lo_i, hi_i = max(runs, key=lambda ab: grid[ab[1]] - grid[ab[0]])
 
-    def diff_at(lam, j):
-        dmat = BlochMap.dephasing(lam, axis).matrix()[None]
-        seed_j = seed + 7919 * j
-        return (
-            _solve_points(game_a, dmat, restarts, seed_j)[0][0]
-            - _solve_points(game_b, dmat, restarts, seed_j + 1)[0][0]
-        )
-
     def refine(inside_i, outside_i):
-        lo, hi = grid[inside_i], grid[outside_i]
+        inside, outside = grid[inside_i], grid[outside_i]
         j = 0
-        while abs(hi - lo) > refine_tol:
-            mid = 0.5 * (lo + hi)
+        while abs(outside - inside) > refine_tol:
+            pts = [inside, outside]
+            while len(pts) <= _SECTIONS and abs(pts[1] - pts[0]) > refine_tol:
+                pts = [p for a, b in zip(pts, pts[1:]) for p in (a, 0.5 * (a + b))] + [outside]
+            dmats = np.stack([BlochMap.dephasing(lam, axis).matrix() for lam in pts[1:-1]])
             j += 1
-            if diff_at(mid, j) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            positive = (
+                _solve_points(game_a, dmats, restarts, seed + 7919 * j)[0]
+                - _solve_points(game_b, dmats, restarts, seed + 7919 * j + 1)[0]
+            ) > 0
+            k = len(positive) if positive.all() else int(positive.argmin())
+            if (pts[k], pts[k + 1]) == (inside, outside):  # the points collapsed onto the ends
+                break
+            inside, outside = pts[k], pts[k + 1]
+        return 0.5 * (inside + outside)
 
     lam_lo = grid[lo_i] if lo_i == 0 else refine(lo_i, lo_i - 1)
     lam_hi = grid[hi_i] if hi_i == len(grid) - 1 else refine(hi_i, hi_i + 1)

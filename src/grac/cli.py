@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int)
     p.add_argument("--window", metavar="LABELS", help="second set: report where --labels beats it")
     p.add_argument(
-        "--refine-tol", type=float, help=f"window bisection tolerance (default {REFINE_TOL:g})"
+        "--refine-tol", type=float, help=f"window refinement tolerance (default {REFINE_TOL:g})"
     )
     p.add_argument("--restarts", type=int)
     p.set_defaults(func=_cmd_noise)

@@ -220,19 +220,19 @@ def _solve_points(
     """`run_seesaw`'s six arrays at each channel of dmats, one row per point: its best row.
 
     Every one-qubit prepare-and-measure solve is this call: `seesaw` and a
-    depolarizing threshold or a window midpoint are one point, and a
-    dephasing sweep is its grid, all points batched into one kernel call
-    per round.  Round one runs, at each point i, the `_pm_starts` set of
-    `restarts` random starts at the first point and one elsewhere, seeded
-    seed + i, and the game's classical starts.  Each later round restarts
-    every point from the new best of each neighbour that improved (by more
-    than tol) in the round before, keeping only the rows whose start
-    scores, with Alice's best reply at that point's channel, within
-    _WARM_MARGIN of the point's best, until no point improves; a lone point
-    has no neighbour.  Each round polishes, with the kernel's Newton finish
-    and within what is left of max_iters, the new best row of every point
-    it improved, so a point's first round is the one-point solve of its
-    starts.
+    depolarizing threshold are one point, a dephasing sweep is its grid and
+    a window's refinement round the points inside its bracket, all points
+    batched into one kernel call per round.  Round one runs, at each point
+    i, the `_pm_starts` set of `restarts` random starts at the first point
+    and one elsewhere, seeded seed + i, and the game's classical starts.
+    Each later round restarts every point from the new best of each
+    neighbour that improved (by more than tol) in the round before, keeping
+    only the rows whose start scores, with Alice's best reply at that
+    point's channel, within _WARM_MARGIN of the point's best, until no
+    point improves; a lone point has no neighbour.  Each round polishes,
+    with the kernel's Newton finish and within what is left of max_iters,
+    the new best row of every point it improved, so a point's first round
+    is the one-point solve of its starts.
     """
     signs = game.signs
     (m, k), n_points = signs.shape, len(dmats)

@@ -137,6 +137,93 @@ def test_crossing_window_dominating_first_set():
         )
 
 
+def _count_solves(monkeypatch) -> list[int]:
+    """Record the number of channel matrices of each `_solve_points` call a window makes."""
+    sizes = []
+    solve = channels._solve_points
+
+    def counting(game, dmats, *args):
+        sizes.append(len(dmats))
+        return solve(game, dmats, *args)
+
+    monkeypatch.setattr(channels, "_solve_points", counting)
+    return sizes
+
+
+def test_crossing_window_refines_in_batched_rounds(monkeypatch):
+    """Two sweeps, then one 7-point solve per set for each round of 8-section search.
+
+    The window's lower end in lambda is interior, and its 0.05 grid cell
+    narrows to 1e-4 in 9 halvings: 3 rounds.
+    """
+    sizes = _count_solves(monkeypatch)
+    quint, quad = representative_set(5), representative_set(4, "open")
+    low, high = crossing_window(quint, quad, grid=dephasing_grid(11))
+    assert sizes == [11, 11] + [7] * 6
+    assert low == 0.5
+    assert high == pytest.approx(0.871, abs=0.01)
+
+
+def _synthetic_difference(monkeypatch, set_a, diff) -> list[int]:
+    """Make set_a's value diff(lam) and every other set's 0, on the x axis.
+
+    Returns the number of channel matrices of each solve; past 200 solves
+    the window fails instead of running on.
+    """
+    sizes = []
+
+    def synthetic(game, dmats, restarts, seed):
+        sizes.append(len(dmats))
+        assert len(sizes) <= 200, "the refinement did not end"
+        lam = (1.0 - dmats[:, 1, 1]) / 2.0  # the x-axis channel shrinks y by 1 - 2 lam
+        return (diff(lam) if game is set_a else np.zeros(len(lam)),)
+
+    monkeypatch.setattr(channels, "_game", lambda fset, axis: fset)
+    monkeypatch.setattr(channels, "_solve_points", synthetic)
+    return sizes
+
+
+def test_crossing_window_ends_at_any_refine_tol(monkeypatch):
+    """At a tolerance below the spacing of doubles the refinement still ends.
+
+    A 0.05 or 0.25 cell reaches adjacent doubles near lambda = 0.13 or 0.2
+    (2**-55 apart) in 17 or 18 rounds, and the next round, whose points
+    collapse onto the bracket's ends, leaves the bracket unchanged.  The
+    noiseless difference ends only by that rule.
+    """
+    sizes = _count_solves(monkeypatch)
+    quint, quad = representative_set(5), representative_set(4, "open")
+    low, high = crossing_window(
+        quint, quad, grid=dephasing_grid(11), refine_tol=1e-300, restarts=1
+    )
+    assert len(sizes) <= 2 + 2 * 20, sizes
+    assert low == 0.5
+    assert high == pytest.approx(0.871, abs=0.01)
+
+    sizes = _synthetic_difference(monkeypatch, quint, lambda lam: lam - 0.2)
+    low, high = crossing_window(quint, quad, grid=[0.0, 0.25, 0.5], refine_tol=1e-300)
+    assert len(sizes) <= 2 + 2 * 21, sizes
+    assert low == 0.5
+    assert high == pytest.approx(0.8, abs=1e-15)
+
+
+def test_crossing_window_refines_to_the_crossing_nearest_the_window(monkeypatch):
+    """Inside one grid cell the difference crosses zero at 0.22 and again at 0.15.
+
+    A synthetic difference lam (lam - 0.15) (lam - 0.22) stands in for the
+    two sets' values: positive on the grid points 0.25 and 0.5, zero at 0,
+    and negative only on (0.15, 0.22).  The window's end is the crossing at
+    0.22, next to the grid point inside it, so it stays one run of positive
+    difference, although 0.125, the cell's midpoint, is positive.
+    """
+    quint, quad = representative_set(5), representative_set(4, "open")
+    _synthetic_difference(monkeypatch, quint, lambda lam: lam * (lam - 0.15) * (lam - 0.22))
+    tol = 1e-4
+    low, high = crossing_window(quint, quad, grid=[0.0, 0.25, 0.5], refine_tol=tol)
+    assert low == 0.5
+    assert high == pytest.approx(1.0 - 0.22, abs=tol)
+
+
 def test_depolarizing_linearity_of_optimized_value():
     fset = representative_set(3)
     base = seesaw(fset, restarts=8, seed=0).value

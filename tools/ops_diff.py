@@ -11,7 +11,9 @@ tree runs, in its own Python process, the same CLI ops through
   this script sits in;
 - `tables` with each artifact format (json, text, csv);
 - the crossing window `noise --labels k=5 --window k=4:open` on its
-  default grid;
+  default grid, whose lower end in lambda is refined, and the window
+  `noise --labels k=4:xor-closed --window k=3 --axis 0.48,-0.6,0.64`,
+  whose ends are both refined;
 - the dephasing sweep `noise --labels k=5 --channel dephasing` on the
   default axis and grid, whose result line echoes the default axis;
 - the 7 width-3 representative sets swept on 3 axes (x, z and an oblique
@@ -60,6 +62,7 @@ EXTRA_OPS = (
     ["tables", "--format", "text"],
     ["tables", "--format", "csv"],
     ["noise", "--labels", "k=5", "--window", "k=4:open"],
+    ["noise", "--labels", "k=4:xor-closed", "--window", "k=3", "--axis", "0.48,-0.6,0.64"],
     ["noise", "--labels", "k=5", "--channel", "dephasing"],
     ["noise", "--labels", "k=4:open", "--channel", "depolarizing"],
     ["classical", "--n", "3", "--labels", "all", "--max-strategies", "1000"],

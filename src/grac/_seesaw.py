@@ -47,13 +47,15 @@ backtracks so that no step lowers the value.  A row the finish converges
 usually takes two to six steps and stops at a tangent gradient below
 1e-10; a thin row (some |D^T V_x| < 1e-6, where F has no Hessian) and a
 row the finish cannot converge go back to the see-saw for the rest of
-max_iters, resuming exactly where their trips left off.  `certificate`
-reads the same model at a point: its gradient max-norm and top non-gauge
-Hessian eigenvalue, which certify a strict local maximum when the first
-is ~0 and the second negative.
+max_iters, resuming exactly where their trips left off.  `polish` is the
+finish's one entry point, for these rows and for the best row of each point
+of `grac.quantum._solve_points`.  `certificate` reads the same model at a
+point: its gradient max-norm and top non-gauge Hessian eigenvalue, which
+certify a strict local maximum when the first is ~0 and the second negative.
 
 The finish eigendecomposes a 2k x 2k matrix per row and step, so it stays
-off above k = _NEWTON_MAX_DIM / 2 = 10, where rows run the see-saw alone.
+off above k = _NEWTON_MAX_DIM / 2 = 10: there `run_seesaw` runs every row
+straight to max_iters in one pass, and `polish` returns its rows unchanged.
 Measured on 2 cores (numpy 2.4, OpenBLAS at its default two threads):
 - trips: on the benchmark's width-4 census, the rows still running after
   40 trips at k = 11 and 12 (34 to 44 of 65) need only 20 to 70 more
@@ -352,20 +354,13 @@ def _climb(signs, dmat, r, v, value, move):
     and its score, for the largest t in 1, 1/2, ..., 2**-(_HALVINGS - 1) that
     scores strictly above value, or failing that the largest that ties it; a
     row that every t lowers gets a lower point (the caller keeps its old one)."""
-    trial_v, _ = _unit_rows(v + move, v)
+    sizes = 0.5 ** np.arange(_HALVINGS)[:, None, None, None]
+    trial_v, _ = _unit_rows(v + sizes * move, v)
     trial_r, trial_value = best_reply(signs, dmat, trial_v, r)
-    short = np.flatnonzero(~(trial_value > value))
-    if short.size:
-        sizes = 0.5 ** np.arange(_HALVINGS)[:, None, None, None]
-        more_v, _ = _unit_rows(v[short] + sizes * move[short], v[short])
-        more_r, more_value = best_reply(signs, dmat[short], more_v, r[short])
-        raised, tied = more_value > value[short], more_value == value[short]
-        pick = np.where(raised.any(axis=0), raised.argmax(axis=0), tied.argmax(axis=0))
-        first = pick, np.arange(short.size)
-        trial_v[short], trial_r[short], trial_value[short] = (
-            more_v[first], more_r[first], more_value[first]
-        )
-    return trial_r, trial_v, trial_value
+    raised, tied = trial_value > value, trial_value == value
+    pick = np.where(raised.any(axis=0), raised.argmax(axis=0), tied.argmax(axis=0))
+    first = pick, np.arange(len(value))
+    return trial_r[first], trial_v[first], trial_value[first]
 
 
 def newton_finish(signs, dmat, r, v, value, max_steps):
@@ -390,14 +385,13 @@ def newton_finish(signs, dmat, r, v, value, max_steps):
     best reply to v; each row's last point is written into them.  dmat holds
     one channel matrix per row, and max_steps is one budget for every row or
     one per row.  Returns each row's step count, smallest step gain (inf if
-    it took none) and convergence.
+    it took none) and convergence.  It runs at any k; `polish`, its one
+    caller, keeps it to k <= _NEWTON_MAX_DIM / 2.
     """
     n_rows, k, _ = v.shape
     steps = np.zeros(n_rows, dtype=np.int64)
     gains = np.full(n_rows, np.inf)
     converged = np.zeros(n_rows, dtype=bool)
-    if 2 * k > _NEWTON_MAX_DIM:
-        return steps, gains, converged
     budget = np.broadcast_to(max_steps, (n_rows,))
     live = np.arange(n_rows)  # caller index of each working row
     d, r_l, v_l, value_l = dmat, r, v, value
@@ -436,6 +430,19 @@ def newton_finish(signs, dmat, r, v, value, max_steps):
     return steps, gains, converged
 
 
+def polish(signs, dmat, rows, max_iters):
+    """`newton_finish` on some rows of `run_seesaw`'s six arrays, at most
+    _NEWTON_STEPS steps each within what is left of max_iters: the steps are
+    added to iters, the gains folded into min_deltas and the convergence OR-ed
+    in.  r, v and values are written in place.  Above k = 10 rows pass as given."""
+    values, iters, min_deltas, r, v, converged = rows
+    if 2 * v.shape[1] > _NEWTON_MAX_DIM:
+        return rows
+    budget = np.minimum(_NEWTON_STEPS, max_iters - iters)
+    steps, gains, finished = newton_finish(signs, dmat, r, v, values, budget)
+    return values, iters + steps, np.minimum(min_deltas, gains), r, v, converged | finished
+
+
 def run_seesaw(signs, dmat, v0, max_iters, tol):
     """Run batched one-qubit see-saw iterations with a safeguarded extrapolated step.
 
@@ -453,9 +460,10 @@ def run_seesaw(signs, dmat, v0, max_iters, tol):
     in the state too, so a row's arithmetic, and its result, do not depend
     on the batch.
 
-    A row still running after _NEWTON_AFTER trips gets `newton_finish`
-    (for k up to _NEWTON_MAX_DIM / 2); a row the finish does not converge
-    resumes its trips for the rest of max_iters.  Iterations count trips
+    Up to k = _NEWTON_MAX_DIM / 2, a row still running after _NEWTON_AFTER
+    trips gets the Newton finish through `polish`, and a row the finish does
+    not converge resumes its trips for the rest of max_iters.  Above that k
+    every row runs its trips straight to max_iters.  Iterations count trips
     plus Newton steps, and min_deltas takes in the Newton gains.
 
     Parameters
@@ -507,20 +515,14 @@ def run_seesaw(signs, dmat, v0, max_iters, tol):
         )
 
     state = (r, v, beta, dmat, dmat_t)
-    values, iters, min_deltas, converged = alternate(
-        step, state, min(max_iters, _NEWTON_AFTER), tol
-    )
+    first_cap = min(max_iters, _NEWTON_AFTER) if 2 * k <= _NEWTON_MAX_DIM else max_iters
+    values, iters, min_deltas, converged = alternate(step, state, first_cap, tol)
     slow = np.flatnonzero(~converged & (iters < max_iters))
     if slow.size:
-        r_s, v_s, values_s = r[slow], v[slow], values[slow]
-        steps, gains, finished = newton_finish(
-            signs, dmat[slow], r_s, v_s, values_s, min(_NEWTON_STEPS, max_iters - _NEWTON_AFTER)
-        )
-        r[slow], v[slow], values[slow] = r_s, v_s, values_s
-        iters[slow] += steps
-        min_deltas[slow] = np.minimum(min_deltas[slow], gains)
-        converged[slow] = finished
-        back = slow[~finished & (iters[slow] < max_iters)]
+        out = (values, iters, min_deltas, r, v, converged)
+        for arr, new in zip(out, polish(signs, dmat[slow], [arr[slow] for arr in out], max_iters)):
+            arr[slow] = new
+        back = slow[~converged[slow] & (iters[slow] < max_iters)]
         if back.size:
             rest = tuple(arr[back] for arr in state)
             values_b, iters_b, min_deltas_b, converged[back] = alternate(

@@ -170,6 +170,11 @@ def dephasing_sweep(
     return SweepResult(grid, tuple(float(v) for v in values), game.classical)
 
 
+def _leads(values_a, values_b):
+    """Where values_a beats values_b by more than 4 ulps of the larger in magnitude."""
+    return values_a - values_b > 4 * np.spacing(np.maximum(np.abs(values_a), np.abs(values_b)))
+
+
 def crossing_window(
     set_a: FunctionSet,
     set_b: FunctionSet,
@@ -182,16 +187,18 @@ def crossing_window(
     """Maximal interval of 1-lambda where set_a's optimized value exceeds set_b's.
 
     Both dephasing sweeps run on a common, strictly increasing grid (default
-    `dephasing_grid()`); the longest run of strictly positive difference is
-    the window.  Each end interior to the grid is refined to refine_tol (in
-    lambda) by rounds of 8-section search.  Round j halves the bracket's
-    cells three times (fewer once a cell is within refine_tol), so each new
-    point is one bisection would probe, and solves the new points, ordered
-    from the inside, as one sweep per set (`quantum._solve_points`) seeded
-    seed + 7919 j (plus one for set_b).  The next bracket is the first cell
-    from the inside whose far end has a difference <= 0, else the last cell;
-    a round that leaves it unchanged ends the refinement.  Raises NoCrossing
-    when either curve dominates the whole grid (or they tie everywhere).
+    `dephasing_grid()`); set_a leads at a point where it beats set_b by more
+    than rounding (`_leads`), so a tie up to the last bits is no lead, and the
+    first widest run of leads in lambda is the window.  Each end interior to
+    the grid is refined to refine_tol (in lambda) by rounds of 8-section
+    search.  Round j halves the bracket's cells three times (fewer once a cell
+    is within refine_tol), so each new point is one bisection would probe, and
+    solves the new points, ordered from the inside, as one sweep per set
+    (`quantum._solve_points`) seeded seed + 7919 j (plus one for set_b).  The
+    next bracket is the first cell from the inside whose far end set_a does
+    not lead, else the last cell; a round that leaves it unchanged ends the
+    refinement.  Raises NoCrossing when either curve dominates the whole grid
+    (or they tie everywhere).
     """
     check_real("refine_tol", refine_tol)
     if not (np.isfinite(refine_tol) and refine_tol > 0):
@@ -200,26 +207,20 @@ def crossing_window(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError(f"a crossing window needs a strictly increasing grid, got {grid}")
     game_a, game_b = _game(set_a, axis), _game(set_b, axis)
-    diff = _solve_points(game_a, dmats, restarts, seed)[0]
-    diff -= _solve_points(game_b, dmats, restarts, seed)[0]
-    positive = diff > 0
+    positive = _leads(
+        _solve_points(game_a, dmats, restarts, seed)[0],
+        _solve_points(game_b, dmats, restarts, seed)[0],
+    )
     if not positive.any():
         raise NoCrossingError("the second set dominates (or ties) everywhere on the grid")
     if positive.all():
         raise NoCrossingError("the first set dominates everywhere on the grid")
 
-    # longest run of consecutive grid points with A strictly above B
-    runs = []
-    start = None
-    for i, flag in enumerate(positive):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(grid) - 1))
-    lo_i, hi_i = max(runs, key=lambda ab: grid[ab[1]] - grid[ab[0]])
+    # runs [start, stop) of leads between the edges of the padded mask; the first widest wins
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], positive, [False]))))
+    start, stop = edges.reshape(-1, 2).T
+    widest = int(np.argmax(np.take(grid, stop - 1) - np.take(grid, start)))
+    lo_i, hi_i = int(start[widest]), int(stop[widest]) - 1
 
     def refine(inside_i, outside_i):
         inside, outside = grid[inside_i], grid[outside_i]
@@ -230,10 +231,10 @@ def crossing_window(
                 pts = [p for a, b in zip(pts, pts[1:]) for p in (a, 0.5 * (a + b))] + [outside]
             dmats = np.stack([BlochMap.dephasing(lam, axis).matrix() for lam in pts[1:-1]])
             j += 1
-            positive = (
-                _solve_points(game_a, dmats, restarts, seed + 7919 * j)[0]
-                - _solve_points(game_b, dmats, restarts, seed + 7919 * j + 1)[0]
-            ) > 0
+            positive = _leads(
+                _solve_points(game_a, dmats, restarts, seed + 7919 * j)[0],
+                _solve_points(game_b, dmats, restarts, seed + 7919 * j + 1)[0],
+            )
             k = len(positive) if positive.all() else int(positive.argmin())
             if (pts[k], pts[k + 1]) == (inside, outside):  # the points collapsed onto the ends
                 break

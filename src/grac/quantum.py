@@ -20,13 +20,12 @@ from typing import NamedTuple
 import numpy as np
 
 from ._seesaw import (
-    _NEWTON_STEPS,
     SeesawReport,
     best_reply,
     certificate,
     check_budget,
     check_seed,
-    newton_finish,
+    polish,
     run_seesaw,
 )
 from .classical import ENUM_MAX_WIDTH, Rational, classical_optimum
@@ -229,9 +228,9 @@ def _solve_points(
     neighbour that improved (by more than tol) in the round before, keeping
     only the rows whose start scores, with Alice's best reply at that
     point's channel, within _WARM_MARGIN of the point's best, until no
-    point improves; a lone point has no neighbour.  Each round polishes,
-    with the kernel's Newton finish and within what is left of max_iters,
-    the new best row of every point it improved, so a point's first round
+    point improves; a lone point has no neighbour.  Each round hands the new
+    best row of every point it improved to `_seesaw.polish`, the kernel's
+    Newton finish within what is left of max_iters, so a point's first round
     is the one-point solve of its starts.
     """
     signs = game.signs
@@ -261,10 +260,7 @@ def _solve_points(
                 best_value[i], winner[i] = value, j
         new = np.flatnonzero(best_value > before)
         if new.size:
-            value, iters, min_delta, r, v, conv = (row[winner[new]] for row in rows)
-            budget = np.minimum(_NEWTON_STEPS, max_iters - iters)
-            steps, gains, finished = newton_finish(signs, dmats[new], r, v, value, budget)
-            polished = (value, iters + steps, np.minimum(min_delta, gains), r, v, conv | finished)
+            polished = polish(signs, dmats[new], [row[winner[new]] for row in rows], max_iters)
             for mine, theirs in zip(best, polished):
                 mine[new] = theirs
         improved = best_value - before > tol  # smaller gains are the kernel's own convergence noise

@@ -137,6 +137,16 @@ def test_crossing_window_dominating_first_set():
         )
 
 
+def test_crossing_window_of_a_tie_up_to_rounding_is_no_crossing():
+    """On the oblique axis the xor-closed quadruple and the triple tie from
+    lambda = 0.15 on; their sweeps differ there by at most an ulp or so,
+    which is no lead, so the triple ties or leads everywhere."""
+    with pytest.raises(NoCrossingError, match="dominates \\(or ties\\)"):
+        crossing_window(
+            representative_set(4, "xor-closed"), representative_set(3), axis=(0.48, -0.6, 0.64)
+        )
+
+
 def _count_solves(monkeypatch) -> list[int]:
     """Record the number of channel matrices of each `_solve_points` call a window makes."""
     sizes = []

@@ -516,6 +516,74 @@ def test_newton_finish_takes_one_budget_per_row():
             assert np.array_equal(whole[i], one[0])
 
 
+def test_above_the_newton_cap_rows_run_the_seesaw_alone(monkeypatch):
+    """At k = 12 > _NEWTON_MAX_DIM / 2 each row runs its trips in one pass.
+
+    No row is handed to `newton_finish` or resumed, so the driver runs once
+    per kernel call, and row i of a batch equals a solo run of v0[i], bit
+    for bit, though some rows run past _NEWTON_AFTER trips.  A one-point
+    solve at that k calls no finish either.
+    """
+
+    def refuse(*args):
+        raise AssertionError("newton_finish called above the cap")
+
+    passes = []
+
+    def counting(*args, **kwargs):
+        passes.append(len(args[1][0]))
+        return alternate(*args, **kwargs)
+
+    monkeypatch.setattr(_seesaw, "newton_finish", refuse)
+    monkeypatch.setattr(_seesaw, "alternate", counting)
+    fset = FunctionSet.from_ints(4, tuple(range(1, 13)))
+    signs = sign_matrix(fset)
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal((8, 12, 3))
+    v0 /= np.linalg.norm(v0, axis=2, keepdims=True)
+    batch = run_seesaw(signs, np.eye(3), v0, 400, 1e-10)
+    assert passes == [8]
+    assert (batch[1] > _NEWTON_AFTER).any() and batch[5].all()
+    for i in range(len(v0)):
+        solo = run_seesaw(signs, np.eye(3), v0[i], 400, 1e-10)
+        for whole, one in zip(batch, solo, strict=True):
+            assert np.array_equal(np.asarray(whole)[i], np.asarray(one)[0])
+    assert seesaw(fset, restarts=2).value <= pm_upper_bound(12)
+
+
+def test_climb_takes_the_largest_step_that_raises_else_ties():
+    """`_climb` scans t = 1, 1/2, ..., 2**-11 along a move, per row.
+
+    Four copies of one point and move differ only in the value to beat: the
+    lowest score on the ladder less 1e-3 (every t raises: t = 1), the
+    median (half raise: the largest of them), the top score (none raises,
+    the top ties) and the top plus 1e-3 (every t lowers: a lower point).
+    """
+    signs = sign_matrix(representative_set(4, "open"))
+    dmat = np.repeat(BlochMap.dephasing(0.1, (0.3, 0.4, 1.0)).matrix()[None], 4, axis=0)
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((4, 4, 3))
+    v[1:] = v[0]
+    v /= np.linalg.norm(v, axis=2, keepdims=True)
+    move = np.repeat(rng.standard_normal((1, 4, 3)), 4, axis=0)
+    r, _ = _seesaw.best_reply(signs, dmat, v, np.zeros((4, 8, 3)))
+    ladder = []
+    for t in 0.5 ** np.arange(_seesaw._HALVINGS):
+        point, _ = _seesaw._unit_rows(v[:1] + t * move[:1], v[:1])
+        ladder.append((point, *_seesaw.best_reply(signs, dmat[:1], point, r[:1])))
+    scores = np.array([score[0] for _, _, score in ladder])
+    assert len(set(scores.tolist())) == len(scores)  # a raising t differs from the next one
+    median = np.median(scores)
+    value = np.array([scores.min() - 1e-3, median, scores.max(), scores.max() + 1e-3])
+    got_r, got_v, got_value = _seesaw._climb(signs, dmat, r, v, value, move)
+    expect = [0, int(np.flatnonzero(scores > median)[0]), int(scores.argmax())]
+    for row, pick in enumerate(expect):
+        point, reply, score = ladder[pick]
+        assert np.array_equal(got_v[row], point[0]) and np.array_equal(got_r[row], reply[0])
+        assert got_value[row] == score[0]
+    assert got_value[3] < value[3]
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_a_shared_channel_equals_its_per_row_broadcast(data):

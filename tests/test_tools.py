@@ -44,10 +44,13 @@ def test_ops_hold_every_benchmark_sweep_and_the_default_grid_sweeps():
     assert all(todo.count(("extra", argv)) == 1 for argv in default_grid)
     # the one op that checks the echo of the default axis stays
     assert ("extra", ["noise", "--labels", "k=5", "--channel", "dephasing"]) in todo
-    # a window refined at both ends, so toward higher lambda as well as lower
-    two_ended = ["noise", "--labels", "k=4:xor-closed", "--window", "k=3",
-                 "--axis", "0.48,-0.6,0.64"]
-    assert ("extra", two_ended) in todo
+    # two sets that tie up to rounding on the oblique axis: no window
+    tied = ["noise", "--labels", "k=4:xor-closed", "--window", "k=3",
+            "--axis", "0.48,-0.6,0.64"]
+    assert ("extra", tied) in todo
+    # a window refined toward higher lambda as well as one refined toward lower
+    assert ("extra", ["noise", "--labels", "k=4:open", "--window", "k=5"]) in todo
+    assert ("extra", ["noise", "--labels", "k=5", "--window", "k=4:open"]) in todo
 
 
 def test_value_moves_are_exact_change_minus_parent_diffs():

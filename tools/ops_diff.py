@@ -10,10 +10,11 @@ tree runs, in its own Python process, the same CLI ops through
   eacc_dims), read with `perfbench/workloads.py`'s `build` from the checkout
   this script sits in;
 - `tables` with each artifact format (json, text, csv);
-- the crossing window `noise --labels k=5 --window k=4:open` on its
-  default grid, whose lower end in lambda is refined, and the window
+- the crossing windows `noise --labels k=5 --window k=4:open` and
+  `noise --labels k=4:open --window k=5` on their default grid, whose
+  lower and higher end in lambda are refined, and the op
   `noise --labels k=4:xor-closed --window k=3 --axis 0.48,-0.6,0.64`,
-  whose ends are both refined;
+  where the two sets tie up to rounding and no window is found;
 - the dephasing sweep `noise --labels k=5 --channel dephasing` on the
   default axis and grid, whose result line echoes the default axis;
 - the 7 width-3 representative sets swept on 3 axes (x, z and an oblique
@@ -62,6 +63,7 @@ EXTRA_OPS = (
     ["tables", "--format", "text"],
     ["tables", "--format", "csv"],
     ["noise", "--labels", "k=5", "--window", "k=4:open"],
+    ["noise", "--labels", "k=4:open", "--window", "k=5"],
     ["noise", "--labels", "k=4:xor-closed", "--window", "k=3", "--axis", "0.48,-0.6,0.64"],
     ["noise", "--labels", "k=5", "--channel", "dephasing"],
     ["noise", "--labels", "k=4:open", "--channel", "depolarizing"],

@@ -354,13 +354,20 @@ def _climb(signs, dmat, r, v, value, move):
     and its score, for the largest t in 1, 1/2, ..., 2**-(_HALVINGS - 1) that
     scores strictly above value, or failing that the largest that ties it; a
     row that every t lowers gets a lower point (the caller keeps its old one)."""
-    sizes = 0.5 ** np.arange(_HALVINGS)[:, None, None, None]
-    trial_v, _ = _unit_rows(v + sizes * move, v)
+    trial_v, _ = _unit_rows(v + move, v)
     trial_r, trial_value = best_reply(signs, dmat, trial_v, r)
-    raised, tied = trial_value > value, trial_value == value
-    pick = np.where(raised.any(axis=0), raised.argmax(axis=0), tied.argmax(axis=0))
-    first = pick, np.arange(len(value))
-    return trial_r[first], trial_v[first], trial_value[first]
+    short = np.flatnonzero(~(trial_value > value))
+    if short.size:
+        sizes = 0.5 ** np.arange(_HALVINGS)[:, None, None, None]
+        more_v, _ = _unit_rows(v[short] + sizes * move[short], v[short])
+        more_r, more_value = best_reply(signs, dmat[short], more_v, r[short])
+        raised, tied = more_value > value[short], more_value == value[short]
+        pick = np.where(raised.any(axis=0), raised.argmax(axis=0), tied.argmax(axis=0))
+        first = pick, np.arange(short.size)
+        trial_v[short], trial_r[short], trial_value[short] = (
+            more_v[first], more_r[first], more_value[first]
+        )
+    return trial_r, trial_v, trial_value
 
 
 def newton_finish(signs, dmat, r, v, value, max_steps):

@@ -170,9 +170,17 @@ def dephasing_sweep(
     return SweepResult(grid, tuple(float(v) for v in values), game.classical)
 
 
+# Sets that tie exactly differ in the last bits of their values (sums of m*k
+# norms in set-dependent orders): on the default grid, by 1 ulp at most among
+# the width-3 representative pairs on the x, z and oblique axes (k=4:xor-closed
+# and k=3, oblique axis).  4 leaves room for that spread to grow with m*k.
+_LEAD_ULPS = 4
+
+
 def _leads(values_a, values_b):
-    """Where values_a beats values_b by more than 4 ulps of the larger in magnitude."""
-    return values_a - values_b > 4 * np.spacing(np.maximum(np.abs(values_a), np.abs(values_b)))
+    """Where values_a beats values_b by more than _LEAD_ULPS ulps of the larger in magnitude."""
+    scale = np.spacing(np.maximum(np.abs(values_a), np.abs(values_b)))
+    return values_a - values_b > _LEAD_ULPS * scale
 
 
 def crossing_window(
@@ -216,11 +224,18 @@ def crossing_window(
     if positive.all():
         raise NoCrossingError("the first set dominates everywhere on the grid")
 
-    # runs [start, stop) of leads between the edges of the padded mask; the first widest wins
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], positive, [False]))))
-    start, stop = edges.reshape(-1, 2).T
-    widest = int(np.argmax(np.take(grid, stop - 1) - np.take(grid, start)))
-    lo_i, hi_i = int(start[widest]), int(stop[widest]) - 1
+    # longest run (in lambda) of consecutive grid points where A leads B; the first on a tie
+    runs = []
+    start = None
+    for i, flag in enumerate(positive):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(grid) - 1))
+    lo_i, hi_i = max(runs, key=lambda ab: grid[ab[1]] - grid[ab[0]])
 
     def refine(inside_i, outside_i):
         inside, outside = grid[inside_i], grid[outside_i]

@@ -556,12 +556,14 @@ def test_climb_takes_the_largest_step_that_raises_else_ties():
 
     Four copies of one point and move differ only in the value to beat: the
     lowest score on the ladder less 1e-3 (every t raises: t = 1), the
-    median (half raise: the largest of them), the top score (none raises,
-    the top ties) and the top plus 1e-3 (every t lowers: a lower point).
+    median (half raise, not t = 1: the largest of them), the top score
+    (none raises, the top ties) and the top plus 1e-3 (every t lowers: a
+    lower point).  Along this move t = 1 scores lowest and the top is at
+    t = 1/4, so the middle rows take the ladder past t = 1.
     """
     signs = sign_matrix(representative_set(4, "open"))
     dmat = np.repeat(BlochMap.dephasing(0.1, (0.3, 0.4, 1.0)).matrix()[None], 4, axis=0)
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(1)
     v = rng.standard_normal((4, 4, 3))
     v[1:] = v[0]
     v /= np.linalg.norm(v, axis=2, keepdims=True)
@@ -574,6 +576,7 @@ def test_climb_takes_the_largest_step_that_raises_else_ties():
     scores = np.array([score[0] for _, _, score in ladder])
     assert len(set(scores.tolist())) == len(scores)  # a raising t differs from the next one
     median = np.median(scores)
+    assert scores[0] < median and scores.argmax() == 2
     value = np.array([scores.min() - 1e-3, median, scores.max(), scores.max() + 1e-3])
     got_r, got_v, got_value = _seesaw._climb(signs, dmat, r, v, value, move)
     expect = [0, int(np.flatnonzero(scores > median)[0]), int(scores.argmax())]

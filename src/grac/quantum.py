@@ -205,9 +205,19 @@ def _pm_starts(k: int, restarts: int, seed: int, classical) -> np.ndarray:
     First `restarts` sphere-uniform starts, the j-th drawn from
     np.random.default_rng((seed, j)), then the given classical starts in
     order: a game's `starts`, or none for `seesaw` above ENUM_MAX_WIDTH.
+    The draws are normalized in one pass; only a draw with a row shorter
+    than 1e-9 sends every start back through `_random_unit_rows`, which
+    redraws such rows from the same generator.
     """
-    starts = [_random_unit_rows(np.random.default_rng((seed, j)), k) for j in range(restarts)]
-    return np.stack(starts + list(classical))
+    draws = np.array([np.random.default_rng((seed, j)).standard_normal((k, 3))
+                      for j in range(restarts)])
+    norms = np.linalg.norm(draws, axis=2, keepdims=True)
+    if (norms < 1e-9).any():  # essentially never
+        draws = np.array([_random_unit_rows(np.random.default_rng((seed, j)), k)
+                          for j in range(restarts)])
+    else:
+        draws /= norms
+    return np.concatenate((draws, np.reshape(classical, (-1, k, 3))))
 
 
 _WARM_MARGIN = 1e-4  # a neighbour's optimum reruns at a point only if it starts this close
@@ -221,7 +231,8 @@ def _solve_points(
     Every one-qubit prepare-and-measure solve is this call: `seesaw` and a
     depolarizing threshold are one point, a dephasing sweep is its grid and
     a window's refinement round the points inside its bracket, all points
-    batched into one kernel call per round.  Round one runs, at each point
+    batched into one kernel call per round, which is told each row's point
+    so that its Newton hand-off ranks rows point by point.  Round one runs, at each point
     i, the `_pm_starts` set of `restarts` random starts at the first point
     and one elsewhere, seeded seed + i, and the game's classical starts.
     Each later round restarts every point from the new best of each
@@ -252,7 +263,7 @@ def _solve_points(
     best_value, best_v = best[0], best[4]  # updated in place with the rest of best
     points = np.arange(n_points)
     while True:
-        rows = run_seesaw(signs, dmats[owner], starts, max_iters, tol)
+        rows = run_seesaw(signs, dmats[owner], starts, max_iters, tol, owner)
         before = best_value.copy()
         winner = np.zeros(n_points, dtype=np.int64)  # each point's best row this round
         for j, (i, value) in enumerate(zip(owner.tolist(), rows[0].tolist())):

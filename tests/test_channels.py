@@ -371,9 +371,9 @@ def test_open_quadruple_sweep_makes_few_kernel_calls(monkeypatch):
     rows = []
     kernel = quantum.run_seesaw
 
-    def counting(signs, dmat, v0, max_iters, tol):
+    def counting(signs, dmat, v0, max_iters, tol, owner=None):
         rows.append(len(v0))
-        return kernel(signs, dmat, v0, max_iters, tol)
+        return kernel(signs, dmat, v0, max_iters, tol, owner)
 
     monkeypatch.setattr(quantum, "run_seesaw", counting)
     sweep = dephasing_sweep(representative_set(4, "open"))

@@ -21,8 +21,15 @@ from grac import (
     seesaw,
     sign_matrix,
 )
-from grac import _seesaw
-from grac._seesaw import _NEWTON_AFTER, alternate, certificate, newton_finish, tangent_model
+from grac import _seesaw, quantum
+from grac._seesaw import (
+    _FINISH_ROWS,
+    _NEWTON_AFTER,
+    alternate,
+    certificate,
+    newton_finish,
+    tangent_model,
+)
 from grac.channels import BlochMap
 from grac.eacc import eacc_seesaw
 from grac.quantum import run_seesaw
@@ -147,6 +154,17 @@ def test_classical_start_vectors_shape_and_axis():
     assert vecs.shape == (7, 3)
     assert np.allclose(np.abs(vecs[:, 0]), 1.0)
     assert np.allclose(vecs[:, 1:], 0.0)
+
+
+@pytest.mark.parametrize("k, restarts, seed", [(1, 1, 0), (4, 8, 3), (10, 65, 7)])
+def test_pm_starts_equal_the_per_start_draws(k, restarts, seed):
+    """The starts, normalized in one pass, are those of a loop that draws and
+    normalizes each start from its own generator, bit for bit."""
+    classical = (np.ones((k, 3)) / math.sqrt(3),)
+    loop = [quantum._random_unit_rows(np.random.default_rng((seed, j)), k) for j in range(restarts)]
+    for extra in ((), classical):
+        got = quantum._pm_starts(k, restarts, seed, extra)
+        assert np.array_equal(got, np.stack(loop + list(extra)))
 
 
 def test_seesaw_reaches_pair_optimum():
@@ -549,6 +567,85 @@ def test_above_the_newton_cap_rows_run_the_seesaw_alone(monkeypatch):
         for whole, one in zip(batch, solo, strict=True):
             assert np.array_equal(np.asarray(whole)[i], np.asarray(one)[0])
     assert seesaw(fset, restarts=2).value <= pm_upper_bound(12)
+
+
+def _census_like_starts(rng, k, restarts=64):
+    """A random width-4 set of k labels, its sign matrix, and `restarts` random
+    unit starts plus its classical start, as `seesaw` runs them."""
+    labels = tuple(int(x) for x in rng.choice(range(1, 16), size=k, replace=False))
+    fset = FunctionSet.from_ints(4, labels)
+    v0 = rng.standard_normal((restarts, k, 3))
+    v0 /= np.linalg.norm(v0, axis=2, keepdims=True)
+    return sign_matrix(fset), np.concatenate((v0, classical_start_vectors(fset)[None]))
+
+
+def _stopped_at_hand_off(values, iters, converged, owner):
+    """The rows still running at the Newton hand-off that are not among their
+    point's _FINISH_ROWS best by value, ties going to the lower row."""
+    stopped = set()
+    for point in set(owner.tolist()):
+        running = [i for i in np.flatnonzero(owner == point) if not converged[i]]
+        assert all(iters[i] == _NEWTON_AFTER for i in running)
+        running.sort(key=lambda i: (-values[i], i))
+        stopped.update(running[_FINISH_ROWS:])
+    return stopped
+
+
+def test_the_hand_off_keeps_each_points_best_value():
+    """A one-point kernel call, which finishes only its _FINISH_ROWS best running
+    rows, reaches the same best value as the same rows run without `owner`,
+    where every running row is finished, on random width-4 sets at k = 5 to 10."""
+    rng = np.random.default_rng(24)
+    stopped = 0
+    for trial in range(30):
+        signs, v0 = _census_like_starts(rng, 5 + trial % 6)
+        one_point = run_seesaw(signs, np.eye(3), v0, 10000, 1e-10, np.zeros(len(v0), dtype=int))
+        every_row = run_seesaw(signs, np.eye(3), v0, 10000, 1e-10)
+        assert one_point[0].max() == every_row[0].max(), trial
+        stopped += int((~one_point[5] & (one_point[1] == _NEWTON_AFTER)).sum())
+    assert stopped > 0
+
+
+def test_the_hand_off_stops_rows_outside_their_points_best():
+    """The rows stopped at the hand-off are exactly those outside their point's
+    _FINISH_ROWS best running rows, ranked per point.  They come back as the
+    trips left them after _NEWTON_AFTER trips, with converged False; every
+    other row is the row of a run without `owner`, bit for bit."""
+    rng = np.random.default_rng(7)
+    signs, v0 = _census_like_starts(rng, 10)
+    owner = np.arange(len(v0)) % 2  # two interleaved points of 33 and 32 rows
+    dmat = np.stack([np.eye(3), BlochMap.dephasing(0.2, (1.0, 0.0, 0.0)).matrix()])[owner]
+    hand_off = run_seesaw(signs, dmat, v0, _NEWTON_AFTER, 1e-10)
+    expected = _stopped_at_hand_off(hand_off[0], hand_off[1], hand_off[5], owner)
+    assert {int(owner[i]) for i in expected} == {0, 1}  # both points stop rows
+    ranked = run_seesaw(signs, dmat, v0, 10000, 1e-10, owner)
+    every_row = run_seesaw(signs, dmat, v0, 10000, 1e-10)
+    values, iters, _, _, _, converged = ranked
+    assert set(np.flatnonzero(~converged & (iters == _NEWTON_AFTER)).tolist()) == expected
+    for i in range(len(v0)):
+        source = hand_off if i in expected else every_row
+        for got, want in zip(ranked, source, strict=True):
+            assert np.array_equal(np.asarray(got)[i], np.asarray(want)[i]), i
+
+
+def test_the_hand_off_ranks_a_small_point_on_its_own():
+    """In a batch that mixes a 40-row noiseless point and a 3-row noisy one, whose
+    values rank below every row of the other, the small point's rows equal a
+    run of that point alone, bit for bit: all three still running at the
+    hand-off go on to the finish.  The noise shrinks every Bloch vector by
+    half, so it halves each row's advantage over 1/2 and keeps its path."""
+    rng = np.random.default_rng(3)
+    signs, v0 = _census_like_starts(rng, 10, restarts=43)
+    v0 = v0[:43]  # random starts only
+    noisy = 0.5 * np.eye(3)
+    owner = np.array([0] * 40 + [1] * 3)
+    dmat = np.stack([np.eye(3), noisy])[owner]
+    batch = run_seesaw(signs, dmat, v0, 10000, 1e-10, owner)
+    alone = run_seesaw(signs, noisy, v0[40:], 10000, 1e-10, owner[40:])
+    assert (alone[1] > _NEWTON_AFTER).all()  # none converged before the hand-off
+    assert batch[0][40:].max() < batch[0][:40].min()
+    for got, want in zip(batch, alone, strict=True):
+        assert np.array_equal(np.asarray(got)[40:], np.asarray(want))
 
 
 def test_climb_takes_the_largest_step_that_raises_else_ties():

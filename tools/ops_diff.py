@@ -30,7 +30,9 @@ tree runs, in its own Python process, the same CLI ops through
   after the Newton finish.
 
 It prints one line per op saying whether the exit code, stdout and artifact
-bytes match, with the op's wall time on each tree, then a count.  For each
+bytes match, with the op's wall time on each tree, and under an op whose
+two JSON artifacts differ, the top-level keys that differ (for example
+`iterations,strategy,tangent_grad`: no value moved), then a count.  For each
 op whose two artifacts are JSON, it compares every reported optimum (each
 number under a `value`, `values`, `lambda_crit` or `computed` key, which the
 optimizers only ever raise) and prints a line per op where one moved, with
@@ -173,13 +175,32 @@ def reported_values(payload, key: str | None = None) -> list[float]:
     return [float(payload)] if numeric and key in VALUE_KEYS else []
 
 
-def value_moves(old: dict, new: dict) -> list[float] | None:
-    """CHANGE minus PARENT for each reported optimum of one op, or None without two JSON artifacts."""
+def json_pair(old: dict, new: dict) -> tuple | None:
+    """One op's two parsed JSON artifacts, or None without two JSON artifacts."""
     try:
-        before, after = (reported_values(json.loads(bytes.fromhex(res["artifact"])))
-                         for res in (old, new))
+        return tuple(json.loads(bytes.fromhex(res["artifact"])) for res in (old, new))
     except (TypeError, ValueError):  # no artifact, or a text or csv one
         return None
+
+
+def differing_keys(old: dict, new: dict) -> list[str] | None:
+    """The top-level keys, sorted, in which one op's two JSON object artifacts differ,
+    or None unless both artifacts are JSON objects."""
+    pair = json_pair(old, new)
+    if pair is None or not all(isinstance(payload, dict) for payload in pair):
+        return None
+    before, after = pair
+    missing = object()
+    return sorted(k for k in before.keys() | after.keys()
+                  if before.get(k, missing) != after.get(k, missing))
+
+
+def value_moves(old: dict, new: dict) -> list[float] | None:
+    """CHANGE minus PARENT for each reported optimum of one op, or None without two JSON artifacts."""
+    pair = json_pair(old, new)
+    if pair is None:
+        return None
+    before, after = (reported_values(payload) for payload in pair)
     if len(before) != len(after):
         return None
     return [b - a for a, b in zip(before, after)]
@@ -210,6 +231,9 @@ def main(argv: list[str]) -> int:
         same += ok
         verdict = "same" if ok else "DIFF " + ",".join(p for p, f in flags.items() if not f)
         print(f"{verdict:<24} {group:<10} {old['s']:7.3f}s {new['s']:7.3f}s  {' '.join(op)}")
+        keys = None if flags["artifact"] else differing_keys(old, new)
+        if keys:
+            print(f"{'':<24} keys {','.join(keys)}")
     print(f"{same} of {len(todo)} ops match in exit code, stdout and artifact bytes")
     moves = []
     for (group, op), old, new in zip(todo, parent, change):

@@ -36,13 +36,14 @@ effects.
 
 Near a degenerate optimum the alternation still converges only linearly,
 and one slow row holds up a whole batched call.  So `run_seesaw` gives each
-row _NEWTON_AFTER trips; a row still running then gets a second-order
-finish if it is among the _FINISH_ROWS best running rows of its point (the
+row _NEWTON_AFTER trips; at every k, a row still running then goes on only
+if it is among the _FINISH_ROWS best running rows of its point (the
 caller's `owner` says which point a row solves), and stops there otherwise.
 That is successive halving (Karnin, Koren and Somekh, ICML 2013) in one
 round: at k = 7 to 10 nearly every one of the 65 rows of a `seesaw` call is
-still running at trip 40, the finish is the costly stage, and only the best
-row of a point is reported.  The finish, `newton_finish`, takes
+still running at trip 40, at k = 11 and 12 about half of them, and only the
+best row of a point is reported.  Up to k = 10 a kept row gets a
+second-order finish, `newton_finish`, the costly stage, which takes
 saddle-free Riemannian Newton steps on (S^2)^k
 (Absil, Mahony and Sepulchre, "Optimization Algorithms on Matrix
 Manifolds", 2008, ch. 6; Dauphin et al., "Identifying and attacking the
@@ -60,8 +61,9 @@ point: its gradient max-norm and top non-gauge Hessian eigenvalue, which
 certify a strict local maximum when the first is ~0 and the second negative.
 
 The finish eigendecomposes a 2k x 2k matrix per row and step, so it stays
-off above k = _NEWTON_MAX_DIM / 2 = 10: there `run_seesaw` runs every row
-straight to max_iters in one pass, and `polish` returns its rows unchanged.
+off above k = _NEWTON_MAX_DIM / 2 = 10: there `polish` returns its rows
+unchanged, and the rows kept at the hand-off go back to the see-saw for the
+rest of max_iters, as a row the finish fails does.
 Measured on 2 cores (numpy 2.4, OpenBLAS at its default two threads):
 - trips: on the benchmark's width-4 census, the rows still running after
   40 trips at k = 11 and 12 (34 to 44 of 65) need only 20 to 70 more
@@ -98,9 +100,9 @@ _EPS = 1e-12  # vectors shorter than this keep their previous direction
 _BETA_START = 2.0  # extrapolation factor of a fresh row
 _BETA_GROW = 1.5  # beta multiplier after a taken candidate
 _BETA_MIN = 1.25  # floor of beta after a refused candidate halves it
-_NEWTON_AFTER = 40  # see-saw trips before a row still running gets the Newton finish
+_NEWTON_AFTER = 40  # see-saw trips before the hand-off ranks the rows still running
 _NEWTON_STEPS = 20  # Newton steps a row may take before it counts as failed
-_FINISH_ROWS = 16  # running rows per point that go on to the finish (`run_seesaw`)
+_FINISH_ROWS = 16  # running rows per point kept at the hand-off (`run_seesaw`)
 _GRAD_DONE = 1e-10  # tangent-gradient max-norm of a converged row
 _GRAD_STALL = 1e-6  # below this, a row that takes no step is converged too
 _THIN = 1e-6  # a row with some |D^T V_x| below this is left to the see-saw
@@ -400,7 +402,8 @@ def newton_finish(signs, dmat, r, v, value, max_steps):
     one channel matrix per row, and max_steps is one budget for every row or
     one per row.  Returns each row's step count, smallest step gain (inf if
     it took none) and convergence.  It runs at any k; `polish`, its one
-    caller, keeps it to k <= _NEWTON_MAX_DIM / 2.
+    caller, keeps it to k <= _NEWTON_MAX_DIM / 2; above that the rows
+    `run_seesaw` hands off resume the see-saw instead.
     """
     n_rows, k, _ = v.shape
     steps = np.zeros(n_rows, dtype=np.int64)
@@ -448,7 +451,8 @@ def polish(signs, dmat, rows, max_iters):
     """`newton_finish` on some rows of `run_seesaw`'s six arrays, at most
     _NEWTON_STEPS steps each within what is left of max_iters: the steps are
     added to iters, the gains folded into min_deltas and the convergence OR-ed
-    in.  r, v and values are written in place.  Above k = 10 rows pass as given."""
+    in.  r, v and values are written in place.  Above k = 10 rows pass as
+    given, and `run_seesaw` resumes their trips."""
     values, iters, min_deltas, r, v, converged = rows
     if 2 * v.shape[1] > _NEWTON_MAX_DIM:
         return rows
@@ -488,16 +492,17 @@ def run_seesaw(signs, dmat, v0, max_iters, tol, owner=None):
     in the state too, so a row's arithmetic, and its result, do not depend
     on the batch.
 
-    Up to k = _NEWTON_MAX_DIM / 2, the rows still running after
-    _NEWTON_AFTER trips are handed to the Newton finish: each point's
-    _FINISH_ROWS best of them by value, ties going to the lower row, go to
-    `polish`, and its other running rows stop there, with converged False.
-    A stopped row's value is no higher than any finished row's of its
-    point, and the finish only raises values, so each point's best row is
-    a finished row (or one that converged earlier).  A row the finish does
-    not converge resumes its trips for the rest of max_iters.  Above that k
-    every row runs its trips straight to max_iters.  Iterations count trips
-    plus Newton steps, and min_deltas takes in the Newton gains.
+    At every k, the rows still running after _NEWTON_AFTER trips are
+    ranked at a hand-off: each point's _FINISH_ROWS best of them by value,
+    ties going to the lower row, go to `polish`, and its other running rows
+    stop there, with converged False.  A stopped row's value is no higher
+    than any kept row's of its point, and the finish and the trips only
+    raise values, so each point's best row is a kept row (or one that
+    converged earlier).  A kept row the finish does not converge resumes
+    its trips for the rest of max_iters; above k = _NEWTON_MAX_DIM / 2
+    `polish` passes its rows as given, so every kept row resumes.
+    Iterations count trips plus Newton steps, and min_deltas takes in the
+    Newton gains.
 
     Parameters
     ----------
@@ -551,8 +556,9 @@ def run_seesaw(signs, dmat, v0, max_iters, tol, owner=None):
         )
 
     state = (r, v, beta, dmat, dmat_t)
-    first_cap = min(max_iters, _NEWTON_AFTER) if 2 * k <= _NEWTON_MAX_DIM else max_iters
-    values, iters, min_deltas, converged = alternate(step, state, first_cap, tol)
+    values, iters, min_deltas, converged = alternate(
+        step, state, min(max_iters, _NEWTON_AFTER), tol
+    )
     slow = np.flatnonzero(~converged & (iters < max_iters))
     if slow.size and owner is not None:
         slow = _best_per_point(slow, values[slow], owner[slow])

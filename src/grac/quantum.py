@@ -39,7 +39,13 @@ _Z_AXIS = (0.0, 0.0, 1.0)  # every prepare-and-measure solve runs a classical st
 
 
 def _channel_matrix(channel) -> np.ndarray:
-    """Accept None, a finite 3x3 array, or anything whose .matrix() returns one."""
+    """Accept None, a finite 3x3 contraction, or anything whose .matrix() returns one.
+
+    A qubit channel maps the Bloch ball into itself, so its matrix has no
+    singular value above 1, up to the _UNIT_TOL that a unit vector's norm may
+    miss 1 by.  The check is necessary, not sufficient: -I passes it, yet it
+    is not completely positive.
+    """
     if channel is None:
         return np.eye(3)
     if hasattr(channel, "matrix"):
@@ -49,6 +55,12 @@ def _channel_matrix(channel) -> np.ndarray:
         raise InvalidInputError(f"channel matrix must be 3x3, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise InvalidInputError(f"channel matrix must be finite, got {mat.tolist()!r}")
+    stretch = float(np.linalg.norm(mat, 2))
+    if stretch > 1.0 + _UNIT_TOL:
+        raise InvalidInputError(
+            "channel matrix must map the Bloch ball into itself, "
+            f"got largest singular value {stretch!r}"
+        )
     return mat
 
 

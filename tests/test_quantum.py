@@ -534,13 +534,14 @@ def test_newton_finish_takes_one_budget_per_row():
             assert np.array_equal(whole[i], one[0])
 
 
-def test_above_the_newton_cap_rows_run_the_seesaw_alone(monkeypatch):
-    """At k = 12 > _NEWTON_MAX_DIM / 2 each row runs its trips in one pass.
+def test_above_the_newton_cap_kept_rows_resume_the_seesaw(monkeypatch):
+    """At k = 12 > _NEWTON_MAX_DIM / 2 the hand-off sends its rows back to the see-saw.
 
-    No row is handed to `newton_finish` or resumed, so the driver runs once
-    per kernel call, and row i of a batch equals a solo run of v0[i], bit
-    for bit, though some rows run past _NEWTON_AFTER trips.  A one-point
-    solve at that k calls no finish either.
+    The driver runs twice per kernel call: on all 8 rows up to
+    _NEWTON_AFTER trips, then on the rows still running there, which
+    `polish` returns unchanged instead of calling `newton_finish`.  Row i
+    of a batch equals a solo run of v0[i], bit for bit.  A one-point solve
+    at that k calls no finish either.
     """
 
     def refuse(*args):
@@ -560,7 +561,7 @@ def test_above_the_newton_cap_rows_run_the_seesaw_alone(monkeypatch):
     v0 = rng.standard_normal((8, 12, 3))
     v0 /= np.linalg.norm(v0, axis=2, keepdims=True)
     batch = run_seesaw(signs, np.eye(3), v0, 400, 1e-10)
-    assert passes == [8]
+    assert passes == [8, int((batch[1] > _NEWTON_AFTER).sum())]
     assert (batch[1] > _NEWTON_AFTER).any() and batch[5].all()
     for i in range(len(v0)):
         solo = run_seesaw(signs, np.eye(3), v0[i], 400, 1e-10)
@@ -591,30 +592,57 @@ def _stopped_at_hand_off(values, iters, converged, owner):
     return stopped
 
 
-def test_the_hand_off_keeps_each_points_best_value():
-    """A one-point kernel call, which finishes only its _FINISH_ROWS best running
-    rows, reaches the same best value as the same rows run without `owner`,
-    where every running row is finished, on random width-4 sets at k = 5 to 10."""
-    rng = np.random.default_rng(24)
+def _hand_off_stops(rng, ks):
+    """Solve 30 census-like sets, of k cycling through ks, as one-point kernel
+    calls and as calls without `owner`, where no row stops; require equal
+    best values, and return how many rows the one-point calls stopped."""
     stopped = 0
     for trial in range(30):
-        signs, v0 = _census_like_starts(rng, 5 + trial % 6)
+        signs, v0 = _census_like_starts(rng, ks[trial % len(ks)])
         one_point = run_seesaw(signs, np.eye(3), v0, 10000, 1e-10, np.zeros(len(v0), dtype=int))
         every_row = run_seesaw(signs, np.eye(3), v0, 10000, 1e-10)
         assert one_point[0].max() == every_row[0].max(), trial
         stopped += int((~one_point[5] & (one_point[1] == _NEWTON_AFTER)).sum())
-    assert stopped > 0
+    return stopped
 
 
-def test_the_hand_off_stops_rows_outside_their_points_best():
+def test_the_hand_off_keeps_each_points_best_value():
+    """A one-point kernel call, which finishes only its _FINISH_ROWS best running
+    rows, reaches the same best value as the same rows run without `owner`,
+    where every running row is finished, on random width-4 sets at k = 5 to 10."""
+    assert _hand_off_stops(np.random.default_rng(24), range(5, 11)) > 0
+
+
+def test_the_hand_off_keeps_each_points_best_value_above_the_cap():
+    """Above k = 10 the one-point call's _FINISH_ROWS best running rows resume
+    the see-saw instead of taking the finish, and the rest stop; the best
+    value still equals that of a run without `owner`, on random width-4 sets
+    at k = 11 to 15."""
+    assert _hand_off_stops(np.random.default_rng(25), range(11, 16)) > 0
+
+
+@pytest.mark.parametrize(
+    "k, channels",
+    [
+        (10, (np.eye(3), BlochMap.dephasing(0.2, (1.0, 0.0, 0.0)).matrix())),
+        # at k = 12 most noiseless or 0.2-dephased rows converge before the hand-off
+        (
+            12,
+            (BlochMap.dephasing(0.1).matrix(), BlochMap.dephasing(0.05, (1.0, 0.0, 0.0)).matrix()),
+        ),
+    ],
+    ids=["k10", "k12"],
+)
+def test_the_hand_off_stops_rows_outside_their_points_best(k, channels):
     """The rows stopped at the hand-off are exactly those outside their point's
-    _FINISH_ROWS best running rows, ranked per point.  They come back as the
-    trips left them after _NEWTON_AFTER trips, with converged False; every
-    other row is the row of a run without `owner`, bit for bit."""
+    _FINISH_ROWS best running rows, ranked per point, with or without the
+    finish after it.  They come back as the trips left them after
+    _NEWTON_AFTER trips, with converged False; every other row is the row of
+    a run without `owner`, bit for bit."""
     rng = np.random.default_rng(7)
-    signs, v0 = _census_like_starts(rng, 10)
+    signs, v0 = _census_like_starts(rng, k)
     owner = np.arange(len(v0)) % 2  # two interleaved points of 33 and 32 rows
-    dmat = np.stack([np.eye(3), BlochMap.dephasing(0.2, (1.0, 0.0, 0.0)).matrix()])[owner]
+    dmat = np.stack(channels)[owner]
     hand_off = run_seesaw(signs, dmat, v0, _NEWTON_AFTER, 1e-10)
     expected = _stopped_at_hand_off(hand_off[0], hand_off[1], hand_off[5], owner)
     assert {int(owner[i]) for i in expected} == {0, 1}  # both points stop rows
@@ -755,6 +783,25 @@ def test_non_finite_channel_matrix_rejected(bad):
             seesaw(fset, restarts=2, channel=channel)
         with pytest.raises(InvalidInputError):
             evaluate_pm(strategy, fset, channel)
+
+
+def test_channel_matrix_that_is_not_a_contraction_rejected():
+    """A matrix that stretches some Bloch vector past the unit ball is no channel:
+    5 I would score 1.707 on the open quadruple.  -I and every `BlochMap` pass."""
+    fset = representative_set(4, "open")
+    strategy = seesaw(fset, restarts=2).best_strategy
+    stretched = np.eye(3)
+    stretched[0, 2] = 0.1  # rows of norm at most 1.005, largest singular value 1.05
+    for mat in (5 * np.eye(3), (1 + 1e-9) * np.eye(3), stretched):
+        for channel in (mat, _FixedMap(mat)):
+            with pytest.raises(InvalidInputError, match="Bloch ball"):
+                seesaw(fset, restarts=2, channel=channel)
+            with pytest.raises(InvalidInputError, match="Bloch ball"):
+                evaluate_pm(strategy, fset, channel)
+    clean = evaluate_pm(strategy, fset)
+    assert evaluate_pm(strategy, fset, -np.eye(3)) == pytest.approx(1.0 - clean, abs=1e-15)
+    for channel in (BlochMap.dephasing(0.5, (1.0, 2.0, 3.0)), BlochMap.depolarizing(0.0)):
+        assert 0.5 <= evaluate_pm(strategy, fset, channel) <= clean
 
 
 def test_classical_start_vectors_refuse_a_zero_or_nan_axis():

@@ -10,6 +10,7 @@ stderr), 2 when a tables run exceeds its tolerance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -79,6 +80,17 @@ def _set_fields(fset: FunctionSet) -> dict:
     return {"n": fset.n, "labels": [lab.bitstring() for lab in fset]}
 
 
+def _report_fields(fset: FunctionSet, report) -> dict:
+    """The set's fields and every `SeesawReport` field, the best strategy as a dict
+    under "strategy": one layout for the quantum and eacc artifacts."""
+    fields = {
+        f.name: getattr(report, f.name)
+        for f in dataclasses.fields(report)
+        if f.name != "best_strategy"
+    }
+    return {**_set_fields(fset), **fields, "strategy": report.best_strategy.to_dict()}
+
+
 def _csv_available(args) -> bool:
     """Only tables and the dephasing sweep have a CSV artifact."""
     if args.command == "noise":
@@ -143,19 +155,7 @@ def _cmd_quantum(args) -> int:
     fset = parse_label_spec(args.n, args.labels)
     report = seesaw(fset, **_given(args, "restarts", "max_iters", "tol", "seed"))
     bound = pm_upper_bound(len(fset))
-    payload = {
-        **_set_fields(fset),
-        "value": report.value,
-        "upper_bound": bound,
-        "iterations": report.iterations,
-        "restarts_used": report.restarts_used,
-        "converged": report.converged,
-        "min_step_delta": report.min_step_delta,
-        "tangent_grad": report.tangent_grad,
-        "top_hessian_eig": report.top_hessian_eig,
-        "seed": report.seed,
-        "strategy": report.best_strategy.to_dict(),
-    }
+    payload = {**_report_fields(fset, report), "upper_bound": bound}
     summary = (
         f"quantum value {report.value:.9f} (bound {bound:.9f}; "
         f"{report.iterations} iterations, converged={report.converged})"
@@ -224,14 +224,7 @@ def _cmd_eacc(args) -> int:
     fset = parse_label_spec(args.n, args.labels)
     report = eacc_seesaw(fset, **_given(args, "local_dim", "restarts", "max_iters", "tol", "seed"))
     local_dim = report.best_strategy.dims[0]
-    payload = {
-        **_set_fields(fset),
-        "local_dim": local_dim,
-        "value": report.value,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "strategy": report.best_strategy.to_dict(),
-    }
+    payload = {**_report_fields(fset, report), "local_dim": local_dim}
     summary = (
         f"eacc value {report.value:.9f} at local dimension {local_dim} "
         f"({report.iterations} iterations, converged={report.converged})"
@@ -257,16 +250,7 @@ def _cmd_tables(args) -> int:
         rows = []
         for row in rep.rows:
             ok = rep.row_passed(row)
-            rows.append(
-                {
-                    "label": row.label,
-                    "computed": row.computed,
-                    "reference": row.reference,
-                    "delta": row.delta,
-                    "passed": ok,
-                    "detail": row.detail,
-                }
-            )
+            rows.append({**dataclasses.asdict(row), "passed": ok})
             text_lines.append(
                 f"  {row.label}: computed {row.computed!r} vs {row.reference!r} "
                 f"(delta {row.delta:.3e}) {'ok' if ok else 'EXCEEDS TOLERANCE'}"
@@ -275,15 +259,8 @@ def _cmd_tables(args) -> int:
                 f"{rep.table_id},{row.label!r},{row.computed!r},{row.reference!r},"
                 f"{row.delta!r},{ok}"
             )
-        payload.append(
-            {
-                "table_id": rep.table_id,
-                "tolerance": rep.tolerance,
-                "passed": rep.passed,
-                "max_delta": rep.max_delta,
-                "rows": rows,
-            }
-        )
+        table = {**dataclasses.asdict(rep), "passed": rep.passed, "max_delta": rep.max_delta}
+        payload.append({**table, "rows": rows})
     text, csv = "\n".join(text_lines), "\n".join(csv_lines) + "\n"
     _emit(args, {"tables": payload}, "\n".join(status_lines), text, csv)
     return 0 if all_passed else 2

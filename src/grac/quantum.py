@@ -39,12 +39,16 @@ _Z_AXIS = (0.0, 0.0, 1.0)  # every prepare-and-measure solve runs a classical st
 
 
 def _channel_matrix(channel) -> np.ndarray:
-    """Accept None, a finite 3x3 contraction, or anything whose .matrix() returns one.
+    """Accept None, a finite 3x3 qubit channel matrix, or anything whose .matrix() returns one.
 
-    A qubit channel maps the Bloch ball into itself, so its matrix has no
-    singular value above 1, up to the _UNIT_TOL that a unit vector's norm may
-    miss 1 by.  The check is necessary, not sufficient: -I passes it, yet it
-    is not completely positive.
+    A 3x3 matrix with no translation is a unital map.  It is a channel when
+    it keeps the Bloch ball (no singular value above 1) and is completely
+    positive: its signed singular values l1, l2, l3, the determinant's sign
+    on the smallest, lie in the tetrahedron 1 + l1 + l2 + l3,
+    1 + l1 - l2 - l3, 1 - l1 + l2 - l3, 1 - l1 - l2 + l3 >= 0 (Fujiwara and
+    Algoet 1999; King and Ruskai 2001), which the contraction -I leaves.
+    Both checks allow the _UNIT_TOL that a unit vector's norm may miss 1 by:
+    dephasing maps sit on a face of the tetrahedron.
     """
     if channel is None:
         return np.eye(3)
@@ -55,11 +59,19 @@ def _channel_matrix(channel) -> np.ndarray:
         raise InvalidInputError(f"channel matrix must be 3x3, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise InvalidInputError(f"channel matrix must be finite, got {mat.tolist()!r}")
-    stretch = float(np.linalg.norm(mat, 2))
-    if stretch > 1.0 + _UNIT_TOL:
+    signed = np.linalg.svd(mat, compute_uv=False)
+    if signed[0] > 1.0 + _UNIT_TOL:
         raise InvalidInputError(
             "channel matrix must map the Bloch ball into itself, "
-            f"got largest singular value {stretch!r}"
+            f"got largest singular value {float(signed[0])!r}"
+        )
+    if np.linalg.det(mat) < 0:
+        signed[2] = -signed[2]
+    corners = 1.0 + np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) @ signed
+    if corners.min() < -_UNIT_TOL:
+        raise InvalidInputError(
+            "channel matrix is not completely positive: its signed singular values "
+            f"{signed.tolist()!r} leave the unital-qubit tetrahedron"
         )
     return mat
 

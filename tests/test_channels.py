@@ -119,6 +119,16 @@ def test_crossing_window_quintuple_vs_open_quadruple():
     assert low < high
 
 
+def test_a_window_whose_run_of_leads_closes_inside_the_grid():
+    """The open quadruple leads the quintuple from lambda = 0 to a crossing
+    inside the grid, so its run of leads ends before the grid does."""
+    low, high = crossing_window(
+        representative_set(4, "open"), representative_set(5), grid=dephasing_grid(11)
+    )
+    assert low == pytest.approx(0.871, abs=0.01)
+    assert high == 1.0
+
+
 def test_crossing_window_no_crossing():
     fset = representative_set(3)
     with pytest.raises(NoCrossingError):
@@ -359,6 +369,18 @@ def test_sweep_points_match_or_beat_a_one_point_seesaw(spec, axis, seed):
         dmat = BlochMap.dephasing(lam, axis).matrix()[None]
         solo = quantum._solve_points(game, dmat, 8 if i == 0 else 1, seed + i)[0][0]
         assert sweep.values[i] >= solo, (i, lam)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.48, -0.6, 0.64)])
+def test_a_sweeps_last_point_is_the_classical_optimum(spec, axis):
+    """At lambda = 1/2 the channel projects onto the axis, so every Bloch vector
+    is +-n times a length at most 1 and the objective, convex in each n.v_y,
+    peaks at the classical optimum: an exact oracle for the sweep's last point."""
+    fset = representative_set(*spec) if isinstance(spec, tuple) else representative_set(spec)
+    sweep = dephasing_sweep(fset, axis=axis, grid=dephasing_grid(11))
+    assert sweep.lam[-1] == 0.5
+    assert sweep.values[-1] == pytest.approx(classical_optimum(fset)[0].value, abs=1e-12)
 
 
 def test_open_quadruple_sweep_makes_few_kernel_calls(monkeypatch):

@@ -1,5 +1,6 @@
 """CLI surface: label parsing, artifacts, exit codes, reproducibility."""
 
+import dataclasses
 import json
 import os
 import random
@@ -7,6 +8,8 @@ import random
 import pytest
 
 from grac import cli
+from grac._seesaw import SeesawReport
+from grac.eacc import eacc_seesaw
 from grac.errors import InvalidInputError
 from grac.mubs import FunctionSet
 from grac.quantum import seesaw
@@ -234,6 +237,36 @@ def test_eacc_command(capsys):
     rc = cli.main(["eacc", "--n", "3", "--labels", "k=2", "--restarts", "4"])
     assert rc == 0
     assert "0.853553" in capsys.readouterr().out
+
+
+def test_seesaw_artifacts_carry_every_report_field(tmp_path):
+    """Both see-saw artifacts hold every `SeesawReport` field as the library
+    reports it, the strategy as a dict; the entanglement-assisted see-saw has
+    no certificate, so those two fields are null in its artifact."""
+    fset = representative_set(2)
+    fields = [f.name for f in dataclasses.fields(SeesawReport) if f.name != "best_strategy"]
+    solvers = (("quantum", seesaw, "upper_bound"), ("eacc", eacc_seesaw, "local_dim"))
+    for command, solve, extra in solvers:
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, "--labels", "k=2", "--restarts", "2", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        report = solve(fset, restarts=2)
+        assert set(payload) == {*fields, "n", "labels", "strategy", extra}
+        assert {name: payload[name] for name in fields} == {
+            name: getattr(report, name) for name in fields
+        }
+        assert payload["strategy"] == json.loads(json.dumps(report.best_strategy.to_dict()))
+    assert payload["tangent_grad"] is None and payload["top_hessian_eig"] is None  # eacc's
+
+
+def test_tables_json_artifact_holds_each_report_and_row_field(tmp_path):
+    out = tmp_path / "t.json"
+    assert cli.main(["tables", "--which", "II", "--out", str(out)]) == 0
+    (table,) = json.loads(out.read_text())["tables"]
+    assert set(table) == {"table_id", "tolerance", "passed", "max_delta", "rows"}
+    assert (table["table_id"], table["passed"], table["max_delta"]) == ("II", True, 0.0)
+    row_fields = {f.name for f in dataclasses.fields(TableRow)}
+    assert all(set(row) == row_fields | {"passed"} and row["passed"] for row in table["rows"])
 
 
 def test_tables_pass_exit_zero(capsys, tmp_path):

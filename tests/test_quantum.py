@@ -787,7 +787,7 @@ def test_non_finite_channel_matrix_rejected(bad):
 
 def test_channel_matrix_that_is_not_a_contraction_rejected():
     """A matrix that stretches some Bloch vector past the unit ball is no channel:
-    5 I would score 1.707 on the open quadruple.  -I and every `BlochMap` pass."""
+    5 I would score 1.707 on the open quadruple.  Every `BlochMap` passes."""
     fset = representative_set(4, "open")
     strategy = seesaw(fset, restarts=2).best_strategy
     stretched = np.eye(3)
@@ -799,9 +799,45 @@ def test_channel_matrix_that_is_not_a_contraction_rejected():
             with pytest.raises(InvalidInputError, match="Bloch ball"):
                 evaluate_pm(strategy, fset, channel)
     clean = evaluate_pm(strategy, fset)
-    assert evaluate_pm(strategy, fset, -np.eye(3)) == pytest.approx(1.0 - clean, abs=1e-15)
     for channel in (BlochMap.dephasing(0.5, (1.0, 2.0, 3.0)), BlochMap.depolarizing(0.0)):
         assert 0.5 <= evaluate_pm(strategy, fset, channel) <= clean
+
+
+def test_channel_matrix_that_is_not_completely_positive_rejected():
+    """A contraction need not be a channel: -I would score 1 - s, below 1/2.
+
+    Rotations, depolarizing and dephasing maps are channels; dephasing's
+    signed singular values (1, 1 - 2 lam, 1 - 2 lam) lie on a face of the
+    unital-qubit tetrahedron, so rounding must not refuse them.
+    """
+    fset = representative_set(4, "open")
+    strategy = seesaw(fset, restarts=2).best_strategy
+    for mat in (-np.eye(3), np.diag([1.0, 1.0, -1.0])):
+        for channel in (mat, _FixedMap(mat)):
+            with pytest.raises(InvalidInputError, match="not completely positive"):
+                seesaw(fset, restarts=2, channel=channel)
+            with pytest.raises(InvalidInputError, match="not completely positive"):
+                evaluate_pm(strategy, fset, channel)
+    rng = np.random.default_rng(5)
+    orthogonal = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(20)]
+    rotations = [q * np.linalg.det(q) for q in orthogonal]  # det +1
+    depolarizing = [BlochMap.depolarizing(lam) for lam in np.linspace(0.0, 1.0, 11)]
+    dephasing = [
+        BlochMap.dephasing(rng.uniform(0.0, 0.5), rng.normal(size=3)) for _ in range(200)
+    ]
+    dephasing += [BlochMap.dephasing(lam, (0.48, -0.6, 0.64)) for lam in (0.0, 0.5)]
+    for channel in (*rotations, *depolarizing, *dephasing):
+        assert 0.0 <= evaluate_pm(strategy, fset, channel) <= 1.0
+
+
+def test_a_fully_depolarized_seesaw_reads_one_half():
+    """Under full depolarizing nothing reaches Bob: every restart's preparations
+    stay at zero, so the value is exactly 1/2 and each preparation is reported
+    as the free direction (0, 0, 1)."""
+    report = seesaw(representative_set(4, "open"), restarts=4, channel=BlochMap.depolarizing(1.0))
+    assert report.value == 0.5
+    assert report.converged
+    assert set(report.best_strategy.preparations.values()) == {(0.0, 0.0, 1.0)}
 
 
 def test_classical_start_vectors_refuse_a_zero_or_nan_axis():

@@ -4,7 +4,14 @@ import pytest
 
 import grac.tables as tables_mod
 from grac import TABLE_IDS, InvalidInputError, representative_set, reproduce_tables
-from grac.tables import TableReport, representative_labels, table_q, table_three, table_two
+from grac.tables import (
+    TableReport,
+    representative_labels,
+    table_four,
+    table_q,
+    table_three,
+    table_two,
+)
 
 
 def test_representative_set_rules():
@@ -41,6 +48,13 @@ def test_table_q_within_tolerance():
 def test_table_three_within_tolerance():
     report = table_three(seed=0)
     assert report.tolerance == 1e-4
+    assert report.passed, [(r.label, r.delta) for r in report.rows]
+
+
+def test_table_four_within_tolerance():
+    report = table_four(seed=0)
+    assert report.tolerance == 1e-4
+    assert len(report.rows) == 7  # six sets at local dimension 2, the open quadruple at 4
     assert report.passed, [(r.label, r.delta) for r in report.rows]
 
 

@@ -78,8 +78,12 @@ def test_replay_failure_flags_wins_and_values_off_the_report():
 def test_differing_keys_name_what_moved_in_an_artifact():
     old = _result({"value": 0.75, "iterations": 47, "strategy": {"a": 1}, "seed": 0, "gone": 1})
     new = _result({"value": 0.75, "iterations": 44, "strategy": {"a": 2}, "seed": 0, "new": 1})
-    assert ops_diff.differing_keys(old, new) == ["gone", "iterations", "new", "strategy"]
+    assert ops_diff.differing_keys(old, new) == ["-gone", "~iterations", "+new", "~strategy"]
     assert ops_diff.differing_keys(old, old) == []
+    # a key added with a null value is an addition, and dropping it a removal
+    grown = _result({**json.loads(bytes.fromhex(old["artifact"])), "top": None})
+    assert ops_diff.differing_keys(old, grown) == ["+top"]
+    assert ops_diff.differing_keys(grown, old) == ["-top"]
     # a list artifact, a text artifact and a missing one have no keys to name
     assert ops_diff.differing_keys(_result([1, 2]), _result([1, 3])) is None
     assert ops_diff.differing_keys(_result("lambda,value\n0,0.8\n"), new) is None

@@ -31,8 +31,9 @@ tree runs, in its own Python process, the same CLI ops through
 
 It prints one line per op saying whether the exit code, stdout and artifact
 bytes match, with the op's wall time on each tree, and under an op whose
-two JSON artifacts differ, the top-level keys that differ (for example
-`iterations,strategy,tangent_grad`: no value moved), then a count.  For each
+two JSON artifacts differ, the top-level keys that differ, each marked
+added (`+`), removed (`-`) or changed (`~`) (for example
+`~iterations,~strategy,~tangent_grad`: no value moved), then a count.  For each
 op whose two artifacts are JSON, it compares every reported optimum (each
 number under a `value`, `values`, `lambda_crit` or `computed` key, which the
 optimizers only ever raise) and prints a line per op where one moved, with
@@ -185,14 +186,16 @@ def json_pair(old: dict, new: dict) -> tuple | None:
 
 def differing_keys(old: dict, new: dict) -> list[str] | None:
     """The top-level keys, sorted, in which one op's two JSON object artifacts differ,
-    or None unless both artifacts are JSON objects."""
+    each marked added (+), removed (-) or changed (~), or None unless both
+    artifacts are JSON objects."""
     pair = json_pair(old, new)
     if pair is None or not all(isinstance(payload, dict) for payload in pair):
         return None
     before, after = pair
     missing = object()
-    return sorted(k for k in before.keys() | after.keys()
-                  if before.get(k, missing) != after.get(k, missing))
+    return [("+" if k not in before else "-" if k not in after else "~") + k
+            for k in sorted(before.keys() | after.keys())
+            if before.get(k, missing) != after.get(k, missing)]
 
 
 def value_moves(old: dict, new: dict) -> list[float] | None:

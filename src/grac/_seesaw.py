@@ -60,6 +60,16 @@ of `grac.quantum._solve_points`.  `certificate` reads the same model at a
 point: its gradient max-norm and top non-gauge Hessian eigenvalue, which
 certify a strict local maximum when the first is ~0 and the second negative.
 
+`snap` is the other second-stage move, for the noiseless one-point solves
+of `grac.quantum._solve_points` only: damped Gauss-Newton steps that take a
+row onto the ceiling 1/2(1 + 1/sqrt(k)) (`grac.quantum`'s module
+docstring).  Its step solves an (m + k)-square linear system, about 0.4 ms
+at width 6 with `np.linalg.solve`, where `lstsq` on the m + k by 3k
+Jacobian took 5.7 ms.  On the benchmark's width-4 census, the best rows
+after 2 trips reach the ceiling within rounding in at most 8 steps (4 to 6
+at k >= 11) when the set meets it, and stay at residuals of 1 or more
+when it does not.
+
 The finish eigendecomposes a 2k x 2k matrix per row and step, so it stays
 off above k = _NEWTON_MAX_DIM / 2 = 10: there `polish` returns its rows
 unchanged, and the rows kept at the hand-off go back to the see-saw for the
@@ -109,6 +119,9 @@ _THIN = 1e-6  # a row with some |D^T V_x| below this is left to the see-saw
 _NULL = 1e-9  # relative size below which a Hessian eigenvalue is null (`_non_null`)
 _HALVINGS = 12  # the finish tries steps 1, 1/2, ..., 2**-(_HALVINGS - 1)
 _NEWTON_MAX_DIM = 20  # largest tangent dimension 2k the finish runs at (module docstring)
+_SNAP_STEPS = 8  # Gauss-Newton steps `snap` may take per row
+_SNAP_DAMP = 1e-8  # `snap`'s damping, relative to its normal matrix's mean diagonal
+_SNAP_DONE = 1e-14  # `snap` stops a row whose residuals are all below this times k
 _AXES = np.eye(3)
 _CROSS = np.cross(_AXES[:, None, :], _AXES[None, :, :])  # _CROSS[i] @ v = v x e_i
 
@@ -118,7 +131,9 @@ class SeesawReport:
     """Best restart of a see-saw run.
 
     tangent_grad and top_hessian_eig are the best restart's `certificate`,
-    where the optimizer computes one (the one-qubit `seesaw`); else None.
+    and meets_bound whether its value reaches the one-qubit ceiling
+    1/2(1 + 1/sqrt(k)), a global certificate, where the optimizer computes
+    them (the one-qubit `seesaw`); else None.
     """
 
     value: float
@@ -130,6 +145,7 @@ class SeesawReport:
     min_step_delta: float
     tangent_grad: float | None = None
     top_hessian_eig: float | None = None
+    meets_bound: bool | None = None
 
 
 def check_budget(restarts: int, max_iters: int, tol: float) -> None:
@@ -461,17 +477,72 @@ def polish(signs, dmat, rows, max_iters):
     return values, iters + steps, np.minimum(min_deltas, gains), r, v, converged | finished
 
 
-def _best_per_point(rows, values, owner):
-    """Those of rows that rank among their point's _FINISH_ROWS best by value,
+def snap(signs, dmat, rows, max_iters):
+    """Damped Gauss-Newton steps of some rows of `run_seesaw`'s six arrays onto
+    the ceiling 1/2(1 + 1/sqrt(k)), at most _SNAP_STEPS each within what is
+    left of max_iters, then Alice's best reply at each row's orthogonal
+    channel dmat.
+
+    The ceiling is met exactly when every |V_x|^2 = k with unit v_y, where
+    V_x = sum_y g[x,y] v_y (module docstring of `grac.quantum`), so each step
+    moves v toward a zero of the m + k residuals |V_x|^2 - k and
+    |v_y|^2 - 1.  With J their Jacobian in v's 3k coordinates, the step is
+    the minimum-norm one, -J^T (J J^T + mu I)^-1 res, through the
+    (m + k)-square normal equations: their blocks are
+    4 (g g^T)[x,x'] V_x . V_x', 4 g[x,y] V_x . v_y and 4 |v_y|^2 on the
+    diagonal.  J J^T is singular whenever m + k exceeds the rank of J, which
+    the common rotations of every v_y keep below 3k, so mu is _SNAP_DAMP
+    times its mean diagonal.  A row stops once its largest residual is below
+    _SNAP_DONE times k, at rounding.  Then v is normalized and scored with
+    Alice's best reply.  Returns the six arrays with the scores as values,
+    the steps added to iters, the score less the row's value folded into
+    min_deltas, and in place of converged whether the row's residuals
+    reached rounding.  Nothing here checks the score: the caller accepts a
+    row by its value.
+    """
+    values, iters, min_deltas, r, v0, _ = rows
+    m, k = signs.shape
+    v = v0.copy()
+    steps = np.zeros(len(v), dtype=np.int64)
+    budget = np.minimum(_SNAP_STEPS, max_iters - iters)
+    gram_g = np.matmul(signs, signs.T)
+    diag = np.arange(m + k)
+    for it in range(_SNAP_STEPS + 1):
+        big = np.matmul(signs, v)  # rows hold V_x
+        norms = np.einsum("ryc,ryc->ry", v, v)
+        res = np.concatenate((np.einsum("rxc,rxc->rx", big, big) - k, norms - 1.0), axis=1)
+        done = np.abs(res).max(axis=1) <= _SNAP_DONE * k
+        live = ~done & (budget > it)
+        if not live.any():
+            break
+        big, v_l, res = big[live], v[live], res[live]
+        normal = np.empty((len(big), m + k, m + k))
+        normal[:, :m, :m] = gram_g * np.matmul(big, big.transpose(0, 2, 1))
+        normal[:, :m, m:] = signs * np.matmul(big, v_l.transpose(0, 2, 1))
+        normal[:, m:, :m] = normal[:, :m, m:].transpose(0, 2, 1)
+        normal[:, m:, m:] = np.eye(k) * norms[live][:, :, None]
+        normal *= 4.0
+        normal[:, diag, diag] += _SNAP_DAMP * np.trace(normal, axis1=1, axis2=2)[:, None] / (m + k)
+        y = np.linalg.solve(normal, res[..., None])
+        # v - J^T y, where J^T y = 2 sum_x g[x,y] y_x V_x + 2 y_y v_y
+        v[live] = v_l - 2.0 * (np.matmul(signs.T, y[:, :m] * big) + y[:, m:] * v_l)
+        steps[live] += 1
+    v, _ = _unit_rows(v, v0)
+    r, score = best_reply(signs, dmat, v, r)
+    return score, iters + steps, np.minimum(min_deltas, score - values), r, v, done
+
+
+def _best_per_point(rows, values, owner, count):
+    """Those of rows that rank among their point's count best by value,
     ties going to the lower row; values and owner are aligned with rows, and
     the result ascends as rows do."""
     keep = np.ones(len(rows), dtype=bool)
-    for point in np.flatnonzero(np.bincount(owner) > _FINISH_ROWS):
+    for point in np.flatnonzero(np.bincount(owner) > count):
         mine = np.flatnonzero(owner == point)
         # Python's sort is stable, so ties keep the lower row first; numpy's
         # sorts in its place raised the benchmark's peak RSS by 0.1-0.5 MB
         order = sorted(range(len(mine)), key=(-values[mine]).tolist().__getitem__)
-        keep[mine[order[_FINISH_ROWS:]]] = False
+        keep[mine[order[count:]]] = False
     return rows[keep]
 
 
@@ -561,7 +632,7 @@ def run_seesaw(signs, dmat, v0, max_iters, tol, owner=None):
     )
     slow = np.flatnonzero(~converged & (iters < max_iters))
     if slow.size and owner is not None:
-        slow = _best_per_point(slow, values[slow], owner[slow])
+        slow = _best_per_point(slow, values[slow], owner[slow], _FINISH_ROWS)
     if slow.size:
         out = (values, iters, min_deltas, r, v, converged)
         for arr, new in zip(out, polish(signs, dmat[slow], [arr[slow] for arr in out], max_iters)):

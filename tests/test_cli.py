@@ -177,6 +177,19 @@ def test_quantum_artifact_carries_the_certificate(tmp_path, capsys):
     assert "tangent" not in capsys.readouterr().out
 
 
+def test_quantum_artifact_says_whether_it_meets_the_bound(tmp_path):
+    """meets_bound reaches the quantum artifact as the global certificate: true
+    for a set on pm_upper_bound(k), false for the open quadruple, and null in
+    an eacc artifact."""
+    read = {}
+    for command, spec in (("quantum", "k=3"), ("quantum", "k=4:open"), ("eacc", "k=3")):
+        out = tmp_path / f"{command}-{spec}.json"
+        argv = [command, "--labels", spec, "--restarts", "4", "--out", str(out)]
+        assert cli.main(argv) == 0
+        read[command, spec] = json.loads(out.read_text())["meets_bound"]
+    assert read == {("quantum", "k=3"): True, ("quantum", "k=4:open"): False, ("eacc", "k=3"): None}
+
+
 def test_sweep_csv_header(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = cli.main(

@@ -845,3 +845,156 @@ def test_classical_start_vectors_refuse_a_zero_or_nan_axis():
     for axis in ((0.0, 0.0, 0.0), (np.nan, 0.0, 1.0)):
         with pytest.raises(InvalidInputError, match="axis"):
             classical_start_vectors(fset, axis)
+
+
+# One set of each width-4 class that stays short of pm_upper_bound(k).
+_SHORT_W4 = (
+    (1, 2, 3, 4),
+    (1, 2, 4, 8),
+    (1, 2, 3, 4, 8),
+    (1, 2, 4, 8, 15),
+    (1, 2, 3, 4, 8, 12),
+    (1, 2, 3, 4, 5, 8, 10),
+    (1, 2, 3, 4, 5, 6, 7, 8),
+    (1, 2, 3, 4, 5, 8, 9, 14),
+)
+
+# The census_w4 benchmark's `quantum` ops at k = 11 to 15: labels and seed.
+_CENSUS_ABOVE_CAP = (
+    ("0001,0010,0100,0101,0110,0111,1001,1010,1011,1101,1111", 45215),
+    ("0001,0011,0100,0101,0110,0111,1000,1010,1011,1100,1110,1111", 36734),
+    ("0001,0010,0100,0101,0111,1000,1001,1010,1011,1100,1101,1110,1111", 33225),
+    ("0001,0010,0011,0100,0101,0110,0111,1000,1001,1010,1011,1100,1101,1111", 65154),
+    ("0001,0010,0011,0100,0101,0110,0111,1000,1001,1010,1011,1100,1101,1110,1111", 43786),
+    ("0010,0100,0101,0110,0111,1010,1011,1100,1101,1110,1111", 50229),
+    ("0010,0011,0100,0101,0110,1000,1010,1011,1100,1101,1110,1111", 28618),
+    ("0001,0010,0011,0100,0101,0110,1001,1010,1011,1100,1101,1110,1111", 46706),
+    ("0001,0010,0011,0100,0101,0110,0111,1000,1001,1011,1100,1101,1110,1111", 46144),
+    ("0001,0010,0011,0100,0101,0110,0111,1000,1001,1010,1011,1100,1101,1110,1111", 19162),
+)
+
+
+def _record_snaps(monkeypatch):
+    """A list that collects what each `_seesaw.snap` call of `_solve_points` returns."""
+    snaps = []
+
+    def spy(*args):
+        snaps.append(_seesaw.snap(*args))
+        return snaps[-1]
+
+    monkeypatch.setattr(quantum, "snap", spy)
+    return snaps
+
+
+def test_a_snapped_report_sits_on_the_bound(monkeypatch):
+    """On random sets of widths 3 to 5, a `seesaw` whose snap is taken reports
+    a value within 2.3e-16 of pm_upper_bound(k) that its strategy replays,
+    with meets_bound and converged set, in at most _SNAP_AFTER trips plus
+    _SNAP_STEPS snap steps."""
+    snaps = _record_snaps(monkeypatch)
+    rng = np.random.default_rng(27)
+    taken = 0
+    for trial in range(45):
+        n = 3 + trial % 3
+        k = int(rng.integers(2, min((1 << n) - 1, 18) + 1))
+        labels = tuple(int(x) for x in rng.choice(np.arange(1, 1 << n), size=k, replace=False))
+        fset = FunctionSet.from_ints(n, labels)
+        snaps.clear()
+        report = seesaw(fset, restarts=16, seed=trial)
+        assert len(snaps) == 1
+        if not quantum._meets_bound(snaps[0][0], k).any():
+            continue
+        taken += 1
+        assert abs(report.value - pm_upper_bound(k)) <= 2.3e-16, labels
+        assert abs(evaluate_pm(report.best_strategy, fset) - report.value) <= 1e-15, labels
+        assert report.meets_bound and report.converged
+        assert report.iterations <= quantum._SNAP_AFTER + _seesaw._SNAP_STEPS
+    assert taken >= 20
+
+
+@pytest.mark.parametrize("labels", [*_SHORT_W4, "open"])
+def test_no_snap_is_taken_short_of_the_bound(monkeypatch, labels):
+    """On the 8 width-4 classes short of pm_upper_bound(k) and on the open
+    quadruple, the snap runs and is refused, so a one-point `_solve_points`
+    equals, bit for bit, a run with no snap (no budget leaves it room)."""
+    fset = representative_set(4, "open") if labels == "open" else FunctionSet.from_ints(4, labels)
+    game = quantum._game(fset)
+
+    def solve():
+        return [quantum._solve_points(game, np.eye(3)[None], 16, seed) for seed in (5, 6)]
+
+    snaps = _record_snaps(monkeypatch)
+    runs = solve()
+    assert len(snaps) == 2
+    assert not any(quantum._meets_bound(rows[0], len(fset)).any() for rows in snaps)
+    snaps.clear()
+    monkeypatch.setattr(quantum, "_SNAP_AFTER", quantum._MAX_ITERS)
+    for got, want in zip(runs, solve(), strict=True):
+        for mine, theirs in zip(got, want, strict=True):
+            assert np.array_equal(mine, theirs)
+    assert not snaps
+
+
+def test_a_call_of_several_points_never_snaps(monkeypatch):
+    """A dephasing sweep's lambda = 0 point has an orthogonal channel, but a
+    batch of several points runs until its slowest point is done, so the
+    call tries no snap; the point still reaches the bound by its trips."""
+    snaps = _record_snaps(monkeypatch)
+    game = quantum._game(representative_set(3), (1.0, 0.0, 0.0))
+    dmats = np.stack([BlochMap.dephasing(lam).matrix() for lam in (0.0, 0.05, 0.1)])
+    sweep = quantum._solve_points(game, dmats, 8, 0)
+    assert not snaps
+    assert quantum._meets_bound(sweep[0][0], 3)
+
+
+def test_the_snap_certifies_the_solves_above_the_newton_cap():
+    """The census_w4 solves at k = 11 to 15, where the Newton finish is off,
+    and `full_mubs(5)`, which has no classical start, land on the bound
+    with a tangent gradient at rounding."""
+    solves = [(FunctionSet.from_bitstrings(labels), seed) for labels, seed in _CENSUS_ABOVE_CAP]
+    for fset, seed in solves + [(full_mubs(5), 0)]:
+        report = seesaw(fset, restarts=64, seed=seed)
+        assert report.meets_bound, fset
+        assert report.tangent_grad <= 1e-9, fset
+
+
+@pytest.mark.parametrize("max_iters", [2, 3, 4, 5, 6])
+def test_the_snap_keeps_within_max_iters(max_iters):
+    """Trips plus snap steps never exceed max_iters on sets at the bound;
+    with max_iters = 2 no step fits, and the snap is skipped."""
+    census = FunctionSet.from_bitstrings(_CENSUS_ABOVE_CAP[1][0])
+    for fset in (representative_set(2), representative_set(3), representative_set(5), census):
+        report = seesaw(fset, restarts=8, max_iters=max_iters)
+        assert report.iterations <= max_iters, (fset, report.iterations)
+
+
+def test_a_snapped_point_stops_its_other_rows(monkeypatch):
+    """A one-point solve whose snap is taken runs the kernel once, for
+    _SNAP_AFTER trips on its cold rows, and reports the snapped row."""
+    calls = []
+
+    def spy(signs, dmat, v0, max_iters, tol, owner=None):
+        calls.append((len(v0), max_iters))
+        return run_seesaw(signs, dmat, v0, max_iters, tol, owner)
+
+    monkeypatch.setattr(quantum, "run_seesaw", spy)
+    report = seesaw(representative_set(3), restarts=16)
+    assert calls == [(17, quantum._SNAP_AFTER)]
+    assert report.meets_bound and report.converged
+    assert report.iterations <= quantum._SNAP_AFTER + _seesaw._SNAP_STEPS
+
+
+def test_meets_bound_reads_the_value_against_the_bound():
+    """meets_bound is True where the value reaches pm_upper_bound(k) within
+    4 ulps and False short of it; a rotated channel snaps too, and
+    `eacc_seesaw` leaves the field None."""
+    assert seesaw(representative_set(3), restarts=4).meets_bound is True
+    assert seesaw(representative_set(4, "open"), restarts=4).meets_bound is False
+    dephased = seesaw(representative_set(3), restarts=4, channel=BlochMap.dephasing(0.1))
+    assert dephased.meets_bound is False
+    rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert seesaw(representative_set(5), restarts=4, channel=rotation).meets_bound is True
+    assert eacc_seesaw(representative_set(2), restarts=2).meets_bound is None
+    bound = pm_upper_bound(3)
+    assert not quantum._meets_bound(bound - 5 * np.spacing(bound), 3)
+    assert quantum._meets_bound(bound - 4 * np.spacing(bound), 3)

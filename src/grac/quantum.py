@@ -23,10 +23,11 @@ orthogonal: _SNAP_AFTER = 2 see-saw trips on its cold rows, then
 Gauss-Newton steps of its _SNAP_ROWS = 4 best rows onto every
 |V_x|^2 = k (`_seesaw.snap`).  A snapped row is accepted by the value
 test alone, which by itself proves it optimal, and the solve is then
-done: its other rows stop after their 2 trips.  Through a channel that
-shrinks some direction, only a strategy whose every V_x keeps its length
-under Lam^T can meet the cap, which the snap's residuals do not ask for,
-so such a solve skips the snap.
+done once `_seesaw.polish` has finished that row: its other rows stop
+after their 2 trips.  Through a channel that shrinks some direction,
+only a strategy whose every V_x keeps its length under Lam^T can meet
+the cap, which the snap's residuals do not ask for, so such a solve
+skips the snap.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import numpy as np
 from ._seesaw import (
     SeesawReport,
     _best_per_point,
+    _unit_rows,
     best_reply,
     certificate,
     check_budget,
@@ -233,35 +235,18 @@ def _game(fset: FunctionSet, axis=None) -> _Game:
     return _Game(sign_matrix(fset), s_c, tuple(np.outer(guess, a) for a in axes))
 
 
-def _random_unit_rows(rng: np.random.Generator, k: int) -> np.ndarray:
-    vecs = rng.standard_normal((k, 3))
-    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-    while (norms < 1e-9).any():  # essentially never, but stay safe
-        bad = norms[:, 0] < 1e-9
-        vecs[bad] = rng.standard_normal((int(bad.sum()), 3))
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-    return vecs / norms
-
-
 def _pm_starts(k: int, restarts: int, seed: int, classical) -> np.ndarray:
     """Every prepare-and-measure start set: an (R, k, 3) array of measurement vectors.
 
-    First `restarts` sphere-uniform starts, the j-th drawn from
-    np.random.default_rng((seed, j)), then the given classical starts in
-    order: a game's `starts`, or none for `seesaw` above ENUM_MAX_WIDTH.
-    The draws are normalized in one pass; only a draw with a row shorter
-    than 1e-9 sends every start back through `_random_unit_rows`, which
-    redraws such rows from the same generator.
+    First `restarts` sphere-uniform starts, drawn in one
+    np.random.default_rng(seed) array of shape (restarts, k, 3), so the
+    first r starts are the same for any restarts >= r, then the given
+    classical starts in order: a game's `starts`, or none for `seesaw`
+    above ENUM_MAX_WIDTH.  A row too short to have a direction becomes z.
     """
-    draws = np.array([np.random.default_rng((seed, j)).standard_normal((k, 3))
-                      for j in range(restarts)])
-    norms = np.linalg.norm(draws, axis=2, keepdims=True)
-    if (norms < 1e-9).any():  # essentially never
-        draws = np.array([_random_unit_rows(np.random.default_rng((seed, j)), k)
-                          for j in range(restarts)])
-    else:
-        draws /= norms
-    return np.concatenate((draws, np.reshape(classical, (-1, k, 3))))
+    draws = np.random.default_rng(seed).standard_normal((restarts, k, 3))
+    units, _ = _unit_rows(draws, np.array(_Z_AXIS))
+    return np.concatenate((units, np.reshape(classical, (-1, k, 3))))
 
 
 _WARM_MARGIN = 1e-4  # a neighbour's optimum reruns at a point only if it starts this close
@@ -309,11 +294,13 @@ def _solve_points(
     of max_iters; the snap is skipped when max_iters leaves no room for a
     step.  A snapped row is accepted only when `_meets_bound` passes on its
     value at the point's own channel; between accepted rows a residual at
-    rounding decides before the value does.  The call then returns that
-    row, converged, with trips plus snap steps as iterations and its gain
-    folded into min_deltas, and its other rows stop.  When no row is
-    accepted the call runs as if no snap were tried, from the same cold
-    starts, so a set short of the bound gets the same arrays, bit for bit.
+    rounding decides before the value does.  The call then hands that row
+    to `_seesaw.polish`, as a round does its new best, and returns it,
+    converged, with trips, snap steps and Newton steps as iterations and
+    their gains folded into min_deltas, and its other rows stop.  When no
+    row is accepted the call runs as if no snap were tried, from the same
+    cold starts, so a set short of the bound gets the same arrays, bit for
+    bit.
     A call of several points never snaps: its batch runs until its slowest
     point is done, so ending one point early saves almost nothing, while
     the snap's own kernel call and steps, up to 3 ms, made 11-point sweeps
@@ -336,7 +323,8 @@ def _solve_points(
         if accepted.size:
             # a row the snap took to rounding first, then the higher value, then the first
             j = max(accepted, key=lambda j: (snapped[5][j], snapped[0][j]))
-            return (*(row[j : j + 1] for row in snapped[:5]), np.ones(1, dtype=bool))
+            chosen = (*(row[j : j + 1] for row in snapped[:5]), np.ones(1, dtype=bool))
+            return polish(signs, dmats, chosen, max_iters)
     best = (
         np.full(n_points, -np.inf),
         np.zeros(n_points, dtype=np.int64),

@@ -157,14 +157,39 @@ def test_classical_start_vectors_shape_and_axis():
 
 
 @pytest.mark.parametrize("k, restarts, seed", [(1, 1, 0), (4, 8, 3), (10, 65, 7)])
-def test_pm_starts_equal_the_per_start_draws(k, restarts, seed):
-    """The starts, normalized in one pass, are those of a loop that draws and
-    normalizes each start from its own generator, bit for bit."""
-    classical = (np.ones((k, 3)) / math.sqrt(3),)
-    loop = [quantum._random_unit_rows(np.random.default_rng((seed, j)), k) for j in range(restarts)]
-    for extra in ((), classical):
-        got = quantum._pm_starts(k, restarts, seed, extra)
-        assert np.array_equal(got, np.stack(loop + list(extra)))
+def test_pm_starts_are_one_seeded_draw(k, restarts, seed):
+    """A start set's random rows are unit, fixed by the seed alone, and the
+    first r of them are the same for any restarts >= r; the classical
+    starts follow them in order."""
+    classical = (np.ones((k, 3)) / math.sqrt(3), -np.ones((k, 3)) / math.sqrt(3))
+    got = quantum._pm_starts(k, restarts, seed, classical)
+    assert got.shape == (restarts + 2, k, 3)
+    assert np.abs(np.linalg.norm(got, axis=2) - 1.0).max() <= 1e-15
+    assert np.array_equal(got[restarts:], np.stack(classical))
+    assert np.array_equal(got[:restarts], quantum._pm_starts(k, restarts, seed, ()))
+    more = quantum._pm_starts(k, restarts + 3, seed, ())
+    assert np.array_equal(more[:restarts], got[:restarts])
+    assert np.array_equal(quantum._pm_starts(k, 1, seed, ()), got[:1])
+    assert not np.isclose(quantum._pm_starts(k, restarts, seed + 1, ()), got[:restarts]).all()
+
+
+def test_pm_starts_give_a_zero_draw_a_unit_row(monkeypatch):
+    """A drawn row too short to have a direction becomes the z axis, not NaN."""
+    real = np.random.default_rng
+
+    class ZeroFirstRow:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def standard_normal(self, shape):
+            draws = self.rng.standard_normal(shape)
+            draws[0, 0] = 0.0
+            return draws
+
+    monkeypatch.setattr(np.random, "default_rng", ZeroFirstRow)
+    got = quantum._pm_starts(3, 4, 0, ())
+    assert np.array_equal(got[0, 0], [0.0, 0.0, 1.0])
+    assert np.abs(np.linalg.norm(got, axis=2) - 1.0).max() <= 1e-15
 
 
 def test_seesaw_reaches_pair_optimum():
@@ -982,6 +1007,28 @@ def test_a_snapped_point_stops_its_other_rows(monkeypatch):
     assert calls == [(17, quantum._SNAP_AFTER)]
     assert report.meets_bound and report.converged
     assert report.iterations <= quantum._SNAP_AFTER + _seesaw._SNAP_STEPS
+
+
+def test_a_snapped_row_is_polished(monkeypatch):
+    """An accepted snap is finished by the Newton polish too.  On these
+    starts (one generator per start, seeded (seed, j)) the snap leaves its
+    row on the bound with a tangent gradient of 7.2e-8 and a positive top
+    eigenvalue; polished, the row is a certified strict local maximum."""
+
+    def per_start(k, restarts, seed, classical):
+        draws = np.array([np.random.default_rng((seed, j)).standard_normal((k, 3))
+                          for j in range(restarts)])
+        draws /= np.linalg.norm(draws, axis=2, keepdims=True)
+        return np.concatenate((draws, np.reshape(classical, (-1, k, 3))))
+
+    monkeypatch.setattr(quantum, "_pm_starts", per_start)
+    snaps = _record_snaps(monkeypatch)
+    fset = FunctionSet.from_bitstrings("0100,0110,1000,1001,1010,1011,1101,1111")
+    report = seesaw(fset, restarts=16, seed=41859)
+    assert len(snaps) == 1 and quantum._meets_bound(snaps[0][0], 8).any()
+    assert report.meets_bound and report.converged
+    assert report.tangent_grad <= 1e-9
+    assert report.top_hessian_eig < 0
 
 
 def test_meets_bound_reads_the_value_against_the_bound():

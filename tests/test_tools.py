@@ -88,3 +88,28 @@ def test_differing_keys_name_what_moved_in_an_artifact():
     assert ops_diff.differing_keys(_result([1, 2]), _result([1, 3])) is None
     assert ops_diff.differing_keys(_result("lambda,value\n0,0.8\n"), new) is None
     assert ops_diff.differing_keys({**old, "artifact": None}, new) is None
+
+
+def test_ops_hold_a_snapped_row_that_the_polish_moves():
+    op = ["quantum", "--n", "3", "--labels", "010,011,100,101,111", "--restarts", "16",
+          "--seed", "48259"]
+    assert ops_diff.ops().count(("extra", op)) == 1
+
+
+def test_moved_summary_gives_the_largest_fall_and_rise():
+    assert ops_diff.moved_summary([]) == "0 reported values moved, 0 of them fell"
+    assert ops_diff.moved_summary([-2e-16, 3e-13, -1e-16, 1e-15]) == (
+        "4 reported values moved, 2 of them fell, the largest fall 2.00e-16, "
+        "the largest rise 3.00e-13"
+    )
+    assert ops_diff.moved_summary([1e-15]) == (
+        "1 reported values moved, 0 of them fell, the largest rise 1.00e-15"
+    )
+
+
+def test_group_seconds_sum_each_groups_ops_in_run_order():
+    todo = [("census_w4", ["a"]), ("pm_sweep", ["b"]), ("census_w4", ["c"]), ("extra", ["d"])]
+    results = [{"s": 0.25}, {"s": 1.0}, {"s": 0.5}, {"s": 2.0}]
+    got = ops_diff.group_seconds(todo, results)
+    assert got == {"census_w4": 0.75, "pm_sweep": 1.0, "extra": 2.0}
+    assert list(got) == ["census_w4", "pm_sweep", "extra"]

@@ -24,21 +24,24 @@ tree runs, in its own Python process, the same CLI ops through
 - the three `classical` ops that decode the most kept strategies: the full
   sets of widths 3 and 4 and the width-4 set of weight-one labels, each
   with a large `--max-strategies`;
-- two `quantum` ops on branches of the one-point solve that no workload
+- three `quantum` ops on branches of the one-point solve that no workload
   runs: a width-5 set, above the exact search's width, which has no
-  classical start, and a width-4 set whose `--max-iters 41` cap binds
-  after the Newton finish.
+  classical start; a width-4 set whose `--max-iters 41` cap binds after
+  the Newton finish; and a width-3 set whose snapped row the Newton polish
+  still moves.
 
 It prints one line per op saying whether the exit code, stdout and artifact
 bytes match, with the op's wall time on each tree, and under an op whose
 two JSON artifacts differ, the top-level keys that differ, each marked
 added (`+`), removed (`-`) or changed (`~`) (for example
-`~iterations,~strategy,~tangent_grad`: no value moved), then a count.  For each
-op whose two artifacts are JSON, it compares every reported optimum (each
+`~iterations,~strategy,~tangent_grad`: no value moved), then a count and
+the summed wall time of each group of ops (the three workloads and
+`extra`) on each tree.  For each op whose two artifacts are JSON, it
+compares every reported optimum (each
 number under a `value`, `values`, `lambda_crit` or `computed` key, which the
 optimizers only ever raise) and prints a line per op where one moved, with
 the smallest and largest difference (CHANGE minus PARENT), then the number
-of values that moved, how many fell and the largest fall.
+of values that moved, how many fell, the largest fall and the largest rise.
 Then CHANGE_SRC reads every JSON strategy
 artifact that PARENT_SRC wrote with its own `from_dict` and replays it: each
 classical strategy must replay to the reported wins exactly, and each
@@ -75,6 +78,7 @@ EXTRA_OPS = (
     ["classical", "--n", "4", "--labels", "0001,0010,0100,1000", "--max-strategies", "300"],
     ["quantum", "--n", "5", "--labels", "00001,00010,00100,01000,10000,11111"],
     ["quantum", "--n", "4", "--labels", "0010,0101,0110,1000,1010,1110,1111", "--max-iters", "41"],
+    ["quantum", "--n", "3", "--labels", "010,011,100,101,111", "--restarts", "16", "--seed", "48259"],
     *(["noise", "--labels", spec, "--channel", "dephasing", "--axis", axis]
       for axis in DEFAULT_GRID_AXES for spec in K3_SPECS),
 )
@@ -209,6 +213,23 @@ def value_moves(old: dict, new: dict) -> list[float] | None:
     return [b - a for a, b in zip(before, after)]
 
 
+def group_seconds(todo: list, results: list[dict]) -> dict[str, float]:
+    """The summed wall time of each group's ops on one tree, in run order of the groups."""
+    total: dict[str, float] = {}
+    for (group, _), res in zip(todo, results):
+        total[group] = total.get(group, 0.0) + res["s"]
+    return total
+
+
+def moved_summary(moves: list[float]) -> str:
+    """The count of moved reported values, how many fell, the largest fall and rise."""
+    falls = [d for d in moves if d < 0]
+    rises = [d for d in moves if d > 0]
+    return (f"{len(moves)} reported values moved, {len(falls)} of them fell"
+            + (f", the largest fall {-min(falls):.2e}" if falls else "")
+            + (f", the largest rise {max(rises):.2e}" if rises else ""))
+
+
 def replay_failure(payload: dict, got) -> str | None:
     """Why a replay does not reproduce the reported value, or None."""
     if isinstance(got, str):
@@ -238,15 +259,16 @@ def main(argv: list[str]) -> int:
         if keys:
             print(f"{'':<24} keys {','.join(keys)}")
     print(f"{same} of {len(todo)} ops match in exit code, stdout and artifact bytes")
+    before, after = group_seconds(todo, parent), group_seconds(todo, change)
+    print("wall time per group, parent -> change: "
+          + ", ".join(f"{g} {before[g]:.3f}s -> {after[g]:.3f}s" for g in before))
     moves = []
     for (group, op), old, new in zip(todo, parent, change):
         diffs = value_moves(old, new)
         if diffs and any(diffs):
             moves += [d for d in diffs if d]
             print(f"VALUES MOVED  min {min(diffs):+.2e} max {max(diffs):+.2e}  {' '.join(op)}")
-    falls = [d for d in moves if d < 0]
-    print(f"{len(moves)} reported values moved, {len(falls)} of them fell"
-          + (f", the largest fall {-min(falls):.2e}" if falls else ""))
+    print(moved_summary(moves))
     artifacts = strategy_artifacts(todo, parent)
     replays = run_tree(argv[1], REPLAY, [payload for _, payload in artifacts])
     read = 0

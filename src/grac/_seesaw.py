@@ -130,10 +130,12 @@ _CROSS = np.cross(_AXES[:, None, :], _AXES[None, :, :])  # _CROSS[i] @ v = v x e
 class SeesawReport:
     """Best restart of a see-saw run.
 
-    tangent_grad and top_hessian_eig are the best restart's `certificate`,
-    and meets_bound whether its value reaches the one-qubit ceiling
-    1/2(1 + 1/sqrt(k)), a global certificate, where the optimizer computes
-    them (the one-qubit `seesaw`); else None.
+    tangent_grad and top_hessian_eig are the best restart's `certificate`
+    where the optimizer computes them (the one-qubit `seesaw`), else None.
+    meets_bound is whether the value reaches 1/2(1 + 1/sqrt(k)) within 4
+    ulps, a global certificate: that ceiling caps one-qubit and, at every
+    local dimension, entanglement-assisted strategies alike.  `seesaw` and
+    `grac.eacc.eacc_optimum` set it; `eacc_seesaw` leaves it None.
     """
 
     value: float

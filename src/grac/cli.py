@@ -29,7 +29,7 @@ from .channels import (
     dephasing_sweep,
 )
 from .classical import classical_optimum
-from .eacc import LOCAL_DIMS, eacc_seesaw
+from .eacc import LOCAL_DIMS, eacc_optimum
 from .errors import GracError, InvalidInputError
 from .mubs import FunctionSet, classify_quadruple, full_mubs
 from .quantum import pm_upper_bound, seesaw
@@ -222,7 +222,7 @@ def _cmd_noise(args) -> int:
 
 def _cmd_eacc(args) -> int:
     fset = parse_label_spec(args.n, args.labels)
-    report = eacc_seesaw(fset, **_given(args, "local_dim", "restarts", "max_iters", "tol", "seed"))
+    report = eacc_optimum(fset, **_given(args, "local_dim", "restarts", "max_iters", "tol", "seed"))
     local_dim = report.best_strategy.dims[0]
     payload = {**_report_fields(fset, report), "local_dim": local_dim}
     summary = (
@@ -327,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int)
     p.set_defaults(func=_cmd_noise)
 
-    p = sub.add_parser("eacc", help="entanglement-assisted see-saw optimization")
+    p = sub.add_parser(
+        "eacc", help="entanglement-assisted optimum: a construction on the bound, else a see-saw"
+    )
     _add_common(p)
     p.add_argument("--local-dim", type=int, choices=LOCAL_DIMS)
     p.add_argument("--restarts", type=int)

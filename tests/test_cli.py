@@ -9,7 +9,7 @@ import pytest
 
 from grac import cli
 from grac._seesaw import SeesawReport
-from grac.eacc import eacc_seesaw
+from grac.eacc import eacc_optimum
 from grac.errors import InvalidInputError
 from grac.mubs import FunctionSet
 from grac.quantum import seesaw
@@ -178,16 +178,16 @@ def test_quantum_artifact_carries_the_certificate(tmp_path, capsys):
 
 
 def test_quantum_artifact_says_whether_it_meets_the_bound(tmp_path):
-    """meets_bound reaches the quantum artifact as the global certificate: true
-    for a set on pm_upper_bound(k), false for the open quadruple, and null in
-    an eacc artifact."""
+    """meets_bound reaches the quantum and eacc artifacts as the global
+    certificate: true for a set on pm_upper_bound(k), false for the open
+    quadruple."""
     read = {}
     for command, spec in (("quantum", "k=3"), ("quantum", "k=4:open"), ("eacc", "k=3")):
         out = tmp_path / f"{command}-{spec}.json"
         argv = [command, "--labels", spec, "--restarts", "4", "--out", str(out)]
         assert cli.main(argv) == 0
         read[command, spec] = json.loads(out.read_text())["meets_bound"]
-    assert read == {("quantum", "k=3"): True, ("quantum", "k=4:open"): False, ("eacc", "k=3"): None}
+    assert read == {("quantum", "k=3"): True, ("quantum", "k=4:open"): False, ("eacc", "k=3"): True}
 
 
 def test_sweep_csv_header(tmp_path):
@@ -253,12 +253,12 @@ def test_eacc_command(capsys):
 
 
 def test_seesaw_artifacts_carry_every_report_field(tmp_path):
-    """Both see-saw artifacts hold every `SeesawReport` field as the library
-    reports it, the strategy as a dict; the entanglement-assisted see-saw has
-    no certificate, so those two fields are null in its artifact."""
+    """Both optimizer artifacts hold every `SeesawReport` field as the library
+    reports it, the strategy as a dict; the entanglement-assisted optimum has
+    no local certificate, so those two fields are null in its artifact."""
     fset = representative_set(2)
     fields = [f.name for f in dataclasses.fields(SeesawReport) if f.name != "best_strategy"]
-    solvers = (("quantum", seesaw, "upper_bound"), ("eacc", eacc_seesaw, "local_dim"))
+    solvers = (("quantum", seesaw, "upper_bound"), ("eacc", eacc_optimum, "local_dim"))
     for command, solve, extra in solvers:
         out = tmp_path / f"{command}.json"
         assert cli.main([command, "--labels", "k=2", "--restarts", "2", "--out", str(out)]) == 0

@@ -1,0 +1,217 @@
+"""The entanglement-assisted ceiling and the constructions that meet it."""
+
+import dataclasses
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grac import (
+    FunctionSet,
+    GracError,
+    PMStrategy,
+    eacc_optimum,
+    eacc_seesaw,
+    eacc_to_bell,
+    evaluate_eacc,
+    evaluate_pm,
+    full_mubs,
+    pm_upper_bound,
+    random_strategy,
+    representative_set,
+    seesaw,
+    validate_strategy,
+)
+from grac import eacc as eacc_mod
+from grac.eacc import _anticommuting, _qubit_embed, _tsirelson_strategy
+from grac.quantum import _meets_bound
+
+
+def _draw_set(data, widths, max_size, min_size=1):
+    n = data.draw(st.sampled_from(widths), label="n")
+    labels = data.draw(
+        st.lists(
+            st.integers(1, (1 << n) - 1),
+            min_size=min_size,
+            max_size=min(max_size, (1 << n) - 1),
+            unique=True,
+        ),
+        label="labels",
+    )
+    return FunctionSet.from_ints(n, tuple(labels))
+
+
+def _units(rng, count):
+    vecs = rng.standard_normal((count, 3))
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_the_jordan_wigner_unitaries_anticommute(k):
+    gammas = _anticommuting(k)
+    d = 1 << (k // 2)
+    assert gammas.shape == (k, d, d)
+    products = np.einsum("iab,jbc->ijac", gammas, gammas)
+    anti = products + products.transpose(1, 0, 2, 3)
+    expected = 2 * np.eye(k)[:, :, None, None] * np.eye(d)
+    assert np.abs(anti - expected).max() < 1e-15
+    assert np.abs(gammas - gammas.conj().transpose(0, 2, 1)).max() == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_qubit_embedding_replays_the_one_qubit_value(data):
+    """2x2 value >= one-qubit value: the embedding scores what the one-qubit
+    strategy scores, at local dimension 2 and padded to 3 and 4."""
+    fset = _draw_set(data, (2, 3, 4, 5), max_size=8)
+    d = data.draw(st.sampled_from((2, 3, 4)), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    prep, meas = _units(rng, 1 << fset.n), _units(rng, len(fset))
+    strategy = PMStrategy(
+        fset.n,
+        {x: vec for x, vec in enumerate(prep)},
+        {r: vec for r, vec in zip(fset.ints, meas)},
+    )
+    embedded = _qubit_embed(strategy, fset, d)
+    validate_strategy(embedded)
+    assert embedded.dims == (d, d)
+    value = evaluate_pm(strategy, fset)
+    assert abs(evaluate_eacc(embedded, fset) - value) <= 1e-12
+    assert abs(eacc_to_bell(embedded, fset).bell_value - value) <= 1e-12
+
+
+_ADMITTED = [(d, k) for d in (2, 3, 4) for k in range(1, 6) if 1 << (k // 2) <= d]
+
+
+@pytest.mark.parametrize("d, k", _ADMITTED, ids=[f"d{d}-k{k}" for d, k in _ADMITTED])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_the_jordan_wigner_strategy_meets_the_ceiling(d, k, data):
+    widths = [n for n in (1, 2, 3, 4) if (1 << n) - 1 >= k]
+    fset = _draw_set(data, widths, max_size=k, min_size=k)
+    strategy = _tsirelson_strategy(fset, d)
+    validate_strategy(strategy)
+    assert strategy.dims == (d, d)
+    bound = pm_upper_bound(k)
+    assert abs(evaluate_eacc(strategy, fset) - bound) <= 1e-12
+    assert abs(eacc_to_bell(strategy, fset).bell_value - bound) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_no_strategy_scores_above_the_ceiling(data):
+    fset = _draw_set(data, (3, 4), max_size=7)
+    d = data.draw(st.sampled_from((2, 3, 4)), label="d")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    bound = pm_upper_bound(len(fset))
+    rng = np.random.default_rng(seed)
+    assert evaluate_eacc(random_strategy(fset, d, rng), fset) <= bound + 1e-12
+    max_iters = data.draw(st.integers(1, 60), label="max_iters")
+    report = eacc_seesaw(fset, local_dim=d, restarts=2, max_iters=max_iters, seed=seed)
+    assert report.value <= bound + 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_the_optimum_is_never_below_the_one_qubit_seesaw(data):
+    fset = _draw_set(data, (3, 4), max_size=7)
+    d = data.draw(st.sampled_from((2, 3, 4)), label="d")
+    restarts = data.draw(st.integers(1, 4), label="restarts")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    report = eacc_optimum(fset, local_dim=d, restarts=restarts, seed=seed)
+    one_qubit = seesaw(fset, restarts=restarts, max_iters=3000, seed=seed)
+    assert report.value >= one_qubit.value - 1e-15
+    validate_strategy(report.best_strategy)
+    assert evaluate_eacc(report.best_strategy, fset) == report.value
+    assert report.meets_bound == bool(_meets_bound(report.value, len(fset)))
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("this step should not run")
+
+
+@pytest.mark.parametrize("k, qclass, d", [(2, None, 2), (3, None, 3), (4, "open", 4), (5, None, 4)])
+def test_the_jordan_wigner_step_runs_no_seesaw(monkeypatch, k, qclass, d):
+    monkeypatch.setattr(eacc_mod, "seesaw", _refuse)
+    monkeypatch.setattr(eacc_mod, "eacc_seesaw", _refuse)
+    report = eacc_optimum(representative_set(k, qclass), local_dim=d, seed=5)
+    assert report.value == pytest.approx(pm_upper_bound(k), abs=1e-15)
+    assert (report.iterations, report.restarts_used, report.converged) == (0, 0, True)
+    assert report.meets_bound and report.seed == 5
+    assert report.tangent_grad is None and report.top_hessian_eig is None
+
+
+@pytest.mark.parametrize("k, qclass, d", [(4, "xor-closed", 2), (4, "xor-closed", 3), (7, None, 4)])
+def test_an_embedding_on_the_bound_runs_no_entanglement_assisted_seesaw(monkeypatch, k, qclass, d):
+    monkeypatch.setattr(eacc_mod, "eacc_seesaw", _refuse)
+    fset = representative_set(k, qclass)
+    report = eacc_optimum(fset, local_dim=d, restarts=4, seed=1)
+    one_qubit = seesaw(fset, restarts=4, max_iters=3000, seed=1)
+    assert report.meets_bound
+    assert report.value == pytest.approx(one_qubit.value, abs=1e-15)
+    assert report.iterations == one_qubit.iterations
+    assert report.restarts_used == one_qubit.restarts_used
+    assert report.best_strategy.dims == (d, d)
+
+
+def test_a_set_short_of_the_bound_falls_back_to_the_seesaw_bit_for_bit():
+    """At local dimension 4 the see-saw beats the one-qubit optimum of this
+    width-4 set, and its report comes back unchanged but for meets_bound."""
+    fset = FunctionSet.from_ints(4, (1, 2, 3, 4, 8, 12))
+    report = eacc_optimum(fset, local_dim=4, restarts=8, seed=0)
+    plain = eacc_seesaw(fset, local_dim=4, restarts=8, seed=0)
+    assert report.value > seesaw(fset, restarts=8, max_iters=3000, seed=0).value
+    assert report.meets_bound is False
+    for field in dataclasses.fields(plain):
+        mine, theirs = getattr(report, field.name), getattr(plain, field.name)
+        if field.name == "best_strategy":
+            for part in ("state", "alice", "bob"):
+                assert np.array_equal(getattr(mine, part), getattr(theirs, part))
+        elif field.name != "meets_bound":
+            assert mine == theirs, field.name
+
+
+def test_the_open_quadruple_below_dimension_four_reports_the_better_strategy():
+    """At local dimensions 2 and 3 neither construction meets 3/4; the
+    embedded one-qubit optimum scores above the see-saw's best here."""
+    quad = representative_set(4, "open")
+    for d in (2, 3):
+        report = eacc_optimum(quad, local_dim=d, restarts=16, seed=0)
+        plain = eacc_seesaw(quad, local_dim=d, restarts=16, seed=0)
+        assert report.value > plain.value
+        assert report.value >= seesaw(quad, restarts=16, max_iters=3000, seed=0).value - 1e-15
+        assert report.meets_bound is False
+        assert report.best_strategy.dims == (d, d)
+
+
+def test_a_wide_set_is_refused_the_jordan_wigner_step_before_any_allocation():
+    """k = 63 would need 2^31-dimensional unitaries; the dimension is checked
+    first, and the one-qubit step answers in a fraction of a second."""
+    fset = full_mubs(6)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = eacc_optimum(fset, local_dim=4, restarts=2)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.meets_bound
+    assert report.best_strategy.dims == (4, 4)
+    assert peak < 64 * 2**20
+    assert elapsed < 10.0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"local_dim": 5}, {"local_dim": 2.0}, {"restarts": 0}, {"seed": -1}, {"tol": 0.0}],
+)
+def test_eacc_optimum_refuses_what_the_seesaw_refuses(kwargs):
+    fset = representative_set(2)
+    with pytest.raises(GracError) as refused:
+        eacc_seesaw(fset, **kwargs)
+    with pytest.raises(type(refused.value)):
+        eacc_optimum(fset, **kwargs)

@@ -113,3 +113,15 @@ def test_group_seconds_sum_each_groups_ops_in_run_order():
     got = ops_diff.group_seconds(todo, results)
     assert got == {"census_w4": 0.75, "pm_sweep": 1.0, "extra": 2.0}
     assert list(got) == ["census_w4", "pm_sweep", "extra"]
+
+
+def test_ops_hold_the_eacc_ops_that_no_workload_runs():
+    """The full width-4 set, settled by the embedded one-qubit optimum, and the
+    4->1 random access code, short of the bound, which falls back to the see-saw."""
+    todo = ops_diff.ops()
+    for op in (
+        ["eacc", "--n", "4", "--labels", "all", "--local-dim", "3"],
+        ["eacc", "--n", "4", "--labels", "0001,0010,0100,1000", "--local-dim", "3",
+         "--restarts", "8"],
+    ):
+        assert todo.count(("extra", op)) == 1

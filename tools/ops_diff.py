@@ -28,7 +28,11 @@ tree runs, in its own Python process, the same CLI ops through
   runs: a width-5 set, above the exact search's width, which has no
   classical start; a width-4 set whose `--max-iters 41` cap binds after
   the Newton finish; and a width-3 set whose snapped row the Newton polish
-  still moves.
+  still moves;
+- two `eacc` ops at local dimension 3 on branches of `eacc_optimum` that no
+  workload runs: the full width-4 set (k = 15), which the embedded
+  one-qubit optimum settles, and the width-4 set of weight-one labels (the
+  4->1 random access code), short of the bound, where the see-saw runs.
 
 It prints one line per op saying whether the exit code, stdout and artifact
 bytes match, with the op's wall time on each tree, and under an op whose
@@ -79,6 +83,8 @@ EXTRA_OPS = (
     ["quantum", "--n", "5", "--labels", "00001,00010,00100,01000,10000,11111"],
     ["quantum", "--n", "4", "--labels", "0010,0101,0110,1000,1010,1110,1111", "--max-iters", "41"],
     ["quantum", "--n", "3", "--labels", "010,011,100,101,111", "--restarts", "16", "--seed", "48259"],
+    ["eacc", "--n", "4", "--labels", "all", "--local-dim", "3"],
+    ["eacc", "--n", "4", "--labels", "0001,0010,0100,1000", "--local-dim", "3", "--restarts", "8"],
     *(["noise", "--labels", spec, "--channel", "dephasing", "--axis", axis]
       for axis in DEFAULT_GRID_AXES for spec in K3_SPECS),
 )

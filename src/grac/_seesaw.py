@@ -150,8 +150,9 @@ class SeesawReport:
     meets_bound: bool | None = None
 
 
-def check_budget(restarts: int, max_iters: int, tol: float) -> None:
-    """Reject a see-saw budget that cannot run or cannot stop."""
+def check_budget(restarts: int, max_iters: int, tol: float, seed: int) -> None:
+    """Reject a see-saw budget that cannot run or cannot stop, then a seed that
+    numpy's generator would refuse or silently truncate."""
     check_integer("restarts", restarts)
     check_integer("max_iters", max_iters)
     if restarts < 1:
@@ -161,10 +162,6 @@ def check_budget(restarts: int, max_iters: int, tol: float) -> None:
     check_real("tolerance", tol)
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidInputError(f"tolerance must be finite and positive, got {tol!r}")
-
-
-def check_seed(seed: int) -> None:
-    """Reject a seed that numpy's generator would refuse or silently truncate."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seesaw import check_budget, check_seed
+from ._seesaw import check_budget
 from .classical import Rational
 from .errors import InvalidInputError, NoCrossingError, check_integer, check_real, read_reals
 from .mubs import FunctionSet
@@ -82,8 +82,7 @@ def critical_depolarizing(fset: FunctionSet, restarts: int = 8, seed: int = 0) -
     restarts and seed, from the same one-point `quantum._solve_points` call,
     and S_C comes from the exact search behind its classical start.
     """
-    check_budget(restarts, _MAX_ITERS, _TOL)
-    check_seed(seed)
+    check_budget(restarts, _MAX_ITERS, _TOL, seed)
     game = _game(fset)
     s_c = game.classical.value
     s_q = float(_solve_points(game, np.eye(3)[None], restarts, seed)[0][0])
@@ -139,8 +138,7 @@ def _sweep_inputs(axis, grid, restarts: int, seed: int):
         raise InvalidInputError("the dephasing grid is empty")
     grid = tuple(float(g) for g in arr)
     dmats = np.stack([BlochMap.dephasing(lam, axis).matrix() for lam in grid])
-    check_budget(restarts, _MAX_ITERS, _TOL)
-    check_seed(seed)
+    check_budget(restarts, _MAX_ITERS, _TOL, seed)
     return axis, grid, dmats
 
 

@@ -73,7 +73,6 @@ from ._seesaw import (
     SeesawReport,
     alternate,
     check_budget,
-    check_seed,
     next_beta,
 )
 from .classical import ENUM_MAX_WIDTH, ClassicalStrategy, classical_optimum
@@ -176,16 +175,30 @@ class EACCStrategy:
         return cls(n, labels, state, alice, bob)
 
 
-def _check_effect_pair(pair: np.ndarray, what: str) -> None:
-    d = pair.shape[-1]
-    for z in (0, 1):
-        eff = pair[z]
-        if np.abs(eff - eff.conj().T).max() > _ATOL:
-            raise InvalidEffectError(f"{what} outcome {z} is not Hermitian")
-        if np.linalg.eigvalsh(eff).min() < -_ATOL:
-            raise InvalidEffectError(f"{what} outcome {z} is not positive semidefinite")
-    if np.abs(pair[0] + pair[1] - np.eye(d)).max() > _ATOL:
-        raise InvalidEffectError(f"{what} outcomes do not sum to the identity")
+def _check_effects(pairs: np.ndarray, name) -> None:
+    """Hermiticity, positivity and completeness of a stack of effect pairs (..., 2, d, d).
+
+    Raises on the first failing pair in row order, and within a pair on its
+    first failing test: outcome 0 Hermitian, outcome 0 positive, the same
+    for outcome 1, then completeness; name(*index) names the pair.
+    """
+    faults = (
+        "outcome 0 is not Hermitian",
+        "outcome 0 is not positive semidefinite",
+        "outcome 1 is not Hermitian",
+        "outcome 1 is not positive semidefinite",
+        "outcomes do not sum to the identity",
+    )
+    herm = np.abs(pairs - np.conj(np.swapaxes(pairs, -1, -2))).max(axis=(-2, -1)) > _ATOL
+    neg = np.linalg.eigvalsh(pairs).min(axis=-1) < -_ATOL
+    total = pairs[..., 0, :, :] + pairs[..., 1, :, :]
+    incomplete = np.abs(total - np.eye(pairs.shape[-1])).max(axis=(-2, -1)) > _ATOL
+    failed = np.stack(
+        (herm[..., 0], neg[..., 0], herm[..., 1], neg[..., 1], incomplete), axis=-1
+    )
+    if failed.any():
+        *pair, test = (int(i) for i in np.unravel_index(np.argmax(failed), failed.shape))
+        raise InvalidEffectError(f"{name(*pair)} {faults[test]}")
 
 
 def validate_strategy(strategy: EACCStrategy) -> None:
@@ -200,11 +213,10 @@ def validate_strategy(strategy: EACCStrategy) -> None:
         raise InvalidEffectError("state is not positive semidefinite")
     if abs(np.trace(state).real - 1.0) > _ATOL:
         raise InvalidEffectError(f"state trace must be 1, got {np.trace(state)!r}")
-    for x in range(1 << strategy.n):
-        _check_effect_pair(strategy.alice[x], f"alice effect x={x}")
-    for omega in (0, 1):
-        for j, r in enumerate(strategy.labels):
-            _check_effect_pair(strategy.bob[omega, j], f"bob effect (ω={omega}, label={r})")
+    _check_effects(strategy.alice, lambda x: f"alice effect x={x}")
+    _check_effects(
+        strategy.bob, lambda omega, j: f"bob effect (ω={omega}, label={strategy.labels[j]})"
+    )
 
 
 def _bob_difference(signs: np.ndarray, b0: np.ndarray) -> np.ndarray:
@@ -273,6 +285,24 @@ def _check_local_dim(local_dim: int) -> None:
         raise InvalidInputError(f"local dimension must be positive, got {local_dim}")
 
 
+def _check_solver(local_dim: int, restarts: int, max_iters: int, tol: float, seed: int) -> None:
+    """The solvers' arguments: a local dimension in LOCAL_DIMS, then budget and seed."""
+    check_integer("local dimension", local_dim)
+    if local_dim not in LOCAL_DIMS:
+        raise DimensionMismatchError(
+            f"local dimension must be one of {LOCAL_DIMS}, got {local_dim}"
+        )
+    check_budget(restarts, max_iters, tol, seed)
+
+
+def _complete(fset: FunctionSet, state, a0: np.ndarray, b0: np.ndarray) -> EACCStrategy:
+    """The strategy with outcome-0 effects A^x_0 = a0[x] and B^{ω,y}_0 = b0[ω, y]
+    and outcome-1 effects 1 - A^x_0 and 1 - B^{ω,y}_0."""
+    eye = np.eye(a0.shape[-1])
+    alice, bob = (np.stack([e, eye - e], axis=e.ndim - 2) for e in (a0, b0))
+    return EACCStrategy(fset.n, fset.ints, state, alice, bob)
+
+
 def classical_embed(
     strategy: ClassicalStrategy, fset: FunctionSet, local_dim: int = 2
 ) -> EACCStrategy:
@@ -283,17 +313,13 @@ def classical_embed(
             f"encoding width {strategy.encoding.n} != set width {fset.n}"
         )
     d = local_dim
-    m = 1 << fset.n
-    k = len(fset)
     state = np.zeros((d * d, d * d), dtype=np.complex128)
     state[0, 0] = 1.0
-    eye = np.eye(d, dtype=np.complex128)
-    alice = np.zeros((m, 2, d, d), dtype=np.complex128)
-    alice[np.arange(m), table_bits(strategy.encoding.table, m)] = eye
+    sent = table_bits(strategy.encoding.table, 1 << fset.n)
     guess = np.array([[strategy.decode(r, omega) for r in fset.ints] for omega in (0, 1)])
-    bob = np.zeros((2, k, 2, d, d), dtype=np.complex128)
-    bob[np.arange(2)[:, None], np.arange(k), guess] = eye
-    return EACCStrategy(fset.n, fset.ints, state, alice, bob)
+    # Outcome 0 is the identity where Alice sends 0 or Bob guesses 0, else zero.
+    a0, b0 = (np.where(bits[..., None, None] == 0, np.eye(d), 0.0) for bits in (sent, guess))
+    return _complete(fset, state, a0, b0)
 
 
 def _haar_effects(rng: np.random.Generator, m: int, k: int, d: int):
@@ -325,10 +351,7 @@ def random_strategy(
     psi = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
     psi /= np.linalg.norm(psi)
     state = np.outer(psi, psi.conj())
-    a0, b0 = _haar_effects(rng, m, k, d)
-    alice = np.stack([a0, np.eye(d) - a0], axis=1)
-    bob = np.stack([b0, np.eye(d) - b0], axis=2)
-    return EACCStrategy(fset.n, fset.ints, state, alice, bob)
+    return _complete(fset, state, *_haar_effects(rng, m, k, d))
 
 
 def _hermitian_part(op: np.ndarray) -> np.ndarray:
@@ -371,13 +394,7 @@ def eacc_seesaw(
     tries the extrapolated candidate of the module docstring.  Returns the
     best restart as a SeesawReport holding an EACCStrategy.
     """
-    check_integer("local dimension", local_dim)
-    if local_dim not in LOCAL_DIMS:
-        raise DimensionMismatchError(
-            f"local dimension must be one of {LOCAL_DIMS}, got {local_dim}"
-        )
-    check_budget(restarts, max_iters, tol)
-    check_seed(seed)
+    _check_solver(local_dim, restarts, max_iters, tol, seed)
     d = local_dim
     m = 1 << fset.n
     k = len(fset)
@@ -455,16 +472,13 @@ def eacc_seesaw(
     best = int(np.argmax(values))
     state = np.outer(psi[best], psi[best].conj())
     # The projector products leave ~1e-18 imaginary parts on the diagonal.
-    a0_best, b0_best = _hermitian_part(a0[best]), _hermitian_part(b0[best])
-    eye = np.eye(d, dtype=np.complex128)
-    alice = np.stack([a0_best, eye - a0_best], axis=1)
-    bob = np.stack([b0_best, eye - b0_best], axis=2)
+    strategy = _complete(fset, state, _hermitian_part(a0[best]), _hermitian_part(b0[best]))
     return SeesawReport(
         value=float(values[best]),
         iterations=int(iters[best]),
         restarts_used=n_restarts,
         converged=bool(converged[best]),
-        best_strategy=EACCStrategy(fset.n, fset.ints, state, alice, bob),
+        best_strategy=strategy,
         seed=seed,
         min_step_delta=float(min_deltas[best]),
     )
@@ -496,11 +510,7 @@ def _maximally_entangled(fset: FunctionSet, alice_ops, bob_ops, local_dim: int) 
     a0, b0 = (np.pad(e, [(0, 0)] * (e.ndim - 2) + [(0, d - block)] * 2) for e in (a0, b0))
     phi = np.zeros((d, d), dtype=np.complex128)
     phi[np.arange(block), np.arange(block)] = 1.0 / np.sqrt(block)
-    state = np.outer(phi.ravel(), phi.ravel())
-    eye = np.eye(d)
-    alice = np.stack([a0, eye - a0], axis=1)
-    bob = np.stack([b0, eye - b0], axis=2)
-    return EACCStrategy(fset.n, fset.ints, state, alice, bob)
+    return _complete(fset, np.outer(phi.ravel(), phi.ravel()), a0, b0)
 
 
 def _tsirelson_strategy(fset: FunctionSet, local_dim: int) -> EACCStrategy:
@@ -550,13 +560,7 @@ def eacc_optimum(
     meets_bound is `_meets_bound` on the reported value; the two
     local-certificate fields are None.
     """
-    check_integer("local dimension", local_dim)
-    if local_dim not in LOCAL_DIMS:
-        raise DimensionMismatchError(
-            f"local dimension must be one of {LOCAL_DIMS}, got {local_dim}"
-        )
-    check_budget(restarts, max_iters, tol)
-    check_seed(seed)
+    _check_solver(local_dim, restarts, max_iters, tol, seed)
     k = len(fset)
     if 1 << (k // 2) <= local_dim:
         strategy = _tsirelson_strategy(fset, local_dim)

@@ -45,7 +45,6 @@ from ._seesaw import (
     best_reply,
     certificate,
     check_budget,
-    check_seed,
     polish,
     run_seesaw,
     snap,
@@ -383,8 +382,7 @@ def seesaw(
     none), and meets_bound, the global certificate: whether the value
     reaches pm_upper_bound(k) within _BOUND_ULPS ulps (`_meets_bound`).
     """
-    check_budget(restarts, max_iters, tol)
-    check_seed(seed)
+    check_budget(restarts, max_iters, tol, seed)
     dmat = _channel_matrix(channel)[None]
     game = _game(fset) if fset.n <= ENUM_MAX_WIDTH else _Game(sign_matrix(fset), None, ())
     value, iters, min_delta, r, v, conv = _solve_points(game, dmat, restarts, seed, max_iters, tol)

@@ -9,30 +9,8 @@ tree runs, in its own Python process, the same CLI ops through
 - every op of the three benchmark workloads (census_w4, pm_sweep,
   eacc_dims), read with `perfbench/workloads.py`'s `build` from the checkout
   this script sits in;
-- `tables` with each artifact format (json, text, csv);
-- the crossing windows `noise --labels k=5 --window k=4:open` and
-  `noise --labels k=4:open --window k=5` on their default grid, whose
-  lower and higher end in lambda are refined, and the op
-  `noise --labels k=4:xor-closed --window k=3 --axis 0.48,-0.6,0.64`,
-  where the two sets tie up to rounding and no window is found;
-- the dephasing sweep `noise --labels k=5 --channel dephasing` on the
-  default axis and grid, whose result line echoes the default axis;
-- the 7 width-3 representative sets swept on 3 axes (x, z and an oblique
-  one) on the default grid, seed and restarts: 21 sweeps;
-- the depolarizing threshold `noise --labels k=4:open --channel
-  depolarizing` at the default restarts;
-- the three `classical` ops that decode the most kept strategies: the full
-  sets of widths 3 and 4 and the width-4 set of weight-one labels, each
-  with a large `--max-strategies`;
-- three `quantum` ops on branches of the one-point solve that no workload
-  runs: a width-5 set, above the exact search's width, which has no
-  classical start; a width-4 set whose `--max-iters 41` cap binds after
-  the Newton finish; and a width-3 set whose snapped row the Newton polish
-  still moves;
-- two `eacc` ops at local dimension 3 on branches of `eacc_optimum` that no
-  workload runs: the full width-4 set (k = 15), which the embedded
-  one-qubit optimum settles, and the width-4 set of weight-one labels (the
-  4->1 random access code), short of the bound, where the see-saw runs.
+- the ops of `EXTRA_OPS` below, each on a branch or an output that no
+  workload reaches; the comment beside each entry says which.
 
 It prints one line per op saying whether the exit code, stdout and artifact
 bytes match, with the op's wall time on each tree, and under an op whose
@@ -69,22 +47,40 @@ from workloads import K3_SPECS, WORKLOADS, build  # noqa: E402
 DEFAULT_GRID_AXES = ("1,0,0", "0,0,1", "0.48,-0.6,0.64")
 
 EXTRA_OPS = (
+    # `tables` in each artifact format
     ["tables", "--format", "json"],
     ["tables", "--format", "text"],
     ["tables", "--format", "csv"],
+    # crossing windows on the default grid, refined at their lower and at
+    # their higher end in lambda
     ["noise", "--labels", "k=5", "--window", "k=4:open"],
     ["noise", "--labels", "k=4:open", "--window", "k=5"],
+    # two sets that tie up to rounding on this axis: no window is found
     ["noise", "--labels", "k=4:xor-closed", "--window", "k=3", "--axis", "0.48,-0.6,0.64"],
+    # the dephasing sweep on the default axis and grid; its result line
+    # echoes the default axis
     ["noise", "--labels", "k=5", "--channel", "dephasing"],
+    # the depolarizing threshold at the default restarts
     ["noise", "--labels", "k=4:open", "--channel", "depolarizing"],
+    # the `classical` ops that decode the most kept strategies: the full
+    # sets of widths 3 and 4 and the width-4 set of weight-one labels
     ["classical", "--n", "3", "--labels", "all", "--max-strategies", "1000"],
     ["classical", "--n", "4", "--labels", "all", "--max-strategies", "500"],
     ["classical", "--n", "4", "--labels", "0001,0010,0100,1000", "--max-strategies", "300"],
+    # a width-5 set, above the exact search's width: no classical start
     ["quantum", "--n", "5", "--labels", "00001,00010,00100,01000,10000,11111"],
+    # a width-4 set whose `--max-iters 41` cap binds after the Newton finish
     ["quantum", "--n", "4", "--labels", "0010,0101,0110,1000,1010,1110,1111", "--max-iters", "41"],
+    # a width-3 set whose snapped row the Newton polish still moves
     ["quantum", "--n", "3", "--labels", "010,011,100,101,111", "--restarts", "16", "--seed", "48259"],
+    # the full width-4 set (k = 15) at local dimension 3, which the
+    # embedded one-qubit optimum of `eacc_optimum` settles
     ["eacc", "--n", "4", "--labels", "all", "--local-dim", "3"],
+    # the 4->1 random access code at local dimension 3, short of the bound:
+    # `eacc_optimum` falls back to the see-saw
     ["eacc", "--n", "4", "--labels", "0001,0010,0100,1000", "--local-dim", "3", "--restarts", "8"],
+    # the 7 width-3 representative sets swept on 3 axes (x, z and an
+    # oblique one) on the default grid, seed and restarts: 21 sweeps
     *(["noise", "--labels", spec, "--channel", "dephasing", "--axis", axis]
       for axis in DEFAULT_GRID_AXES for spec in K3_SPECS),
 )

@@ -1,10 +1,12 @@
 """Command-line front end: synthesis, certification, and table reproduction.
 
-Subcommands: mubs, classical, quantum, noise, eacc, tables.  An optimizer
-option left out keeps the library's default (seed 0 keeps runs
-byte-reproducible).  Artifacts are written atomically, before the result is
-printed.  Exit codes: 0 on success, 1 on a module error (error JSON on
-stderr), 2 when a tables run exceeds its tolerance.
+Subcommands: mubs, classical, quantum, noise, eacc, tables, each defined
+once in `_COMMANDS`.  A call whose argv starts with a command name builds
+only that command's parser.  An optimizer option left out keeps the
+library's default (seed 0 keeps runs byte-reproducible).  Artifacts are
+written atomically, before the result is printed.  Exit codes: 0 on
+success, 1 on a module error (error JSON on stderr), 2 on a usage error or
+when a tables run exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -288,30 +290,23 @@ def _add_common(parser: argparse.ArgumentParser, labels=("--labels",), seed=True
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="grac",
-        description="Optimal strategies for parity-guessing one-bit communication games.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mubs", help="validate and classify a question set (always a MUBS)")
+def _mubs_args(p: argparse.ArgumentParser) -> None:
     _add_common(p, labels=("--labels", "--check"), seed=False)
-    p.set_defaults(func=_cmd_mubs)
 
-    p = sub.add_parser("classical", help="exact classical optimum and strategies")
+
+def _classical_args(p: argparse.ArgumentParser) -> None:
     _add_common(p, seed=False)
     p.add_argument("--max-strategies", type=int)
-    p.set_defaults(func=_cmd_classical)
 
-    p = sub.add_parser("quantum", help="one-qubit see-saw optimization")
+
+def _quantum_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--restarts", type=int)
     p.add_argument("--max-iters", type=int)
     p.add_argument("--tol", type=float)
-    p.set_defaults(func=_cmd_quantum)
 
-    p = sub.add_parser("noise", help="noise thresholds, dephasing sweeps, crossing windows")
+
+def _noise_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument(
         "--channel",
@@ -325,29 +320,69 @@ def build_parser() -> argparse.ArgumentParser:
         "--refine-tol", type=float, help=f"window refinement tolerance (default {REFINE_TOL:g})"
     )
     p.add_argument("--restarts", type=int)
-    p.set_defaults(func=_cmd_noise)
 
-    p = sub.add_parser(
-        "eacc", help="entanglement-assisted optimum: a construction on the bound, else a see-saw"
-    )
+
+def _eacc_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--local-dim", type=int, choices=LOCAL_DIMS)
     p.add_argument("--restarts", type=int)
     p.add_argument("--max-iters", type=int)
     p.add_argument("--tol", type=float)
-    p.set_defaults(func=_cmd_eacc)
 
-    p = sub.add_parser("tables", help="recompute reference tables and report deltas")
+
+def _tables_args(p: argparse.ArgumentParser) -> None:
     _add_common(p, labels=())
     p.add_argument("--which", default=",".join(tables_mod.TABLE_IDS))
-    p.set_defaults(func=_cmd_tables)
 
+
+# Every subcommand: name -> (help line in `grac -h`, its arguments, its handler).
+_COMMANDS = {
+    "mubs": ("validate and classify a question set (always a MUBS)", _mubs_args, _cmd_mubs),
+    "classical": ("exact classical optimum and strategies", _classical_args, _cmd_classical),
+    "quantum": ("one-qubit see-saw optimization", _quantum_args, _cmd_quantum),
+    "noise": ("noise thresholds, dephasing sweeps, crossing windows", _noise_args, _cmd_noise),
+    "eacc": (
+        "entanglement-assisted optimum: a construction on the bound, else a see-saw",
+        _eacc_args,
+        _cmd_eacc,
+    ),
+    "tables": ("recompute reference tables and report deltas", _tables_args, _cmd_tables),
+}
+
+
+def _fill(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """Give `parser` the arguments of `command` and the defaults `command` and `func`."""
+    _, add_arguments, func = _COMMANDS[command]
+    add_arguments(parser)
+    parser.set_defaults(command=command, func=func)
+    return parser
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one subcommand, `grac <command>`, or with no command the
+    full `grac` parser, whose subparsers are the same ones.
+
+    Both parse a command's arguments to the same namespace; `main` builds the
+    full parser only when its argv does not start with a command name.
+    """
+    if command is not None:
+        return _fill(argparse.ArgumentParser(prog=f"grac {command}"), command)
+    parser = argparse.ArgumentParser(
+        prog="grac",
+        description="Optimal strategies for parity-guessing one-bit communication games.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        args = build_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         if args.fmt == "csv" and not _csv_available(args):
             raise InvalidInputError(f"format csv is not available for {args.command}")

@@ -28,12 +28,23 @@ after their 2 trips.  Through a channel that shrinks some direction,
 only a strategy whose every V_x keeps its length under Lam^T can meet
 the cap, which the snap's residuals do not ask for, so such a solve
 skips the snap.
+
+A Sidon set, one whose pairwise sums y ^ y' of labels are all distinct
+(`_is_sidon`), cannot meet the cap in R^3 once k > 3, so its solves skip
+the snap too.  Proof: |V_x|^2 = k + 2 sum_{y<y'} (-1)^{x.(y^y')} v_y . v_y',
+and the characters x -> (-1)^{x.z} are linearly independent, so every
+|V_x|^2 = k forces, for each z, the Gram entries v_y . v_y' of the pairs
+with y ^ y' = z to sum to 0.  In a Sidon set each z is the sum of at most
+one pair, so the k unit v_y would be orthonormal, which R^3 does not allow
+for k > 3.  A snap could only be refused there, and a refused snap leaves
+the solve's arrays bit for bit as they are without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -214,11 +225,13 @@ def classical_start_vectors(fset: FunctionSet, axis=_Z_AXIS) -> np.ndarray:
 
 
 class _Game(NamedTuple):
-    """A set's sign matrix, and its classical optimum and classical starts from one exact search."""
+    """A set's sign matrix, its classical optimum and classical starts from one
+    exact search, and whether its labels form a Sidon set (`_is_sidon`)."""
 
     signs: np.ndarray
     classical: Rational
     starts: tuple[np.ndarray, ...]  # along z, then along the game's axis if it has one
+    sidon: bool
 
 
 def _game(fset: FunctionSet, axis=None) -> _Game:
@@ -231,7 +244,14 @@ def _game(fset: FunctionSet, axis=None) -> _Game:
     axes = [np.array(_unit_axis(a)) for a in (_Z_AXIS,) + (() if axis is None else (axis,))]
     s_c, strategies = classical_optimum(fset, max_strategies=1)
     guess = np.array([1.0 if strategies[0].decode(lab.r, 0) == 0 else -1.0 for lab in fset])
-    return _Game(sign_matrix(fset), s_c, tuple(np.outer(guess, a) for a in axes))
+    starts = tuple(np.outer(guess, a) for a in axes)
+    return _Game(sign_matrix(fset), s_c, starts, _is_sidon(fset.ints))
+
+
+def _is_sidon(labels) -> bool:
+    """Whether the pairwise sums y ^ y' of distinct labels are all distinct."""
+    sums = [a ^ b for a, b in combinations(labels, 2)]
+    return len(set(sums)) == len(sums)
 
 
 def _pm_starts(k: int, restarts: int, seed: int, classical) -> np.ndarray:
@@ -291,9 +311,10 @@ def _solve_points(
     _SNAP_AFTER trips in one kernel call, and their _SNAP_ROWS best, ties
     going to the lower row, take `_seesaw.snap`'s steps within what is left
     of max_iters; the snap is skipped when max_iters leaves no room for a
-    step.  A snapped row is accepted only when `_meets_bound` passes on its
-    value at the point's own channel; between accepted rows a residual at
-    rounding decides before the value does.  The call then hands that row
+    step, and for a Sidon set with k > 3, which cannot meet the bound.  A
+    snapped row is accepted only when `_meets_bound` passes on its value at
+    the point's own channel; between accepted rows a residual at rounding
+    decides before the value does.  The call then hands that row
     to `_seesaw.polish`, as a round does its new best, and returns it,
     converged, with trips, snap steps and Newton steps as iterations and
     their gains folded into min_deltas, and its other rows stop.  When no
@@ -314,7 +335,8 @@ def _solve_points(
         starts.append(cold)
     owner, starts = np.array(owner), np.concatenate(starts)
     off = np.abs(dmats[0].T @ dmats[0] - np.eye(3)).max()  # how far from orthogonal
-    if n_points == 1 and off <= _UNIT_TOL and max_iters > _SNAP_AFTER:
+    short = k > 3 and game.sidon  # proved short of the bound (module docstring)
+    if n_points == 1 and off <= _UNIT_TOL and max_iters > _SNAP_AFTER and not short:
         trips = run_seesaw(signs, dmats[owner], starts, _SNAP_AFTER, tol, owner)
         top = _best_per_point(np.arange(len(owner)), trips[0], owner, _SNAP_ROWS)
         snapped = snap(signs, dmats[owner[top]], [row[top] for row in trips], max_iters)
@@ -384,7 +406,10 @@ def seesaw(
     """
     check_budget(restarts, max_iters, tol, seed)
     dmat = _channel_matrix(channel)[None]
-    game = _game(fset) if fset.n <= ENUM_MAX_WIDTH else _Game(sign_matrix(fset), None, ())
+    if fset.n <= ENUM_MAX_WIDTH:
+        game = _game(fset)
+    else:
+        game = _Game(sign_matrix(fset), None, (), _is_sidon(fset.ints))
     value, iters, min_delta, r, v, conv = _solve_points(game, dmat, restarts, seed, max_iters, tol)
     grad, eig = certificate(game.signs, dmat, r, v)
     m = 1 << fset.n

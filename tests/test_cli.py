@@ -1,9 +1,13 @@
 """CLI surface: label parsing, artifacts, exit codes, reproducibility."""
 
+import argparse
 import dataclasses
+import importlib.util
 import json
 import os
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -399,6 +403,83 @@ def test_mubs_check_is_labels():
     parser = cli.build_parser()
     assert parser.parse_args(["mubs", "--check", "100,010"]).labels == "100,010"
     assert parser.parse_args(["mubs"]).labels == "all"
+
+
+def _full_subparser(command: str) -> argparse.ArgumentParser:
+    """The subparser of `command` inside the full `grac` parser."""
+    actions = cli.build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
+def _benchmark_argvs() -> list[list[str]]:
+    """The argv of every op of the benchmark workloads, read from perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [op["argv"] for name in workloads.WORKLOADS for op in workloads.build(name)]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_command_help_is_the_full_parsers_subparser_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == _full_subparser(command).format_help()
+
+
+def test_one_command_parser_reads_every_benchmark_op_as_the_full_parser():
+    argvs = _benchmark_argvs()
+    assert argvs and all(argv[0] in cli._COMMANDS for argv in argvs)
+    full = cli.build_parser()
+    for argv in argvs:
+        argv = argv + ["--out", "op.json"]
+        assert vars(cli.build_parser(argv[0]).parse_args(argv[1:])) == vars(full.parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "grac: error: the following arguments are required: command"),
+        (["bogus"], "grac: error: argument command: invalid choice: 'bogus'"),
+        (["eacc", "--bogus"], "grac eacc: error: unrecognized arguments: --bogus"),
+        (["eacc", "--local-dim", "7"], "grac eacc: error: argument --local-dim: invalid choice: 7"),
+    ],
+)
+def test_usage_errors_exit_two(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    """The console script calls main() with no argument."""
+    monkeypatch.setattr(sys, "argv", ["grac", "mubs", "--check", "100,010,110"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == "MUBS: true\n"
+
+
+def test_a_command_call_builds_only_its_own_arguments(monkeypatch, capsys):
+    built = []
+
+    def spy(name, add_arguments):
+        def add(parser):
+            built.append(name)
+            add_arguments(parser)
+
+        return add
+
+    table = {name: (text, spy(name, add), func) for name, (text, add, func) in cli._COMMANDS.items()}
+    monkeypatch.setattr(cli, "_COMMANDS", table)
+    assert cli.main(["mubs", "--check", "100,010"]) == 0
+    assert built == ["mubs"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert built == list(table)
 
 
 def test_mubs_on_a_random_width_5_set(capsys, tmp_path):

@@ -926,8 +926,8 @@ def test_a_snapped_report_sits_on_the_bound(monkeypatch):
         fset = FunctionSet.from_ints(n, labels)
         snaps.clear()
         report = seesaw(fset, restarts=16, seed=trial)
-        assert len(snaps) == 1
-        if not quantum._meets_bound(snaps[0][0], k).any():
+        assert len(snaps) == (0 if k > 3 and quantum._is_sidon(labels) else 1)
+        if not snaps or not quantum._meets_bound(snaps[0][0], k).any():
             continue
         taken += 1
         assert abs(report.value - pm_upper_bound(k)) <= 2.3e-16, labels
@@ -940,8 +940,9 @@ def test_a_snapped_report_sits_on_the_bound(monkeypatch):
 @pytest.mark.parametrize("labels", [*_SHORT_W4, "open"])
 def test_no_snap_is_taken_short_of_the_bound(monkeypatch, labels):
     """On the 8 width-4 classes short of pm_upper_bound(k) and on the open
-    quadruple, the snap runs and is refused, so a one-point `_solve_points`
-    equals, bit for bit, a run with no snap (no budget leaves it room)."""
+    quadruple, the snap is refused on the 3 classes that are not Sidon and
+    skipped on the Sidon ones, so a one-point `_solve_points` equals, bit for
+    bit, a run with no snap (no budget leaves it room)."""
     fset = representative_set(4, "open") if labels == "open" else FunctionSet.from_ints(4, labels)
     game = quantum._game(fset)
 
@@ -950,7 +951,7 @@ def test_no_snap_is_taken_short_of_the_bound(monkeypatch, labels):
 
     snaps = _record_snaps(monkeypatch)
     runs = solve()
-    assert len(snaps) == 2
+    assert len(snaps) == (0 if quantum._is_sidon(fset.ints) else 2)
     assert not any(quantum._meets_bound(rows[0], len(fset)).any() for rows in snaps)
     snaps.clear()
     monkeypatch.setattr(quantum, "_SNAP_AFTER", quantum._MAX_ITERS)
@@ -958,6 +959,66 @@ def test_no_snap_is_taken_short_of_the_bound(monkeypatch, labels):
         for mine, theirs in zip(got, want, strict=True):
             assert np.array_equal(mine, theirs)
     assert not snaps
+
+
+def _random_sidon_sets() -> list[FunctionSet]:
+    """Three random Sidon sets with k > 3 at each width 3 to 6 (at width 3 only
+    k = 4 fits: its 7 nonzero sums hold no 10 distinct pair sums)."""
+    rng = np.random.default_rng(18)
+    found = []
+    for n in (3, 4, 5, 6):
+        count = 0
+        while count < 3:
+            k = 4 if n == 3 else int(rng.integers(4, 7))
+            labels = [int(x) for x in rng.choice(np.arange(1, 1 << n), size=k, replace=False)]
+            if quantum._is_sidon(labels):
+                found.append(FunctionSet.from_ints(n, labels))
+                count += 1
+    return found
+
+
+def test_a_sidon_set_skips_the_snap_and_reports_as_if_it_were_refused(monkeypatch):
+    """On the 5 Sidon width-4 classes with k > 3 (`_SHORT_W4[:5]`) and on random
+    Sidon sets at widths 3 to 6, `seesaw` never calls the snap, and its report
+    equals, bit for bit, that of a run whose predicate is forced False, where
+    the snap runs and is refused.  The classes stay 1e-3 below the ceiling."""
+
+    def no_snap(*args):
+        raise AssertionError("the snap ran on a Sidon set")
+
+    classes = [FunctionSet.from_ints(4, labels) for labels in _SHORT_W4[:5]]
+    for seed, fset in enumerate(classes + _random_sidon_sets()):
+        assert len(fset) > 3 and quantum._is_sidon(fset.ints)
+        with monkeypatch.context() as patch:
+            patch.setattr(quantum, "snap", no_snap)
+            skipped = seesaw(fset, restarts=16, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(quantum, "_is_sidon", lambda labels: False)
+            snaps = _record_snaps(patch)
+            tried = seesaw(fset, restarts=16, seed=seed)
+        assert len(snaps) == 1 and not quantum._meets_bound(snaps[0][0], len(fset)).any()
+        assert repr(skipped) == repr(tried), fset
+        if fset in classes:
+            assert skipped.value <= pm_upper_bound(len(fset)) - 1e-3
+
+
+def test_is_sidon_is_a_pair_sum_count_on_every_width_4_set():
+    """`_is_sidon` holds exactly where no nonzero z is the sum y ^ y' of two
+    labels in more than one way, counted over all 2^15 - 1 width-4 sets.
+
+    A collision y ^ y' = w ^ w' is also y ^ w = y' ^ w' and y ^ w' = y' ^ w,
+    so a predicate that skips any one pair gives the same answer; one that
+    skips every pair of one label fails here."""
+    masks = np.arange(1, 1 << 15)
+    labels = np.arange(16)
+    member = (masks[:, None] >> (labels - 1).clip(0)) & 1
+    member[:, 0] = 0  # label 0 is never in a set
+    # member * member[:, labels ^ z] counts each pair {y, y ^ z} twice
+    pairs = np.stack([(member * member[:, labels ^ z]).sum(axis=1) // 2 for z in range(1, 16)])
+    want = (pairs <= 1).all(axis=0)
+    got = [quantum._is_sidon([y for y in range(1, 16) if mask >> (y - 1) & 1])
+           for mask in masks.tolist()]
+    assert got == want.tolist()
 
 
 def test_a_call_of_several_points_never_snaps(monkeypatch):

@@ -27,7 +27,7 @@ ops_diff = _load_ops_diff()
 def _result(payload) -> dict:
     """One op's worker result whose artifact is `payload`, a JSON object or text."""
     text = payload if isinstance(payload, str) else json.dumps(payload)
-    return {"exit": 0, "stdout": "", "artifact": text.encode().hex(), "s": 0.0}
+    return {"exit": 0, "stdout": "", "stderr": "", "artifact": text.encode().hex()}
 
 
 def test_ops_hold_every_benchmark_sweep_and_the_default_grid_sweeps():
@@ -107,12 +107,24 @@ def test_moved_summary_gives_the_largest_fall_and_rise():
     )
 
 
-def test_group_seconds_sum_each_groups_ops_in_run_order():
-    todo = [("census_w4", ["a"]), ("pm_sweep", ["b"]), ("census_w4", ["c"]), ("extra", ["d"])]
-    results = [{"s": 0.25}, {"s": 1.0}, {"s": 0.5}, {"s": 2.0}]
-    got = ops_diff.group_seconds(todo, results)
-    assert got == {"census_w4": 0.75, "pm_sweep": 1.0, "extra": 2.0}
-    assert list(got) == ["census_w4", "pm_sweep", "extra"]
+def test_ops_hold_the_help_texts_and_usage_errors():
+    todo = ops_diff.ops()
+    commands = ("mubs", "classical", "quantum", "noise", "eacc", "tables")
+    for op in (["--help"], *([c, "--help"] for c in commands), ["bogus"],
+               ["eacc", "--local-dim", "7"]):
+        assert todo.count(("extra", op)) == 1
+
+
+def test_worker_records_a_system_exits_code_and_stderr():
+    """argparse leaves by SystemExit: 0 after a help text, 2 after a usage error."""
+    help_text, usage_error, done = ops_diff.run_tree(
+        str(ROOT / "src"), ops_diff.WORKER, [["--help"], ["bogus"], ["mubs"]]
+    )
+    assert help_text["exit"] == 0 and help_text["stdout"].startswith("usage: grac ")
+    assert help_text["stderr"] == "" and help_text["artifact"] is None
+    assert usage_error["exit"] == 2 and usage_error["stdout"] == ""
+    assert "grac: error: argument command: invalid choice: 'bogus'" in usage_error["stderr"]
+    assert done["exit"] == 0 and done["stdout"] == "MUBS: true\n" and done["artifact"]
 
 
 def test_ops_hold_the_eacc_ops_that_no_workload_runs():

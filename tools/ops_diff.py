@@ -12,18 +12,20 @@ tree runs, in its own Python process, the same CLI ops through
 - the ops of `EXTRA_OPS` below, each on a branch or an output that no
   workload reaches; the comment beside each entry says which.
 
-It prints one line per op saying whether the exit code, stdout and artifact
-bytes match, with the op's wall time on each tree, and under an op whose
-two JSON artifacts differ, the top-level keys that differ, each marked
-added (`+`), removed (`-`) or changed (`~`) (for example
-`~iterations,~strategy,~tangent_grad`: no value moved), then a count and
-the summed wall time of each group of ops (the three workloads and
-`extra`) on each tree.  For each op whose two artifacts are JSON, it
-compares every reported optimum (each
-number under a `value`, `values`, `lambda_crit` or `computed` key, which the
-optimizers only ever raise) and prints a line per op where one moved, with
-the smallest and largest difference (CHANGE minus PARENT), then the number
-of values that moved, how many fell, the largest fall and the largest rise.
+It prints one line per op saying whether the exit code (the code of a
+`SystemExit`, such as argparse's 0 after a help text and 2 after a usage
+error, counts as the exit code), stdout, stderr and artifact bytes match,
+and under an op whose two JSON artifacts differ, the top-level keys that
+differ, each marked added (`+`), removed (`-`) or changed (`~`) (for
+example `~iterations,~strategy,~tangent_grad`: no value moved), then a
+count.  It prints no wall times: one run per tree cannot show a change of
+less than about 25%; `tools/bench_record.py` gives paired timings.  For
+each op whose two artifacts are JSON, it compares every reported optimum
+(each number under a `value`, `values`, `lambda_crit` or `computed` key,
+which the optimizers only ever raise) and prints a line per op where one
+moved, with the smallest and largest difference (CHANGE minus PARENT), then
+the number of values that moved, how many fell, the largest fall and the
+largest rise.
 Then CHANGE_SRC reads every JSON strategy
 artifact that PARENT_SRC wrote with its own `from_dict` and replays it: each
 classical strategy must replay to the reported wins exactly, and each
@@ -83,31 +85,40 @@ EXTRA_OPS = (
     # oblique one) on the default grid, seed and restarts: 21 sweeps
     *(["noise", "--labels", spec, "--channel", "dephasing", "--axis", axis]
       for axis in DEFAULT_GRID_AXES for spec in K3_SPECS),
+    # help texts and usage errors, which exit by SystemExit; none of their
+    # messages echoes the --out path the worker appends
+    ["--help"],
+    *([command, "--help"]
+      for command in ("mubs", "classical", "quantum", "noise", "eacc", "tables")),
+    ["bogus"],
+    ["eacc", "--local-dim", "7"],
 )
 
 # Runs in a fresh interpreter with one source tree first on sys.path; reads
-# the argv lists as JSON on stdin and writes, per op, its exit code, stdout,
-# artifact bytes as hex (None when no artifact was written) and wall time in
-# seconds as JSON to stdout.
+# the argv lists as JSON on stdin and writes, per op, its exit code (a
+# SystemExit's code included), stdout, stderr and artifact bytes as hex (None
+# when no artifact was written) as JSON to stdout.
 WORKER = """
-import contextlib, io, json, os, sys, tempfile, time
+import contextlib, io, json, os, sys, tempfile
 sys.path.insert(0, sys.argv[1])
 from grac.cli import main
 out = []
 with tempfile.TemporaryDirectory() as tmp:
     for i, argv in enumerate(json.load(sys.stdin)):
         path = os.path.join(tmp, f"op{i}")
-        buf = io.StringIO()
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv + ["--out", path])
-        seconds = time.perf_counter() - t0
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv + ["--out", path])
+            except SystemExit as exc:
+                code = exc.code
         artifact = None
         if os.path.exists(path):
             with open(path, "rb") as fh:
                 artifact = fh.read().hex()
             os.unlink(path)
-        out.append({"exit": code, "stdout": buf.getvalue(), "artifact": artifact, "s": seconds})
+        out.append({"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
+                    "artifact": artifact})
 json.dump(out, sys.stdout)
 """
 
@@ -215,14 +226,6 @@ def value_moves(old: dict, new: dict) -> list[float] | None:
     return [b - a for a, b in zip(before, after)]
 
 
-def group_seconds(todo: list, results: list[dict]) -> dict[str, float]:
-    """The summed wall time of each group's ops on one tree, in run order of the groups."""
-    total: dict[str, float] = {}
-    for (group, _), res in zip(todo, results):
-        total[group] = total.get(group, 0.0) + res["s"]
-    return total
-
-
 def moved_summary(moves: list[float]) -> str:
     """The count of moved reported values, how many fell, the largest fall and rise."""
     falls = [d for d in moves if d < 0]
@@ -250,20 +253,17 @@ def main(argv: list[str]) -> int:
     todo = ops()
     parent, change = (run_tree(src, WORKER, [op for _, op in todo]) for src in argv)
     same = 0
-    print(f"{'verdict':<24} {'group':<10} {'parent':>8} {'change':>8}  op")
+    print(f"{'verdict':<24} {'group':<10} op")
     for (group, op), old, new in zip(todo, parent, change):
-        flags = {part: old[part] == new[part] for part in ("exit", "stdout", "artifact")}
+        flags = {part: old[part] == new[part] for part in ("exit", "stdout", "stderr", "artifact")}
         ok = all(flags.values())
         same += ok
         verdict = "same" if ok else "DIFF " + ",".join(p for p, f in flags.items() if not f)
-        print(f"{verdict:<24} {group:<10} {old['s']:7.3f}s {new['s']:7.3f}s  {' '.join(op)}")
+        print(f"{verdict:<24} {group:<10} {' '.join(op)}")
         keys = None if flags["artifact"] else differing_keys(old, new)
         if keys:
             print(f"{'':<24} keys {','.join(keys)}")
-    print(f"{same} of {len(todo)} ops match in exit code, stdout and artifact bytes")
-    before, after = group_seconds(todo, parent), group_seconds(todo, change)
-    print("wall time per group, parent -> change: "
-          + ", ".join(f"{g} {before[g]:.3f}s -> {after[g]:.3f}s" for g in before))
+    print(f"{same} of {len(todo)} ops match in exit code, stdout, stderr and artifact bytes")
     moves = []
     for (group, op), old, new in zip(todo, parent, change):
         diffs = value_moves(old, new)

@@ -20,7 +20,8 @@ success is
 
 where Lam(r) = D r is a (symmetric-free, general 3x3) channel acting on the
 prepared states.  Each half-step is closed form: the optimal r_x points along
-D^T V_x and the optimal v_y along sum_x g[x,y] D r_x.
+D^T V_x and the optimal v_y along sum_x g[x,y] D r_x.  These unit vectors
+lie in R^N, N read from the arrays: 3, or 5 in `grac.eacc.eacc_optimum`.
 
 The kernel adds a safeguarded extrapolated step to the plain alternation.
 After Bob's best reply moves v to v_new, each row also tries
@@ -44,11 +45,11 @@ round: at k = 7 to 10 nearly every one of the 65 rows of a `seesaw` call is
 still running at trip 40, at k = 11 and 12 about half of them, and only the
 best row of a point is reported.  Up to k = 10 a kept row gets a
 second-order finish, `newton_finish`, the costly stage, which takes
-saddle-free Riemannian Newton steps on (S^2)^k
+saddle-free Riemannian Newton steps on (S^{N-1})^k
 (Absil, Mahony and Sepulchre, "Optimization Algorithms on Matrix
 Manifolds", 2008, ch. 6; Dauphin et al., "Identifying and attacking the
 saddle point problem", NeurIPS 2014).  `tangent_model` gives the gradient
-and Hessian of F(v) = sum_x |D^T V_x| in a 2k-dimensional tangent basis;
+and Hessian of F(v) = sum_x |D^T V_x| in an (N-1)k-dimensional tangent basis;
 a step divides by |eigenvalue|, drops null (gauge) directions and
 backtracks so that no step lowers the value.  A row the finish converges
 usually takes two to six steps and stops at a tangent gradient below
@@ -70,10 +71,10 @@ after 2 trips reach the ceiling within rounding in at most 8 steps (4 to 6
 at k >= 11) when the set meets it, and stay at residuals of 1 or more
 when it does not.
 
-The finish eigendecomposes a 2k x 2k matrix per row and step, so it stays
-off above k = _NEWTON_MAX_DIM / 2 = 10: there `polish` returns its rows
-unchanged, and the rows kept at the hand-off go back to the see-saw for the
-rest of max_iters, as a row the finish fails does.
+The finish eigendecomposes an (N-1)k-square matrix per row and step, so it
+stays off above (N-1)k = _NEWTON_MAX_DIM = 20, k = 10 in R^3: there `polish`
+returns its rows unchanged, and the rows kept at the hand-off go back to the
+see-saw for the rest of max_iters, as a row the finish fails does.
 Measured on 2 cores (numpy 2.4, OpenBLAS at its default two threads):
 - trips: on the benchmark's width-4 census, the rows still running after
   40 trips at k = 11 and 12 (34 to 44 of 65) need only 20 to 70 more
@@ -118,12 +119,27 @@ _GRAD_STALL = 1e-6  # below this, a row that takes no step is converged too
 _THIN = 1e-6  # a row with some |D^T V_x| below this is left to the see-saw
 _NULL = 1e-9  # relative size below which a Hessian eigenvalue is null (`_non_null`)
 _HALVINGS = 12  # the finish tries steps 1, 1/2, ..., 2**-(_HALVINGS - 1)
-_NEWTON_MAX_DIM = 20  # largest tangent dimension 2k the finish runs at (module docstring)
+_NEWTON_MAX_DIM = 20  # largest tangent dimension (N-1)k the finish runs at (module docstring)
 _SNAP_STEPS = 8  # Gauss-Newton steps `snap` may take per row
 _SNAP_DAMP = 1e-8  # `snap`'s damping, relative to its normal matrix's mean diagonal
 _SNAP_DONE = 1e-14  # `snap` stops a row whose residuals are all below this times k
-_AXES = np.eye(3)
-_CROSS = np.cross(_AXES[:, None, :], _AXES[None, :, :])  # _CROSS[i] @ v = v x e_i
+
+
+def _turns(units: np.ndarray) -> np.ndarray:
+    """turns[i, a] is units[a] acting on the N - 1 axes other than i, taken
+    cyclically from i + 1: it maps v to a vector orthogonal to v, to e_i and
+    to v's other turns, with the length of v less its e_i part (v x e_i at N = 3)."""
+    base = np.pad(units, ((0, 0), (1, 0), (1, 0)))  # the units on the axes after axis 0
+    return np.stack([np.roll(base, (i, i), axis=(1, 2)) for i in range(base.shape[-1])])
+
+
+_MINUS_I = np.array([[0.0, 1.0], [-1.0, 0.0]])  # -i on C = R^2
+# by N: the turns of -i on C, and of -i, -j and -k on H = R^4 (left multiplications)
+_TURNS = {
+    3: _turns(_MINUS_I[None]),
+    5: _turns(np.stack([np.kron(np.eye(2), _MINUS_I), np.kron(_MINUS_I, np.diag([1.0, -1.0])),
+                        np.kron(_MINUS_I, np.eye(2)[::-1])])),
+}
 
 
 @dataclass(frozen=True)
@@ -260,7 +276,7 @@ def _unit_rows(x, fallback):
 def best_reply(signs, dmat, v, r):
     """Alice's best reply to measurement vectors v, and its score, per row.
 
-    dmat is (3, 3) or one matrix per row; rows of r are kept where the reply
+    dmat is (N, N) or one matrix per row; rows of r are kept where the reply
     has no direction.
     """
     m, k = signs.shape
@@ -274,35 +290,35 @@ def _slope(signs, dmat, r, v):
     """First-order half of `tangent_model`: Alice's best reply r to v, the
     lengths |D^T V_x|, q_x = D r_x, w_y = sum_x g[x,y] q_x, each v_y's
     tangent basis and the tangent gradient."""
-    n_rows, k, _ = v.shape
+    n_rows, _, dim = v.shape
     r, norms = _unit_rows(np.matmul(np.matmul(signs, v), dmat), r)
     q = np.matmul(r, dmat.transpose(0, 2, 1))
     w = np.matmul(signs.T, q)
-    # each v_y's basis starts from the coordinate axis it is least aligned with
+    # each v_y's basis: the coordinate axis it is least aligned with, then its turns
     near = np.argmin(np.abs(v), axis=-1)
-    axis = _AXES[near]
+    axis = np.eye(dim)[near]
     along = np.sum(axis * v, axis=-1, keepdims=True)
     scale = 1.0 / np.sqrt(1.0 - along * along)
-    basis = np.stack(
-        ((axis - along * v) * scale, np.matmul(_CROSS[near], v[..., None])[..., 0] * scale),
-        axis=-2,
+    turned = np.matmul(_TURNS[dim][near], v[..., None, :, None])[..., 0]
+    basis = np.concatenate(
+        (((axis - along * v) * scale)[..., None, :], turned * scale[..., None]), axis=-2
     )
-    grad = np.matmul(basis, w[..., None]).reshape(n_rows, 2 * k)
+    grad = np.matmul(basis, w[..., None]).reshape(n_rows, -1)
     return r, norms, q, w, basis, grad
 
 
 def _curvature(signs, dmat, v, norms, q, w, basis):
     """Second-order half of `tangent_model`: the tangent Hessian."""
-    n_rows, k, _ = v.shape
-    flat = basis.reshape(n_rows, 2 * k, 3)
+    n_rows, k, tangent, dim = basis.shape
+    flat = basis.reshape(n_rows, tangent * k, dim)
     inv = 1.0 / np.maximum(norms, _THIN)
-    c = np.repeat(np.repeat(np.matmul(signs.T, signs * inv), 2, axis=1), 2, axis=2)
+    c = np.repeat(np.repeat(np.matmul(signs.T, signs * inv), tangent, axis=1), tangent, axis=2)
     bd = np.matmul(flat, dmat)
-    p = np.matmul(flat, q.transpose(0, 2, 1)) * np.repeat(signs.T, 2, axis=0)
+    p = np.matmul(flat, q.transpose(0, 2, 1)) * np.repeat(signs.T, tangent, axis=0)
     p *= np.sqrt(inv).transpose(0, 2, 1)
     hess = c * np.matmul(bd, bd.transpose(0, 2, 1)) - np.matmul(p, p.transpose(0, 2, 1))
-    diag = np.arange(2 * k)
-    hess[:, diag, diag] -= np.repeat(np.sum(v * w, axis=-1), 2, axis=1)
+    diag = np.arange(tangent * k)
+    hess[:, diag, diag] -= np.repeat(np.sum(v * w, axis=-1), tangent, axis=1)
     return hess
 
 
@@ -311,7 +327,7 @@ def tangent_model(signs, dmat, r, v):
 
     The objective is F(v) = sum_x |D^T V_x| with V_x = sum_y g[x,y] v_y, so
     s = 1/2 + F / (2 m k).  Each v_y gets an orthonormal tangent basis
-    (b_y1, b_y2), from the coordinate axis it is least aligned with.  With
+    (b_y1, ..., b_y,N-1) from the axis it is least aligned with (`_turns`).  With
     Alice's best reply r_x = D^T V_x / |D^T V_x|, q_x = D r_x and
     w_y = sum_x g[x,y] q_x, the tangent gradient is b_ya . w_y, and the
     Hessian is B^T [sum_x g[x,y] g[x,z] D (I - r_x r_x^T) D^T / |D^T V_x|] B
@@ -327,16 +343,16 @@ def tangent_model(signs, dmat, r, v):
     Parameters
     ----------
     signs : (m, k) sign matrix
-    dmat : (R, 3, 3) one channel matrix per row
-    r : (R, m, 3) fallback preparations
-    v : (R, k, 3) unit measurement vectors
+    dmat : (R, N, N) one channel matrix per row, N = 3 or 5 (`_turns`)
+    r : (R, m, N) fallback preparations
+    v : (R, k, N) unit measurement vectors
 
     Returns
     -------
-    r : (R, m, 3) Alice's best reply to v
-    basis : (R, k, 2, 3) the tangent basis, b_ya in basis[:, y, a]
-    grad : (R, 2k) tangent gradient, coordinates (y, a) in row-major order
-    hess : (R, 2k, 2k) tangent Hessian in the same coordinates
+    r : (R, m, N) Alice's best reply to v
+    basis : (R, k, N - 1, N) the tangent basis, b_ya in basis[:, y, a]
+    grad : (R, (N - 1) k) tangent gradient, coordinates (y, a) in row-major order
+    hess : (R, (N - 1) k, (N - 1) k) tangent Hessian in the same coordinates
     thin : (R,) bool
     """
     r, norms, q, w, basis, grad = _slope(signs, dmat, r, v)
@@ -412,12 +428,12 @@ def newton_finish(signs, dmat, r, v, value, max_steps):
     is taken at a larger gradient, or when it is still stepping after
     max_steps steps.
 
-    r, v and value are (R, m, 3), (R, k, 3) and (R,) arrays with r Alice's
+    r, v and value are (R, m, N), (R, k, N) and (R,) arrays with r Alice's
     best reply to v; each row's last point is written into them.  dmat holds
     one channel matrix per row, and max_steps is one budget for every row or
     one per row.  Returns each row's step count, smallest step gain (inf if
     it took none) and convergence.  It runs at any k; `polish`, its one
-    caller, keeps it to k <= _NEWTON_MAX_DIM / 2; above that the rows
+    caller, keeps it to (N - 1) k <= _NEWTON_MAX_DIM; above that the rows
     `run_seesaw` hands off resume the see-saw instead.
     """
     n_rows, k, _ = v.shape
@@ -445,7 +461,7 @@ def newton_finish(signs, dmat, r, v, value, max_steps):
         keep = _non_null(lam, v_l, w)
         coef = np.matmul(grad[:, None, :], vecs)[:, 0] / np.where(keep, np.abs(lam), 1.0)
         xi = np.matmul(vecs, np.where(keep, coef, 0.0)[..., None])
-        move = np.matmul(xi.reshape(len(live), k, 1, 2), basis)[..., 0, :]
+        move = np.matmul(xi.reshape(len(live), k, 1, -1), basis)[..., 0, :]
         trial_r, trial_v, trial_value = _climb(signs, d, r_l, v_l, value_l, move)
         tie = trial_value == value_l
         took = (trial_value > value_l) | (tie & ~tied)
@@ -466,10 +482,10 @@ def polish(signs, dmat, rows, max_iters):
     """`newton_finish` on some rows of `run_seesaw`'s six arrays, at most
     _NEWTON_STEPS steps each within what is left of max_iters: the steps are
     added to iters, the gains folded into min_deltas and the convergence OR-ed
-    in.  r, v and values are written in place.  Above k = 10 rows pass as
-    given, and `run_seesaw` resumes their trips."""
+    in.  r, v and values are written in place.  Above (N - 1) k =
+    _NEWTON_MAX_DIM rows pass as given, and `run_seesaw` resumes their trips."""
     values, iters, min_deltas, r, v, converged = rows
-    if 2 * v.shape[1] > _NEWTON_MAX_DIM:
+    if (v.shape[2] - 1) * v.shape[1] > _NEWTON_MAX_DIM:
         return rows
     budget = np.minimum(_NEWTON_STEPS, max_iters - iters)
     steps, gains, finished = newton_finish(signs, dmat, r, v, values, budget)
@@ -485,12 +501,12 @@ def snap(signs, dmat, rows, max_iters):
     The ceiling is met exactly when every |V_x|^2 = k with unit v_y, where
     V_x = sum_y g[x,y] v_y (module docstring of `grac.quantum`), so each step
     moves v toward a zero of the m + k residuals |V_x|^2 - k and
-    |v_y|^2 - 1.  With J their Jacobian in v's 3k coordinates, the step is
+    |v_y|^2 - 1.  With J their Jacobian in v's N k coordinates, the step is
     the minimum-norm one, -J^T (J J^T + mu I)^-1 res, through the
     (m + k)-square normal equations: their blocks are
     4 (g g^T)[x,x'] V_x . V_x', 4 g[x,y] V_x . v_y and 4 |v_y|^2 on the
     diagonal.  J J^T is singular whenever m + k exceeds the rank of J, which
-    the common rotations of every v_y keep below 3k, so mu is _SNAP_DAMP
+    the common rotations of every v_y keep below N k, so mu is _SNAP_DAMP
     times its mean diagonal.  A row stops once its largest residual is below
     _SNAP_DONE times k, at rounding.  Then v is normalized and scored with
     Alice's best reply.  Returns the six arrays with the scores as values,
@@ -569,7 +585,7 @@ def run_seesaw(signs, dmat, v0, max_iters, tol, owner=None):
     than any kept row's of its point, and the finish and the trips only
     raise values, so each point's best row is a kept row (or one that
     converged earlier).  A kept row the finish does not converge resumes
-    its trips for the rest of max_iters; above k = _NEWTON_MAX_DIM / 2
+    its trips for the rest of max_iters; where (N - 1) k > _NEWTON_MAX_DIM
     `polish` passes its rows as given, so every kept row resumes.
     Iterations count trips plus Newton steps, and min_deltas takes in the
     Newton gains.
@@ -577,9 +593,9 @@ def run_seesaw(signs, dmat, v0, max_iters, tol, owner=None):
     Parameters
     ----------
     signs : (m, k) array of +-1 floats, g[x,y] = (-1)^{f_y(x)}
-    dmat : (3, 3) channel matrix acting on preparation Bloch vectors, shared
-        by every row, or (R, 3, 3) with one matrix per row
-    v0 : (R, k, 3) or (k, 3) initial measurement vectors, one row per restart
+    dmat : (N, N) channel matrix acting on preparation Bloch vectors, shared
+        by every row, or (R, N, N) with one matrix per row
+    v0 : (R, k, N) or (k, N) initial measurement vectors, one row per restart
     max_iters : iteration cap per restart
     tol : stop a restart once its per-iteration improvement drops below tol
     owner : (R,) the point each row solves, for the hand-off's ranking; when
@@ -592,27 +608,27 @@ def run_seesaw(signs, dmat, v0, max_iters, tol, owner=None):
     iters : (R,) iterations actually used, trips plus Newton steps
     min_deltas : (R,) smallest half-step or Newton-step improvement seen
         (monotonicity check)
-    rvecs : (R, m, 3) final preparations
-    vvecs : (R, k, 3) final measurement vectors
+    rvecs : (R, m, N) final preparations
+    vvecs : (R, k, N) final measurement vectors
     converged : (R,) bool, False for a row stopped at the hand-off
     """
     signs = np.ascontiguousarray(signs, dtype=np.float64)
     v = np.array(v0, dtype=np.float64, copy=True)
     if v.ndim == 2:
         v = v[None]
-    n_restarts, k, _ = v.shape
+    n_restarts, k, dim = v.shape
     m = signs.shape[0]
     scale = 1.0 / (2.0 * m * k)
     signs_t = np.ascontiguousarray(signs.T)
     # copies: final channels are written back, and a transposed view slows every matmul
-    dmat = np.array(np.broadcast_to(np.asarray(dmat, dtype=np.float64), (n_restarts, 3, 3)))
+    dmat = np.array(np.broadcast_to(np.asarray(dmat, dtype=np.float64), (n_restarts, dim, dim)))
     dmat_t = np.ascontiguousarray(dmat.transpose(0, 2, 1))
 
-    r, _ = best_reply(signs, dmat, v, np.zeros((n_restarts, m, 3)))
+    r, _ = best_reply(signs, dmat, v, np.zeros((n_restarts, m, dim)))
     beta = np.full(n_restarts, _BETA_START)
 
     def step(r, v, beta, d, d_t):
-        w = np.matmul(signs_t, np.matmul(r, d_t))  # (R, k, 3): sum_x g[x,y] D r_x
+        w = np.matmul(signs_t, np.matmul(r, d_t))  # (R, k, N): sum_x g[x,y] D r_x
         v_new, wnorms = _unit_rows(w, v)
         value_bob = 0.5 + scale * wnorms.sum(axis=(1, 2))
         v_e, _ = _unit_rows(v + beta[:, None, None] * (v_new - v), v_new)

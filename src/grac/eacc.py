@@ -47,17 +47,16 @@ Cauchy-Schwarz bounds each term by |W_x ψ|, and again
 are orthogonal parities), Σ_x |W_x ψ|^2 = m Σ_y <D_y^2> <= m k, so the
 sum is at most m sqrt(k).
 
-Two constructions use <Φ+| X ⊗ Yᵀ |Φ+> = Tr(XY)/d for the maximally
-entangled state on d dimensions.  With k pairwise anticommuting Hermitian
-unitaries γ_y (Jordan-Wigner on floor(k/2) qubits, d = 2^floor(k/2)),
-A^x_0 = (1 + Σ_y g[x,y] γ_y/sqrt(k))/2 and B^{ω,y}_0 = (1 + (-1)^ω γ_yᵀ)/2
-score the ceiling exactly.  A one-qubit strategy (r_x, v_y) becomes, at
-d = 2, A^x_0 = (1 + r_x·σ)/2 and B^{ω,y}_0 = (1 + (-1)^ω (v_y·σ)ᵀ)/2 with
-the same value, so for every set the local-dimension-2 value is at least
-the one-qubit value.  Zero effects pad either strategy to a larger local
-dimension without changing its value.  `eacc_optimum` returns the first of
-the two that meets the ceiling, and runs the see-saw only where neither
-does.
+One Clifford embedding (Tsirelson, as above) keeps the value of unit vectors
+r_x, v_y in R^N.  With N anticommuting Hermitian unitaries γ on
+d = 2^floor(N/2) dimensions (`_anticommuting`), A^x_0 = (1 + r_x·γ)/2,
+B^{ω,y}_0 = (1 + (-1)^ω (v_y·γ)ᵀ)/2 and the maximally entangled state,
+<Φ+| X ⊗ Yᵀ |Φ+> = Tr(XY)/d and Tr((r·γ)(v·γ)) = d r·v give
+s = 1/2 + Σ_x r_x·V_x/(2 m k), V_x = Σ_y g[x,y] v_y: the one-qubit
+objective in R^N (`grac.quantum`).  Zero effects pad it to any larger local
+dimension d, so the value at d is at least the optimum in R^N with
+N = 2 floor(log2 d) + 1, at d = 2 the one-qubit one; for k <= N, v_y = e_y
+in R^k with Alice's best reply (Jordan-Wigner) scores the ceiling exactly.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ from .errors import (
     reading,
 )
 from .mubs import FunctionSet, _check_width, bitstring, read_bitstring, sign_matrix, table_bits
-from .quantum import PMStrategy, _meets_bound, seesaw
+from .quantum import _game, _meets_bound, _safe_unit, _solve_points
 
 _ATOL = 1e-10
 LOCAL_DIMS = (2, 3, 4)
@@ -501,32 +500,18 @@ def _anticommuting(k: int) -> np.ndarray:
     return np.stack([functools.reduce(np.kron, s, np.ones((1, 1))) for s in strings[:k]])
 
 
-def _maximally_entangled(fset: FunctionSet, alice_ops, bob_ops, local_dim: int) -> EACCStrategy:
-    """A^x_0 = (1 + alice_ops[x])/2, B^{ω,y}_0 = (1 + (-1)^ω bob_ops[y]ᵀ)/2 and the
-    maximally entangled state on their block, padded with zero effects to local_dim."""
-    block, d = alice_ops.shape[-1], local_dim
-    a0 = 0.5 * (np.eye(block) + alice_ops)
-    b0 = 0.5 * (np.eye(block) + _OMEGA_SIGN[:, None] * np.swapaxes(bob_ops, -1, -2))
+def _clifford_embed(fset: FunctionSet, r, v, local_dim: int) -> EACCStrategy:
+    """The strategy of unit vectors r (m, N) and v (k, N) in R^N of the module
+    docstring, padded with zero effects to local_dim >= 2^(N // 2)."""
+    gammas = _anticommuting(v.shape[1])
+    block, d = gammas.shape[-1], local_dim
+    a0 = 0.5 * (np.eye(block) + np.tensordot(r, gammas, 1))
+    bob = np.swapaxes(np.tensordot(v, gammas, 1), -1, -2)
+    b0 = 0.5 * (np.eye(block) + _OMEGA_SIGN[:, None] * bob)
     a0, b0 = (np.pad(e, [(0, 0)] * (e.ndim - 2) + [(0, d - block)] * 2) for e in (a0, b0))
     phi = np.zeros((d, d), dtype=np.complex128)
     phi[np.arange(block), np.arange(block)] = 1.0 / np.sqrt(block)
     return _complete(fset, np.outer(phi.ravel(), phi.ravel()), a0, b0)
-
-
-def _tsirelson_strategy(fset: FunctionSet, local_dim: int) -> EACCStrategy:
-    """The Jordan-Wigner strategy of the module docstring; local_dim >= 2^(k // 2)."""
-    signs = sign_matrix(fset)
-    gammas = _anticommuting(signs.shape[1])
-    alice_ops = np.einsum("xy,yab->xab", signs, gammas) / np.sqrt(signs.shape[1])
-    return _maximally_entangled(fset, alice_ops, gammas, local_dim)
-
-
-def _qubit_embed(strategy: PMStrategy, fset: FunctionSet, local_dim: int) -> EACCStrategy:
-    """A one-qubit strategy at local dimension 2, padded to local_dim, with the same value."""
-    prep, meas = strategy.prep_array(), strategy.meas_array(fset)
-    return _maximally_entangled(
-        fset, np.tensordot(prep, _PAULIS, 1), np.tensordot(meas, _PAULIS, 1), local_dim
-    )
 
 
 def eacc_optimum(
@@ -540,50 +525,44 @@ def eacc_optimum(
     """Best entanglement-assisted value: by construction where it meets the ceiling.
 
     Three steps, each tried only if the one before fails to meet the
-    ceiling 1/2(1 + 1/sqrt(k)) of the module docstring:
+    ceiling 1/2(1 + 1/sqrt(k)) of the module docstring, with
+    N = 2 floor(log2 local_dim) + 1 (3 at local dimension 2 or 3, 5 at 4):
 
-    1. the Jordan-Wigner strategy, when its 2^(k // 2) dimensions fit in
-       local_dim (k <= 3 at local dimension 2 or 3, k <= 5 at 4); the
-       dimension is checked before any matrix is built;
-    2. the embedding of one `quantum.seesaw(fset, restarts, max_iters, tol,
-       seed)` optimum;
+    1. when k <= N, the Jordan-Wigner strategy, `_clifford_embed` of
+       v_y = e_y in R^k and Alice's best reply; k is checked first;
+    2. `_clifford_embed` of the best row of one noiseless
+       `quantum._solve_points` call in R^N, each vector divided by its
+       norm; in R^3 this is `quantum.seesaw(fset, restarts, max_iters,
+       tol, seed)`'s optimum;
     3. `eacc_seesaw(fset, local_dim, restarts, max_iters, tol, seed)`,
        reported when it scores at least the embedded strategy.
 
     A construction is returned as soon as its replayed value passes
     `quantum._meets_bound`, within 4 ulps of the ceiling, which certifies it
     as the global optimum.  Otherwise the better of the embedded strategy
-    and the see-saw is reported, so the result is never below the one-qubit
-    see-saw's value for the same arguments.  A Jordan-Wigner report has 0
-    iterations and 0 restarts; an embedded one carries the one-qubit
-    see-saw's iterations, restarts, convergence and min_step_delta.
-    meets_bound is `_meets_bound` on the reported value; the two
-    local-certificate fields are None.
+    and the see-saw is reported, so the result is never below the solve's
+    value.  A Jordan-Wigner report has 0 iterations and 0 restarts; an
+    embedded one carries the solve's iterations, restarts, convergence and
+    min_step_delta.  meets_bound is `_meets_bound` on the reported value;
+    the two local-certificate fields are None.
     """
     _check_solver(local_dim, restarts, max_iters, tol, seed)
     k = len(fset)
-    if 1 << (k // 2) <= local_dim:
-        strategy = _tsirelson_strategy(fset, local_dim)
+    dim = 2 * (local_dim.bit_length() - 1) + 1
+    if k <= dim:  # v_y = e_y, and Alice's best reply r_x = g[x] / sqrt(k)
+        strategy = _clifford_embed(fset, sign_matrix(fset) / np.sqrt(k), np.eye(k), local_dim)
         value = evaluate_eacc(strategy, fset)
         if _meets_bound(value, k):
-            return SeesawReport(
-                value=value,
-                iterations=0,
-                restarts_used=0,
-                converged=True,
-                best_strategy=strategy,
-                seed=seed,
-                min_step_delta=0.0,
-                meets_bound=True,
-            )
-    one_qubit = seesaw(fset, restarts, max_iters, tol, seed)
-    strategy = _qubit_embed(one_qubit.best_strategy, fset, local_dim)
-    best = dataclasses.replace(
-        one_qubit,
-        value=evaluate_eacc(strategy, fset),
-        best_strategy=strategy,
-        tangent_grad=None,
-        top_hessian_eig=None,
+            return SeesawReport(value, 0, 0, True, strategy, seed, 0.0, meets_bound=True)
+    game = _game(fset, wide=True)
+    value, iters, min_delta, r, v, conv = _solve_points(
+        game, np.eye(dim)[None], restarts, seed, max_iters, tol
+    )
+    r, v = (np.array([_safe_unit(row) for row in vecs[0]]) for vecs in (r, v))
+    strategy = _clifford_embed(fset, r, v, local_dim)
+    best = SeesawReport(
+        evaluate_eacc(strategy, fset), int(iters[0]), restarts + len(game.starts), bool(conv[0]),
+        strategy, seed, float(min_delta[0]),
     )
     if not _meets_bound(best.value, k):
         report = eacc_seesaw(fset, local_dim, restarts, max_iters, tol, seed)

@@ -30,14 +30,14 @@ the cap, which the snap's residuals do not ask for, so such a solve
 skips the snap.
 
 A Sidon set, one whose pairwise sums y ^ y' of labels are all distinct
-(`_is_sidon`), cannot meet the cap in R^3 once k > 3, so its solves skip
-the snap too.  Proof: |V_x|^2 = k + 2 sum_{y<y'} (-1)^{x.(y^y')} v_y . v_y',
-and the characters x -> (-1)^{x.z} are linearly independent, so every
-|V_x|^2 = k forces, for each z, the Gram entries v_y . v_y' of the pairs
-with y ^ y' = z to sum to 0.  In a Sidon set each z is the sum of at most
-one pair, so the k unit v_y would be orthonormal, which R^3 does not allow
-for k > 3.  A snap could only be refused there, and a refused snap leaves
-the solve's arrays bit for bit as they are without it.
+(`_is_sidon`), cannot meet the cap with unit v_y in R^N (3, or 5 in
+`grac.eacc`) once k > N, so its solves skip the snap too.  Proof: |V_x|^2 =
+k + 2 sum_{y<y'} (-1)^{x.(y^y')} v_y . v_y', and the characters x ->
+(-1)^{x.z} are linearly independent, so every |V_x|^2 = k forces, for each
+z, the Gram entries v_y . v_y' of the pairs with y ^ y' = z to sum to 0.  In
+a Sidon set each z is the sum of at most one pair, so the k unit v_y would
+be orthonormal, which R^N does not allow for k > N.  A snap could only be
+refused there, and a refused snap leaves the arrays bit for bit unchanged.
 """
 
 from __future__ import annotations
@@ -229,22 +229,25 @@ class _Game(NamedTuple):
     exact search, and whether its labels form a Sidon set (`_is_sidon`)."""
 
     signs: np.ndarray
-    classical: Rational
+    classical: Rational | None  # None for a wide game (`_game`), which has no starts
     starts: tuple[np.ndarray, ...]  # along z, then along the game's axis if it has one
     sidon: bool
 
 
-def _game(fset: FunctionSet, axis=None) -> _Game:
+def _game(fset: FunctionSet, axis=None, wide=False) -> _Game:
     """The one exact classical search of a prepare-and-measure solve.
 
     One optimal strategy is embedded as in `classical_start_vectors` along z
     and, when an axis is given, along that axis too.  A bad axis is refused
-    before the search, and the search refuses widths above ENUM_MAX_WIDTH.
+    before the search, and the search refuses widths above ENUM_MAX_WIDTH,
+    where a wide game has no search, classical optimum or classical start.
     """
     axes = [np.array(_unit_axis(a)) for a in (_Z_AXIS,) + (() if axis is None else (axis,))]
-    s_c, strategies = classical_optimum(fset, max_strategies=1)
-    guess = np.array([1.0 if strategies[0].decode(lab.r, 0) == 0 else -1.0 for lab in fset])
-    starts = tuple(np.outer(guess, a) for a in axes)
+    s_c, starts = None, ()
+    if fset.n <= ENUM_MAX_WIDTH or not wide:
+        s_c, strategies = classical_optimum(fset, max_strategies=1)
+        guess = np.array([1.0 if strategies[0].decode(lab.r, 0) == 0 else -1.0 for lab in fset])
+        starts = tuple(np.outer(guess, a) for a in axes)
     return _Game(sign_matrix(fset), s_c, starts, _is_sidon(fset.ints))
 
 
@@ -255,17 +258,18 @@ def _is_sidon(labels) -> bool:
 
 
 def _pm_starts(k: int, restarts: int, seed: int, classical) -> np.ndarray:
-    """Every prepare-and-measure start set: an (R, k, 3) array of measurement vectors.
+    """Every prepare-and-measure start set: an (R, k, N) array of measurement vectors.
 
     First `restarts` sphere-uniform starts, drawn in one
-    np.random.default_rng(seed) array of shape (restarts, k, 3), so the
-    first r starts are the same for any restarts >= r, then the given
-    classical starts in order: a game's `starts`, or none for `seesaw`
-    above ENUM_MAX_WIDTH.  A row too short to have a direction becomes z.
+    np.random.default_rng(seed) array of shape (restarts, k, N), so the
+    first r starts are the same for any restarts >= r, then the classical
+    starts, a (c, k, N) array that sets N.  A row too short to have a
+    direction becomes the last axis, z in R^3.
     """
-    draws = np.random.default_rng(seed).standard_normal((restarts, k, 3))
-    units, _ = _unit_rows(draws, np.array(_Z_AXIS))
-    return np.concatenate((units, np.reshape(classical, (-1, k, 3))))
+    dim = np.shape(classical)[-1]
+    draws = np.random.default_rng(seed).standard_normal((restarts, k, dim))
+    units, _ = _unit_rows(draws, np.eye(dim)[-1])
+    return np.concatenate((units, classical))
 
 
 _WARM_MARGIN = 1e-4  # a neighbour's optimum reruns at a point only if it starts this close
@@ -287,7 +291,7 @@ def _meets_bound(values, k: int) -> np.ndarray:
 def _solve_points(
     game: _Game, dmats: np.ndarray, restarts: int, seed: int, max_iters=_MAX_ITERS, tol=_TOL
 ) -> tuple[np.ndarray, ...]:
-    """`run_seesaw`'s six arrays at each channel of dmats, one row per point: its best row.
+    """`run_seesaw`'s six arrays at each N x N channel of dmats, one row per point: its best row.
 
     Every one-qubit prepare-and-measure solve is this call: `seesaw` and a
     depolarizing threshold are one point, a dephasing sweep is its grid and
@@ -295,7 +299,7 @@ def _solve_points(
     batched into one kernel call per round, which is told each row's point
     so that its Newton hand-off ranks rows point by point.  Round one runs, at each point
     i, the `_pm_starts` set of `restarts` random starts at the first point
-    and one elsewhere, seeded seed + i, and the game's classical starts.
+    and one elsewhere, seeded seed + i, and the game's zero-padded starts.
     Each later round restarts every point from the new best of each
     neighbour that improved (by more than tol) in the round before, keeping
     only the rows whose start scores, with Alice's best reply at that
@@ -311,7 +315,7 @@ def _solve_points(
     _SNAP_AFTER trips in one kernel call, and their _SNAP_ROWS best, ties
     going to the lower row, take `_seesaw.snap`'s steps within what is left
     of max_iters; the snap is skipped when max_iters leaves no room for a
-    step, and for a Sidon set with k > 3, which cannot meet the bound.  A
+    step, and for a Sidon set with k > N, which cannot meet the bound.  A
     snapped row is accepted only when `_meets_bound` passes on its value at
     the point's own channel; between accepted rows a residual at rounding
     decides before the value does.  The call then hands that row
@@ -327,15 +331,17 @@ def _solve_points(
     7% to 16% slower.
     """
     signs = game.signs
-    (m, k), n_points = signs.shape, len(dmats)
+    (m, k), (n_points, dim, _) = signs.shape, dmats.shape
+    classical = np.zeros((len(game.starts), k, dim))  # the game's starts, zero-padded
+    classical[..., :3] = np.reshape(game.starts, (-1, k, 3))
     owner, starts = [], []
     for i in range(n_points):
-        cold = _pm_starts(k, restarts if i == 0 else 1, seed + i, game.starts)
+        cold = _pm_starts(k, restarts if i == 0 else 1, seed + i, classical)
         owner += [i] * len(cold)
         starts.append(cold)
     owner, starts = np.array(owner), np.concatenate(starts)
-    off = np.abs(dmats[0].T @ dmats[0] - np.eye(3)).max()  # how far from orthogonal
-    short = k > 3 and game.sidon  # proved short of the bound (module docstring)
+    off = np.abs(dmats[0].T @ dmats[0] - np.eye(dim)).max()  # how far from orthogonal
+    short = k > dim and game.sidon  # proved short of the bound (module docstring)
     if n_points == 1 and off <= _UNIT_TOL and max_iters > _SNAP_AFTER and not short:
         trips = run_seesaw(signs, dmats[owner], starts, _SNAP_AFTER, tol, owner)
         top = _best_per_point(np.arange(len(owner)), trips[0], owner, _SNAP_ROWS)
@@ -350,8 +356,8 @@ def _solve_points(
         np.full(n_points, -np.inf),
         np.zeros(n_points, dtype=np.int64),
         np.zeros(n_points),
-        np.zeros((n_points, m, 3)),
-        np.zeros((n_points, k, 3)),
+        np.zeros((n_points, m, dim)),
+        np.zeros((n_points, k, dim)),
         np.zeros(n_points, dtype=bool),
     )
     best_value, best_v = best[0], best[4]  # updated in place with the rest of best
@@ -373,18 +379,18 @@ def _solve_points(
         owner = np.concatenate((points[1:][improved[:-1]], points[:-1][improved[1:]]))
         source = np.concatenate((points[:-1][improved[:-1]], points[1:][improved[1:]]))
         starts = best_v[source]
-        _, start_values = best_reply(signs, dmats[owner], starts, np.zeros(3))
+        _, start_values = best_reply(signs, dmats[owner], starts, np.zeros(dim))
         near = start_values >= best_value[owner] - _WARM_MARGIN
         if not near.any():
             return best
         owner, starts = owner[near], starts[near]
 
 
-def _safe_unit(vec: np.ndarray) -> tuple[float, float, float]:
+def _safe_unit(vec: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
-    if norm < 0.5:  # never left its zero initialization; direction is free
-        return (0.0, 0.0, 1.0)
-    return (float(vec[0] / norm), float(vec[1] / norm), float(vec[2] / norm))
+    if norm < 0.5:  # never left its zero initialization; direction is free (last axis)
+        return np.eye(len(vec))[-1]
+    return vec / norm
 
 
 def seesaw(
@@ -406,10 +412,7 @@ def seesaw(
     """
     check_budget(restarts, max_iters, tol, seed)
     dmat = _channel_matrix(channel)[None]
-    if fset.n <= ENUM_MAX_WIDTH:
-        game = _game(fset)
-    else:
-        game = _Game(sign_matrix(fset), None, (), _is_sidon(fset.ints))
+    game = _game(fset, wide=True)
     value, iters, min_delta, r, v, conv = _solve_points(game, dmat, restarts, seed, max_iters, tol)
     grad, eig = certificate(game.signs, dmat, r, v)
     m = 1 << fset.n

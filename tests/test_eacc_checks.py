@@ -20,7 +20,8 @@ from grac import (
     seesaw,
     validate_strategy,
 )
-from grac.eacc import _qubit_embed, _tsirelson_strategy
+from grac.eacc import _clifford_embed
+from grac.mubs import sign_matrix
 
 _SET = representative_set(3)  # labels 1, 2, 3 on width 3
 
@@ -141,12 +142,13 @@ def test_the_batched_check_names_what_the_loop_names(data):
 def _builds(d: int):
     """(name, strategy) of every strategy builder at local dimension d."""
     _, classical = classical_optimum(_SET, max_strategies=1)
-    one_qubit = seesaw(_SET, restarts=2, max_iters=50)
+    one_qubit = seesaw(_SET, restarts=2, max_iters=50).best_strategy
+    k = len(_SET)
     return [
         ("random", random_strategy(_SET, local_dim=d, rng=np.random.default_rng(d))),
         ("classical", classical_embed(classical[0], _SET, local_dim=d)),
-        ("jordan-wigner", _tsirelson_strategy(_SET, d)),
-        ("qubit", _qubit_embed(one_qubit.best_strategy, _SET, d)),
+        ("jordan-wigner", _clifford_embed(_SET, sign_matrix(_SET) / np.sqrt(k), np.eye(k), d)),
+        ("qubit", _clifford_embed(_SET, one_qubit.prep_array(), one_qubit.meas_array(_SET), d)),
         ("seesaw", eacc_seesaw(_SET, local_dim=d, restarts=2, max_iters=20).best_strategy),
     ]
 

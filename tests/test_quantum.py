@@ -163,14 +163,15 @@ def test_pm_starts_are_one_seeded_draw(k, restarts, seed):
     starts follow them in order."""
     classical = (np.ones((k, 3)) / math.sqrt(3), -np.ones((k, 3)) / math.sqrt(3))
     got = quantum._pm_starts(k, restarts, seed, classical)
+    none = np.empty((0, k, 3))
     assert got.shape == (restarts + 2, k, 3)
     assert np.abs(np.linalg.norm(got, axis=2) - 1.0).max() <= 1e-15
     assert np.array_equal(got[restarts:], np.stack(classical))
-    assert np.array_equal(got[:restarts], quantum._pm_starts(k, restarts, seed, ()))
-    more = quantum._pm_starts(k, restarts + 3, seed, ())
+    assert np.array_equal(got[:restarts], quantum._pm_starts(k, restarts, seed, none))
+    more = quantum._pm_starts(k, restarts + 3, seed, none)
     assert np.array_equal(more[:restarts], got[:restarts])
-    assert np.array_equal(quantum._pm_starts(k, 1, seed, ()), got[:1])
-    assert not np.isclose(quantum._pm_starts(k, restarts, seed + 1, ()), got[:restarts]).all()
+    assert np.array_equal(quantum._pm_starts(k, 1, seed, none), got[:1])
+    assert not np.isclose(quantum._pm_starts(k, restarts, seed + 1, none), got[:restarts]).all()
 
 
 def test_pm_starts_give_a_zero_draw_a_unit_row(monkeypatch):
@@ -187,7 +188,7 @@ def test_pm_starts_give_a_zero_draw_a_unit_row(monkeypatch):
             return draws
 
     monkeypatch.setattr(np.random, "default_rng", ZeroFirstRow)
-    got = quantum._pm_starts(3, 4, 0, ())
+    got = quantum._pm_starts(3, 4, 0, np.empty((0, 3, 3)))
     assert np.array_equal(got[0, 0], [0.0, 0.0, 1.0])
     assert np.abs(np.linalg.norm(got, axis=2) - 1.0).max() <= 1e-15
 
@@ -473,19 +474,22 @@ def test_the_finish_makes_slow_rows_fast():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_tangent_model_matches_finite_differences(seed):
     """The tangent gradient and Hessian are the first and second derivatives of
-    the objective along geodesics, at random points and channels."""
+    the objective along geodesics, at random points and channels, and in R^5
+    with no channel."""
     rng = np.random.default_rng(seed)
     for n, k in ((3, 4), (4, 7)):
         labels = rng.choice(range(1, 1 << n), size=k, replace=False)
         signs = sign_matrix(FunctionSet.from_ints(n, tuple(int(x) for x in labels)))
         m = signs.shape[0]
-        for dmat in (np.eye(3), BlochMap.dephasing(0.3, rng.standard_normal(3)).matrix()):
-            v = rng.standard_normal((k, 3))
+        dephasing = BlochMap.dephasing(0.3, rng.standard_normal(3)).matrix()
+        for dmat in (np.eye(3), dephasing, np.eye(5)):
+            dim = len(dmat)
+            v = rng.standard_normal((k, dim))
             v /= np.linalg.norm(v, axis=1, keepdims=True)
-            r, _ = _seesaw.best_reply(signs, dmat[None], v[None], np.zeros((1, m, 3)))
+            r, _ = _seesaw.best_reply(signs, dmat[None], v[None], np.zeros((1, m, dim)))
             _, basis, grad, hess, _ = tangent_model(signs, dmat[None], r, v[None])
-            xi = rng.standard_normal(2 * k)
-            move = np.matmul(xi.reshape(k, 1, 2), basis[0])[:, 0]  # tangent vector per label
+            xi = rng.standard_normal((dim - 1) * k)
+            move = np.matmul(xi.reshape(k, 1, dim - 1), basis[0])[:, 0]  # tangent vector per label
             size = np.linalg.norm(move, axis=1, keepdims=True)
 
             def objective(t):
@@ -496,6 +500,23 @@ def test_tangent_model_matches_finite_differences(seed):
             second = (objective(1e-4) - 2 * objective(0.0) + objective(-1e-4)) / 1e-8
             assert first == pytest.approx(grad[0] @ xi, rel=1e-6, abs=1e-6)
             assert second == pytest.approx(xi @ hess[0] @ xi, rel=1e-5, abs=1e-5)
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_the_tangent_basis_is_orthonormal_and_orthogonal_to_v(dim):
+    """Each v_y's N - 1 basis vectors are orthonormal and orthogonal to v_y, in
+    R^3 and R^5, on every signed coordinate axis and on random unit vectors."""
+    signs = sign_matrix(full_mubs(4))
+    m, k = signs.shape
+    rng = np.random.default_rng(dim)
+    axes = np.concatenate((np.eye(dim), -np.eye(dim)))
+    drawn = rng.standard_normal((k - len(axes), dim))
+    v = np.concatenate((axes, drawn / np.linalg.norm(drawn, axis=1, keepdims=True)))
+    _, basis, _, _, _ = tangent_model(signs, np.eye(dim)[None], np.zeros((1, m, dim)), v[None])
+    assert basis.shape == (1, k, dim - 1, dim)
+    gram = np.matmul(basis[0], basis[0].transpose(0, 2, 1))
+    assert np.abs(gram - np.eye(dim - 1)).max() <= 1e-15
+    assert np.abs(np.matmul(basis[0], v[..., None])).max() <= 1e-15
 
 
 def test_seesaw_reports_the_best_rows_certificate():
@@ -977,29 +998,41 @@ def _random_sidon_sets() -> list[FunctionSet]:
     return found
 
 
+def _sidon_solve(fset, seed, dim):
+    """A noiseless one-point solve in R^dim and its value: `seesaw`'s report
+    as its repr in R^3, the `_solve_points` arrays as bytes in R^5."""
+    if dim == 3:
+        report = seesaw(fset, restarts=16, seed=seed)
+        return repr(report), report.value
+    rows = quantum._solve_points(quantum._game(fset), np.eye(dim)[None], 16, seed)
+    return [row.tobytes() for row in rows], float(rows[0][0])
+
+
 def test_a_sidon_set_skips_the_snap_and_reports_as_if_it_were_refused(monkeypatch):
     """On the 5 Sidon width-4 classes with k > 3 (`_SHORT_W4[:5]`) and on random
     Sidon sets at widths 3 to 6, `seesaw` never calls the snap, and its report
     equals, bit for bit, that of a run whose predicate is forced False, where
-    the snap runs and is refused.  The classes stay 1e-3 below the ceiling."""
+    the snap runs and is refused.  So does the solve in R^5 of the k = 6
+    class.  The classes stay 1e-3 below the ceiling."""
 
     def no_snap(*args):
         raise AssertionError("the snap ran on a Sidon set")
 
     classes = [FunctionSet.from_ints(4, labels) for labels in _SHORT_W4[:5]]
-    for seed, fset in enumerate(classes + _random_sidon_sets()):
-        assert len(fset) > 3 and quantum._is_sidon(fset.ints)
+    inputs = [(fset, 3) for fset in classes + _random_sidon_sets()] + [(classes[4], 5)]
+    for seed, (fset, dim) in enumerate(inputs):
+        assert len(fset) > dim and quantum._is_sidon(fset.ints)
         with monkeypatch.context() as patch:
             patch.setattr(quantum, "snap", no_snap)
-            skipped = seesaw(fset, restarts=16, seed=seed)
+            skipped, value = _sidon_solve(fset, seed, dim)
         with monkeypatch.context() as patch:
             patch.setattr(quantum, "_is_sidon", lambda labels: False)
             snaps = _record_snaps(patch)
-            tried = seesaw(fset, restarts=16, seed=seed)
+            tried, _ = _sidon_solve(fset, seed, dim)
         assert len(snaps) == 1 and not quantum._meets_bound(snaps[0][0], len(fset)).any()
-        assert repr(skipped) == repr(tried), fset
+        assert skipped == tried, fset
         if fset in classes:
-            assert skipped.value <= pm_upper_bound(len(fset)) - 1e-3
+            assert value <= pm_upper_bound(len(fset)) - 1e-3
 
 
 def test_is_sidon_is_a_pair_sum_count_on_every_width_4_set():

@@ -128,12 +128,18 @@ def test_worker_records_a_system_exits_code_and_stderr():
 
 
 def test_ops_hold_the_eacc_ops_that_no_workload_runs():
-    """The full width-4 set, settled by the embedded one-qubit optimum, and the
-    4->1 random access code, short of the bound, which falls back to the see-saw."""
+    """The full width-4 set, settled by the embedded one-qubit optimum, the
+    4->1 random access code, short of the bound, which falls back to the
+    see-saw, and at local dimension 4 a k = 8 class that the solve in R^5
+    settles and the k = 7 class it leaves short."""
     todo = ops_diff.ops()
     for op in (
         ["eacc", "--n", "4", "--labels", "all", "--local-dim", "3"],
         ["eacc", "--n", "4", "--labels", "0001,0010,0100,1000", "--local-dim", "3",
          "--restarts", "8"],
+        ["eacc", "--n", "4", "--labels", "0001,0010,0011,0100,0101,0110,0111,1000",
+         "--local-dim", "4"],
+        ["eacc", "--n", "4", "--labels", "0001,0010,0011,0100,0101,1000,1010",
+         "--local-dim", "4", "--restarts", "8"],
     ):
         assert todo.count(("extra", op)) == 1

@@ -81,6 +81,13 @@ EXTRA_OPS = (
     # the 4->1 random access code at local dimension 3, short of the bound:
     # `eacc_optimum` falls back to the see-saw
     ["eacc", "--n", "4", "--labels", "0001,0010,0100,1000", "--local-dim", "3", "--restarts", "8"],
+    # a k = 8 class short of the bound with one qubit, at local dimension 4:
+    # the solve in R^5 meets the bound at once
+    ["eacc", "--n", "4", "--labels", "0001,0010,0011,0100,0101,0110,0111,1000", "--local-dim", "4"],
+    # the k = 7 class short of the bound with one qubit, at local dimension 4:
+    # the solve in R^5 ends short, above the see-saw it falls back to
+    ["eacc", "--n", "4", "--labels", "0001,0010,0011,0100,0101,1000,1010", "--local-dim", "4",
+     "--restarts", "8"],
     # the 7 width-3 representative sets swept on 3 axes (x, z and an
     # oblique one) on the default grid, seed and restarts: 21 sweeps
     *(["noise", "--labels", spec, "--channel", "dephasing", "--axis", axis]

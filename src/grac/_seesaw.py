@@ -94,20 +94,20 @@ Measured on 2 cores (numpy 2.4, OpenBLAS at its default two threads):
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidInputError, check_integer, check_real
+from .errors import InvalidInputError, check_integer
 
 if TYPE_CHECKING:
     from .eacc import EACCStrategy
     from .quantum import PMStrategy
 
 _EPS = 1e-12  # vectors shorter than this keep their previous direction
+_TOL = 1e-10  # every see-saw stops a restart whose trip gains less than this
 _BETA_START = 2.0  # extrapolation factor of a fresh row
 _BETA_GROW = 1.5  # beta multiplier after a taken candidate
 _BETA_MIN = 1.25  # floor of beta after a refused candidate halves it
@@ -166,18 +166,15 @@ class SeesawReport:
     meets_bound: bool | None = None
 
 
-def check_budget(restarts: int, max_iters: int, tol: float, seed: int) -> None:
-    """Reject a see-saw budget that cannot run or cannot stop, then a seed that
-    numpy's generator would refuse or silently truncate."""
+def check_budget(restarts: int, max_iters: int, seed: int) -> None:
+    """Reject a see-saw budget that cannot run, then a seed that numpy's
+    generator would refuse or silently truncate."""
     check_integer("restarts", restarts)
     check_integer("max_iters", max_iters)
     if restarts < 1:
         raise InvalidInputError("need at least one restart")
     if max_iters < 1:
         raise InvalidInputError("need at least one iteration")
-    check_real("tolerance", tol)
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidInputError(f"tolerance must be finite and positive, got {tol!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
 
@@ -209,7 +206,8 @@ def alternate(step, state, max_iters, tol, start=None):
     state : tuple of arrays with one leading row per restart; each row
         receives its restart's final state when the restart freezes
     max_iters : iteration cap, shared or one positive cap per restart
-    tol : freeze a restart once its per-iteration improvement drops below tol
+    tol : freeze a restart once its per-iteration improvement drops below tol;
+        the see-saws pass _TOL
     start : (R,) objective of each row's starting state, when the run resumes
         rows that have already stepped; the first iteration's improvement is
         measured from it (from -1 when not given)

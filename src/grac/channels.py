@@ -16,7 +16,7 @@ from ._seesaw import check_budget
 from .classical import Rational
 from .errors import InvalidInputError, NoCrossingError, check_integer, check_real, read_reals
 from .mubs import FunctionSet
-from .quantum import _MAX_ITERS, _TOL, _game, _solve_points, _unit_axis
+from .quantum import _MAX_ITERS, _game, _solve_points, _unit_axis
 
 DEPOLARIZING = "depolarizing"
 DEPHASING = "dephasing"
@@ -82,7 +82,7 @@ def critical_depolarizing(fset: FunctionSet, restarts: int = 8, seed: int = 0) -
     restarts and seed, from the same one-point `quantum._solve_points` call,
     and S_C comes from the exact search behind its classical start.
     """
-    check_budget(restarts, _MAX_ITERS, _TOL, seed)
+    check_budget(restarts, _MAX_ITERS, seed)
     game = _game(fset)
     s_c = game.classical.value
     s_q = float(_solve_points(game, np.eye(3)[None], restarts, seed)[0][0])
@@ -138,7 +138,7 @@ def _sweep_inputs(axis, grid, restarts: int, seed: int):
         raise InvalidInputError("the dephasing grid is empty")
     grid = tuple(float(g) for g in arr)
     dmats = np.stack([BlochMap.dephasing(lam, axis).matrix() for lam in grid])
-    check_budget(restarts, _MAX_ITERS, _TOL, seed)
+    check_budget(restarts, _MAX_ITERS, seed)
     return axis, grid, dmats
 
 

@@ -155,7 +155,7 @@ def _cmd_classical(args) -> int:
 
 def _cmd_quantum(args) -> int:
     fset = parse_label_spec(args.n, args.labels)
-    report = seesaw(fset, **_given(args, "restarts", "max_iters", "tol", "seed"))
+    report = seesaw(fset, **_given(args, "restarts", "max_iters", "seed"))
     bound = pm_upper_bound(len(fset))
     payload = {**_report_fields(fset, report), "upper_bound": bound}
     summary = (
@@ -224,7 +224,7 @@ def _cmd_noise(args) -> int:
 
 def _cmd_eacc(args) -> int:
     fset = parse_label_spec(args.n, args.labels)
-    report = eacc_optimum(fset, **_given(args, "local_dim", "restarts", "max_iters", "tol", "seed"))
+    report = eacc_optimum(fset, **_given(args, "local_dim", "restarts", "max_iters", "seed"))
     local_dim = report.best_strategy.dims[0]
     payload = {**_report_fields(fset, report), "local_dim": local_dim}
     summary = (
@@ -303,7 +303,6 @@ def _quantum_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--restarts", type=int)
     p.add_argument("--max-iters", type=int)
-    p.add_argument("--tol", type=float)
 
 
 def _noise_args(p: argparse.ArgumentParser) -> None:
@@ -327,7 +326,6 @@ def _eacc_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--local-dim", type=int, choices=LOCAL_DIMS)
     p.add_argument("--restarts", type=int)
     p.add_argument("--max-iters", type=int)
-    p.add_argument("--tol", type=float)
 
 
 def _tables_args(p: argparse.ArgumentParser) -> None:

@@ -69,6 +69,7 @@ import numpy as np
 
 from ._seesaw import (
     _BETA_START,
+    _TOL,
     SeesawReport,
     alternate,
     check_budget,
@@ -284,14 +285,14 @@ def _check_local_dim(local_dim: int) -> None:
         raise InvalidInputError(f"local dimension must be positive, got {local_dim}")
 
 
-def _check_solver(local_dim: int, restarts: int, max_iters: int, tol: float, seed: int) -> None:
+def _check_solver(local_dim: int, restarts: int, max_iters: int, seed: int) -> None:
     """The solvers' arguments: a local dimension in LOCAL_DIMS, then budget and seed."""
     check_integer("local dimension", local_dim)
     if local_dim not in LOCAL_DIMS:
         raise DimensionMismatchError(
             f"local dimension must be one of {LOCAL_DIMS}, got {local_dim}"
         )
-    check_budget(restarts, max_iters, tol, seed)
+    check_budget(restarts, max_iters, seed)
 
 
 def _complete(fset: FunctionSet, state, a0: np.ndarray, b0: np.ndarray) -> EACCStrategy:
@@ -381,7 +382,6 @@ def eacc_seesaw(
     local_dim: int = 2,
     restarts: int = 32,
     max_iters: int = 3000,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> SeesawReport:
     """Best entanglement-assisted value found by alternating optimization.
@@ -393,7 +393,7 @@ def eacc_seesaw(
     tries the extrapolated candidate of the module docstring.  Returns the
     best restart as a SeesawReport holding an EACCStrategy.
     """
-    _check_solver(local_dim, restarts, max_iters, tol, seed)
+    _check_solver(local_dim, restarts, max_iters, seed)
     d = local_dim
     m = 1 << fset.n
     k = len(fset)
@@ -465,9 +465,7 @@ def eacc_seesaw(
         )
 
     beta = np.full(n_restarts, _BETA_START)
-    values, iters, min_deltas, converged = alternate(
-        step, (psi, a0, b0, beta), max_iters, tol
-    )
+    values, iters, min_deltas, converged = alternate(step, (psi, a0, b0, beta), max_iters, _TOL)
     best = int(np.argmax(values))
     state = np.outer(psi[best], psi[best].conj())
     # The projector products leave ~1e-18 imaginary parts on the diagonal.
@@ -519,7 +517,6 @@ def eacc_optimum(
     local_dim: int = 2,
     restarts: int = 32,
     max_iters: int = 3000,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> SeesawReport:
     """Best entanglement-assisted value: by construction where it meets the ceiling.
@@ -533,20 +530,21 @@ def eacc_optimum(
     2. `_clifford_embed` of the best row of one noiseless
        `quantum._solve_points` call in R^N, each vector divided by its
        norm; in R^3 this is `quantum.seesaw(fset, restarts, max_iters,
-       tol, seed)`'s optimum;
-    3. `eacc_seesaw(fset, local_dim, restarts, max_iters, tol, seed)`,
-       reported when it scores at least the embedded strategy.
+       seed)`'s optimum;
+    3. `eacc_seesaw(fset, local_dim, restarts, max_iters, seed)`,
+       reported when its replayed value is at least the embedded strategy's.
 
     A construction is returned as soon as its replayed value passes
     `quantum._meets_bound`, within 4 ulps of the ceiling, which certifies it
     as the global optimum.  Otherwise the better of the embedded strategy
     and the see-saw is reported, so the result is never below the solve's
-    value.  A Jordan-Wigner report has 0 iterations and 0 restarts; an
-    embedded one carries the solve's iterations, restarts, convergence and
-    min_step_delta.  meets_bound is `_meets_bound` on the reported value;
+    value.  Every reported value is the replay, `evaluate_eacc`, of the
+    reported strategy.  A Jordan-Wigner report has 0 iterations and 0
+    restarts; an embedded one carries the solve's iterations, restarts,
+    convergence and min_step_delta.  meets_bound is `_meets_bound` on the reported value;
     the two local-certificate fields are None.
     """
-    _check_solver(local_dim, restarts, max_iters, tol, seed)
+    _check_solver(local_dim, restarts, max_iters, seed)
     k = len(fset)
     dim = 2 * (local_dim.bit_length() - 1) + 1
     if k <= dim:  # v_y = e_y, and Alice's best reply r_x = g[x] / sqrt(k)
@@ -556,7 +554,7 @@ def eacc_optimum(
             return SeesawReport(value, 0, 0, True, strategy, seed, 0.0, meets_bound=True)
     game = _game(fset, wide=True)
     value, iters, min_delta, r, v, conv = _solve_points(
-        game, np.eye(dim)[None], restarts, seed, max_iters, tol
+        game, np.eye(dim)[None], restarts, seed, max_iters
     )
     r, v = (np.array([_safe_unit(row) for row in vecs[0]]) for vecs in (r, v))
     strategy = _clifford_embed(fset, r, v, local_dim)
@@ -565,7 +563,8 @@ def eacc_optimum(
         strategy, seed, float(min_delta[0]),
     )
     if not _meets_bound(best.value, k):
-        report = eacc_seesaw(fset, local_dim, restarts, max_iters, tol, seed)
-        if report.value >= best.value:
-            best = report
+        report = eacc_seesaw(fset, local_dim, restarts, max_iters, seed)
+        replayed = evaluate_eacc(report.best_strategy, fset)
+        if replayed >= best.value:
+            best = dataclasses.replace(report, value=replayed)
     return dataclasses.replace(best, meets_bound=bool(_meets_bound(best.value, k)))

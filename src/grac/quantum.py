@@ -50,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._seesaw import (
+    _TOL,
     SeesawReport,
     _best_per_point,
     _unit_rows,
@@ -66,7 +67,6 @@ from .mubs import FunctionSet, _check_width, bitstring, read_bitstring, sign_mat
 
 _UNIT_TOL = 1e-12
 _MAX_ITERS = 10000  # the see-saw's default budget, also used by `_solve_points`
-_TOL = 1e-10
 _Z_AXIS = (0.0, 0.0, 1.0)  # every prepare-and-measure solve runs a classical start along it
 
 
@@ -289,7 +289,7 @@ def _meets_bound(values, k: int) -> np.ndarray:
 
 
 def _solve_points(
-    game: _Game, dmats: np.ndarray, restarts: int, seed: int, max_iters=_MAX_ITERS, tol=_TOL
+    game: _Game, dmats: np.ndarray, restarts: int, seed: int, max_iters=_MAX_ITERS
 ) -> tuple[np.ndarray, ...]:
     """`run_seesaw`'s six arrays at each N x N channel of dmats, one row per point: its best row.
 
@@ -301,10 +301,10 @@ def _solve_points(
     i, the `_pm_starts` set of `restarts` random starts at the first point
     and one elsewhere, seeded seed + i, and the game's zero-padded starts.
     Each later round restarts every point from the new best of each
-    neighbour that improved (by more than tol) in the round before, keeping
-    only the rows whose start scores, with Alice's best reply at that
-    point's channel, within _WARM_MARGIN of the point's best, until no
-    point improves; a lone point has no neighbour.  Each round hands the new
+    neighbour that improved (by more than the kernel's stopping tolerance
+    `_seesaw._TOL`) in the round before, keeping only the rows whose start
+    scores, with Alice's best reply at that point's channel, within
+    _WARM_MARGIN of the point's best, until no point improves; a lone point has no neighbour.  Each round hands the new
     best row of every point it improved to `_seesaw.polish`, the kernel's
     Newton finish within what is left of max_iters, so a point's first round
     is the one-point solve of its starts.
@@ -343,7 +343,7 @@ def _solve_points(
     off = np.abs(dmats[0].T @ dmats[0] - np.eye(dim)).max()  # how far from orthogonal
     short = k > dim and game.sidon  # proved short of the bound (module docstring)
     if n_points == 1 and off <= _UNIT_TOL and max_iters > _SNAP_AFTER and not short:
-        trips = run_seesaw(signs, dmats[owner], starts, _SNAP_AFTER, tol, owner)
+        trips = run_seesaw(signs, dmats[owner], starts, _SNAP_AFTER, _TOL, owner)
         top = _best_per_point(np.arange(len(owner)), trips[0], owner, _SNAP_ROWS)
         snapped = snap(signs, dmats[owner[top]], [row[top] for row in trips], max_iters)
         accepted = np.flatnonzero(_meets_bound(snapped[0], k))
@@ -363,7 +363,7 @@ def _solve_points(
     best_value, best_v = best[0], best[4]  # updated in place with the rest of best
     points = np.arange(n_points)
     while True:
-        rows = run_seesaw(signs, dmats[owner], starts, max_iters, tol, owner)
+        rows = run_seesaw(signs, dmats[owner], starts, max_iters, _TOL, owner)
         before = best_value.copy()
         winner = np.zeros(n_points, dtype=np.int64)  # each point's best row this round
         for j, (i, value) in enumerate(zip(owner.tolist(), rows[0].tolist())):
@@ -374,7 +374,7 @@ def _solve_points(
             polished = polish(signs, dmats[new], [row[winner[new]] for row in rows], max_iters)
             for mine, theirs in zip(best, polished):
                 mine[new] = theirs
-        improved = best_value - before > tol  # smaller gains are the kernel's own convergence noise
+        improved = best_value - before > _TOL  # smaller gains are the kernel's own convergence noise
         # point i + 1 restarts from point i's new best, and point i from point i + 1's
         owner = np.concatenate((points[1:][improved[:-1]], points[:-1][improved[1:]]))
         source = np.concatenate((points[:-1][improved[:-1]], points[1:][improved[1:]]))
@@ -397,7 +397,6 @@ def seesaw(
     fset: FunctionSet,
     restarts: int = 64,
     max_iters: int = _MAX_ITERS,
-    tol: float = _TOL,
     seed: int = 0,
     channel=None,
 ) -> SeesawReport:
@@ -410,10 +409,10 @@ def seesaw(
     none), and meets_bound, the global certificate: whether the value
     reaches pm_upper_bound(k) within _BOUND_ULPS ulps (`_meets_bound`).
     """
-    check_budget(restarts, max_iters, tol, seed)
+    check_budget(restarts, max_iters, seed)
     dmat = _channel_matrix(channel)[None]
     game = _game(fset, wide=True)
-    value, iters, min_delta, r, v, conv = _solve_points(game, dmat, restarts, seed, max_iters, tol)
+    value, iters, min_delta, r, v, conv = _solve_points(game, dmat, restarts, seed, max_iters)
     grad, eig = certificate(game.signs, dmat, r, v)
     m = 1 << fset.n
     strategy = PMStrategy(

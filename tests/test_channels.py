@@ -17,7 +17,6 @@ from grac import (
     crossing_window,
     dephasing_grid,
     dephasing_sweep,
-    eacc_seesaw,
     evaluate_pm,
     pm_upper_bound,
     reference_protocol,
@@ -292,11 +291,11 @@ def _forbid_kernel(monkeypatch, what):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda pair: seesaw(pair, tol=None),
-        lambda pair: seesaw(pair, tol=True),
-        lambda pair: seesaw(pair, tol="1e-10"),
-        lambda pair: eacc_seesaw(pair, tol=None),
-        lambda pair: eacc_seesaw(pair, tol=True),
+        lambda pair: seesaw(pair, channel=np.eye(2)),
+        lambda pair: dephasing_sweep(pair, axis=(1.0, 0.0)),
+        lambda pair: crossing_window(pair, representative_set(3), axis=(1.0, 0.0, 0.0, 0.0)),
+        lambda pair: BlochMap(channels.DEPOLARIZING, 0.1, (0.0, 0.0, 1.0)),
+        lambda pair: BlochMap("bit flip", 0.1),
         lambda pair: crossing_window(pair, representative_set(3), refine_tol="x"),
         lambda pair: crossing_window(pair, representative_set(3), refine_tol=True),
         lambda pair: critical_depolarizing(pair, restarts=2.0),

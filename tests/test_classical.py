@@ -174,6 +174,8 @@ def test_evaluate_width_mismatch():
         evaluate_classical(strat, fset)
     with pytest.raises(WidthMismatchError):
         per_label_wins(strat, fset)
+    with pytest.raises(WidthMismatchError):
+        best_decoding(majority_encoding(2), fset)
 
 
 def test_rac_optimum_closed_form():

@@ -390,6 +390,8 @@ def test_cli_forwards_only_the_options_given(monkeypatch, tmp_path):
         ["tables", "--labels", "bogus"],
         ["classical", "--seed", "1"],
         ["mubs", "--seed", "1"],
+        ["quantum", "--tol", "1e-9"],
+        ["eacc", "--tol", "1e-9"],
     ],
 )
 def test_ignored_flags_are_refused(argv, capsys):
@@ -397,6 +399,16 @@ def test_ignored_flags_are_refused(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_a_failed_artifact_write_leaves_no_temp_file(monkeypatch, tmp_path, capsys):
+    def no_replace(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(cli.os, "replace", no_replace)
+    assert cli.main(["mubs", "--labels", "001,010", "--out", str(tmp_path / "m.json")]) == 1
+    assert "replace refused" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mubs_check_is_labels():

@@ -78,6 +78,29 @@ def test_validate_rejects_bad_effects():
         validate_strategy(broken)
 
 
+@pytest.mark.parametrize(
+    "bend, fault",
+    [
+        (lambda state: state + 0.1j * np.triu(np.ones_like(state), 1), "not Hermitian"),
+        (lambda state: 2.0 * state - np.eye(len(state)) / len(state), "not positive semidefinite"),
+    ],
+    ids=["not Hermitian", "not PSD"],
+)
+def test_validate_rejects_a_bad_state(bend, fault):
+    fset = representative_set(2)
+    strat = random_strategy(fset, rng=np.random.default_rng(0))
+    broken = EACCStrategy(strat.n, strat.labels, bend(strat.state), strat.alice, strat.bob)
+    with pytest.raises(InvalidEffectError, match=fault):
+        validate_strategy(broken)
+
+
+def test_random_strategy_draws_its_own_generator_when_given_none():
+    fset = representative_set(3)
+    strat = random_strategy(fset, local_dim=3)
+    validate_strategy(strat)
+    assert strat.dims == (3, 3)
+
+
 def test_validate_rejects_non_finite_entries():
     fset = representative_set(2)
     strat = random_strategy(fset, rng=np.random.default_rng(0))
@@ -105,6 +128,8 @@ def test_strategy_shape_validation():
         EACCStrategy(strat.n, strat.labels, strat.state[:2, :2], strat.alice, strat.bob)
     with pytest.raises(DimensionMismatchError):
         EACCStrategy(strat.n, strat.labels, strat.state, strat.alice[:, :1], strat.bob)
+    with pytest.raises(DimensionMismatchError):
+        EACCStrategy(strat.n, strat.labels, strat.state, strat.alice, strat.bob[:, :1])
 
 
 def test_evaluate_mismatches():
@@ -363,10 +388,3 @@ def test_eacc_open_quadruple_needs_dimension_four():
     validate_strategy(strat)
     rep = eacc_to_bell(strat, fset)
     assert rep.bell_value == pytest.approx(rep.eacc_value, abs=1e-10)
-
-
-def test_eacc_seesaw_rejects_bad_tolerance():
-    fset = representative_set(2)
-    for bad in (0.0, float("nan"), float("inf")):
-        with pytest.raises(InvalidInputError):
-            eacc_seesaw(fset, restarts=1, tol=bad)

@@ -159,6 +159,18 @@ def test_the_optimum_is_never_below_the_one_qubit_seesaw(data):
     assert report.meets_bound == bool(_meets_bound(report.value, len(fset)))
 
 
+def test_a_winning_fallback_reports_its_replayed_value():
+    """On this k = 7 width-4 set the see-saw fallback beats the R^5 embedding,
+    and the see-saw's own value is one ulp above its strategy's replay."""
+    fset = FunctionSet.from_ints(4, (1, 2, 4, 6, 7, 10, 13))
+    report = eacc_optimum(fset, local_dim=4, restarts=2, seed=690)
+    fallback = eacc_seesaw(fset, local_dim=4, restarts=2, seed=690)
+    assert report.iterations == fallback.iterations
+    assert np.array_equal(report.best_strategy.state, fallback.best_strategy.state)
+    assert evaluate_eacc(report.best_strategy, fset) == report.value
+    assert report.value == pytest.approx(fallback.value, abs=1e-15)
+
+
 def _refuse(*_args, **_kwargs):
     raise AssertionError("this step should not run")
 
@@ -280,7 +292,7 @@ def test_a_wide_set_is_refused_the_jordan_wigner_step_before_any_allocation():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"local_dim": 5}, {"local_dim": 2.0}, {"restarts": 0}, {"seed": -1}, {"tol": 0.0}],
+    [{"local_dim": 5}, {"local_dim": 2.0}, {"restarts": 0}, {"seed": -1}, {"max_iters": 0}],
 )
 def test_eacc_optimum_refuses_what_the_seesaw_refuses(kwargs):
     fset = representative_set(2)

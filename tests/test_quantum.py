@@ -233,14 +233,22 @@ def test_seesaw_argument_validation():
         seesaw(fset, restarts=0)
     with pytest.raises(ValueError):
         seesaw(fset, max_iters=0)
-    with pytest.raises(ValueError):
-        seesaw(fset, tol=0.0)
 
 
-def test_seesaw_rejects_non_finite_tolerance():
-    for bad in (float("nan"), float("inf"), -1e-10):
-        with pytest.raises(InvalidInputError):
-            seesaw(full_mubs(3), tol=bad)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PMStrategy(1, {0: (0, 0, 1), 1: (0, 0, -1)}, {1: (0, 1)}),
+        lambda: evaluate_pm(
+            PMStrategy(2, dict.fromkeys(range(4), (0, 0, 1)), {1: (0, 0, 1)}),
+            FunctionSet.from_ints(2, (1, 2)),
+        ),
+    ],
+    ids=["measurement 2-vector", "no measurement for a label"],
+)
+def test_a_strategy_without_a_3_vector_per_label_is_refused(call):
+    with pytest.raises(InvalidInputError):
+        call()
 
 
 def test_pm_strategy_from_dict_rejects_empty_preparations():

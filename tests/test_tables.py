@@ -67,6 +67,11 @@ def test_reproduce_tables_order_and_validation():
         reproduce_tables(())
 
 
+def test_a_spec_without_its_prefix_is_refused():
+    with pytest.raises(InvalidInputError, match="k=<m>"):
+        tables_mod.spec_labels("4:open")
+
+
 def test_reproduce_tables_reads_a_bare_string_as_one_id(monkeypatch):
     assert [r.table_id for r in reproduce_tables("II")] == ["II"]
     # Table IV's see-saws are slow; only the id lookup is under test here.

@@ -131,7 +131,8 @@ def test_ops_hold_the_eacc_ops_that_no_workload_runs():
     """The full width-4 set, settled by the embedded one-qubit optimum, the
     4->1 random access code, short of the bound, which falls back to the
     see-saw, and at local dimension 4 a k = 8 class that the solve in R^5
-    settles and the k = 7 class it leaves short."""
+    settles, the k = 7 class it leaves short, and a k = 7 set where the
+    see-saw fallback wins and reports its replayed value."""
     todo = ops_diff.ops()
     for op in (
         ["eacc", "--n", "4", "--labels", "all", "--local-dim", "3"],
@@ -141,5 +142,7 @@ def test_ops_hold_the_eacc_ops_that_no_workload_runs():
          "--local-dim", "4"],
         ["eacc", "--n", "4", "--labels", "0001,0010,0011,0100,0101,1000,1010",
          "--local-dim", "4", "--restarts", "8"],
+        ["eacc", "--n", "4", "--labels", "0001,0010,0100,0110,0111,1010,1101",
+         "--local-dim", "4", "--restarts", "2", "--seed", "690"],
     ):
         assert todo.count(("extra", op)) == 1

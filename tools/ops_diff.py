@@ -88,6 +88,11 @@ EXTRA_OPS = (
     # the solve in R^5 ends short, above the see-saw it falls back to
     ["eacc", "--n", "4", "--labels", "0001,0010,0011,0100,0101,1000,1010", "--local-dim", "4",
      "--restarts", "8"],
+    # a k = 7 width-4 set at local dimension 4 where the see-saw fallback
+    # wins, and its own value is one ulp above its strategy's replay: the
+    # reported value is the replay
+    ["eacc", "--n", "4", "--labels", "0001,0010,0100,0110,0111,1010,1101", "--local-dim", "4",
+     "--restarts", "2", "--seed", "690"],
     # the 7 width-3 representative sets swept on 3 axes (x, z and an
     # oblique one) on the default grid, seed and restarts: 21 sweeps
     *(["noise", "--labels", spec, "--channel", "dephasing", "--axis", axis]

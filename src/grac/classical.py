@@ -215,21 +215,35 @@ def _optimal_tables(h: np.ndarray, limit: int) -> np.ndarray:
 def classical_optimum(
     fset: FunctionSet, max_strategies: int = 16
 ) -> tuple[Rational, list[ClassicalStrategy]]:
-    """Exact classical optimum by enumerating decoding signs.
+    """Exact classical optimum by enumerating decoding signs up to translation.
 
     Given the encoding ω(x), question y scores best with z = ω ⊕ c_y: a
     constant guess wins exactly half of a balanced question, never more.
     With g[x, y] = (-1)^{f_y(x)} this gives
 
-        wins = (2^n k + max_s Σ_x |Σ_y s_y g[x, y]|) / 2
+        wins = (2^n k + max_s Σ_x |h_s(x)|) / 2,   h_s = Σ_y s_y g[·, y],
 
-    over sign vectors s ∈ {±1}^k with s_0 = +1, which costs
-    O(2^(k-1) · 2^n) additions instead of a scan over all 2^(2^n) encodings.
-    An encoding is optimal iff ω(x) = [h_s(x) < 0], h_s = Σ_y s_y g[·, y],
-    wherever h_s(x) ≠ 0, for some optimal s or its negation.  Returns the
-    optimum and the optimal strategies, each with its best_decoding, in
-    ascending encoding-table order, capped at max_strategies since optima
-    are typically far from unique.  Width is capped at ENUM_MAX_WIDTH.
+    over sign vectors s ∈ {±1}^k.  An encoding is optimal iff
+    ω(x) = [h_s(x) < 0] wherever h_s(x) ≠ 0, for some optimal s (its
+    negation gives the complement).
+
+    Only 2^(k-r) sign vectors are searched, r the rank of the labels' GF(2)
+    span.  Translating the input by a flips the signs by a character:
+    g[x ⊕ a, y] = (-1)^{a·y} g[x, y], so h_s(x ⊕ a) = h_{s⊙χ_a}(x) with
+    χ_a = ((-1)^{a·y})_y, and Σ_x |h_s(x)| is constant on each orbit
+    {s⊙χ_a}.  Take as basis the labels, in set order, that are independent
+    of those before them.  The values a·b on a basis can be set at will, so
+    each orbit holds exactly one s that is +1 on every basis label: a χ_a
+    that is +1 on the basis is +1 on its span, hence on every label.  So the
+    representatives are the sign vectors that are +1 on the basis, built by
+    doubling over the free labels, and each optimal s is the row
+    x ↦ h_rep(x ⊕ a) of an optimal representative's orbit, for some a.  The
+    search costs O(2^(k-r) · 2^n) additions instead of a scan over all
+    2^(2^n) encodings; the orbit rows of the optimal representatives (each
+    sign vector 2^(n-r) times) fix the tables.  Returns the optimum and the
+    optimal strategies, each with its best_decoding, in ascending
+    encoding-table order, capped at max_strategies since optima are
+    typically far from unique.  Width is capped at ENUM_MAX_WIDTH.
     """
     check_integer("max_strategies", max_strategies)
     if max_strategies < 1:
@@ -242,16 +256,26 @@ def classical_optimum(
     m = 1 << n
     k = len(fset)
     g = sign_matrix(fset)
-    # h[i] = h_s for every s with s_0 = +1, built by doubling over the labels
-    h = np.empty((1 << (k - 1), m))
-    h[0] = g[:, 0]
-    for j in range(1, k):
-        half = 1 << (j - 1)
+    basis, free, span = [], [], {0}
+    for j, y in enumerate(fset.ints):
+        if y in span:
+            free.append(j)
+        else:
+            basis.append(j)
+            span |= {v ^ y for v in span}
+    # h[i] = h_s for every s that is +1 on the basis, built by doubling over
+    # the free labels
+    h = np.empty((1 << len(free), m))
+    h[0] = g[:, basis].sum(axis=1)
+    for i, j in enumerate(free):
+        half = 1 << i
         h[half : 2 * half] = h[:half] - g[:, j]
         h[:half] += g[:, j]
     score = np.abs(h).sum(axis=1)
     best = score.max()
-    tables = _optimal_tables(h[score == best], max_strategies)
+    x = np.arange(m)
+    orbits = h[score == best][:, x[:, None] ^ x].reshape(-1, m)
+    tables = _optimal_tables(orbits, max_strategies)
     decodings, _ = _best_decodings((tables[:, None] >> np.arange(m)) & 1, g, fset.ints)
     strategies = [
         ClassicalStrategy(BooleanFn(n, int(t)), dec) for t, dec in zip(tables, decodings)

@@ -121,15 +121,24 @@ def _as_unit(vec, what: str) -> tuple[float, float, float]:
 
 
 def _unit_axis(axis) -> tuple[float, float, float]:
-    """A finite nonzero 3-vector, divided by its norm."""
+    """A finite nonzero 3-vector, divided by its norm.
+
+    A vector whose norm overflows or nears underflow is first divided by
+    its largest |entry|; every other vector is divided by its plain norm.
+    """
     arr = read_reals("an axis coordinate", axis)
     if arr.shape != (3,):
         raise InvalidInputError(f"axis must be a 3-vector, got shape {arr.shape}")
-    norm = float(np.linalg.norm(arr))
-    if not np.isfinite(norm):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"axis must be finite, got {tuple(arr.tolist())}")
-    if norm < 1e-12:
-        raise InvalidInputError("axis must be nonzero")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+    if not 1e-12 <= norm < np.inf:
+        scale = np.abs(arr).max()
+        if scale == 0:
+            raise InvalidInputError("axis must be nonzero")
+        arr = arr / scale
+        norm = float(np.linalg.norm(arr))
     return (float(arr[0] / norm), float(arr[1] / norm), float(arr[2] / norm))
 
 

@@ -278,6 +278,17 @@ def test_bad_axis_and_empty_grid_are_rejected():
         crossing_window(fset, representative_set(2), grid=[])
 
 
+def test_an_axis_whose_norm_overflows_or_underflows_is_scaled_not_refused():
+    diagonal = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    for axis in ((1e308, 1e308, 0.0), (1e-200, 1e-200, 0.0)):
+        np.testing.assert_array_max_ulp(np.array(channels._unit_axis(axis)), diagonal, maxulp=1)
+    with pytest.raises(InvalidInputError, match="axis must be nonzero"):
+        channels._unit_axis((0.0, 0.0, 0.0))
+    # an axis the plain norm serves keeps its arithmetic
+    arr = np.array([0.48, -0.6, 0.64])
+    assert channels._unit_axis(arr) == tuple((arr / float(np.linalg.norm(arr))).tolist())
+
+
 def _forbid_kernel(monkeypatch, what):
     """Make both see-saw kernels, as the library reaches them, fail the test."""
 

@@ -1,6 +1,7 @@
 """Exact classical optima, explicit strategies, and RAC lifts."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 from unittest import mock
@@ -152,6 +153,20 @@ def test_classical_optimum_small_widths():
     assert classical_optimum(full_mubs(1))[0] == Rational(2, 2)
     assert classical_optimum(full_mubs(2))[0].as_fraction() == Fraction(3, 4)
     assert classical_optimum(FunctionSet.from_ints(2, (1, 2)))[0].as_fraction() == Fraction(3, 4)
+
+
+@pytest.mark.parametrize("max_strategies", [1, 16])
+def test_classical_optimum_allocates_under_a_mebibyte_at_k15(max_strategies):
+    """The search builds one sign row per translation orbit: 2^(k-r) = 2^11
+    rows at k = 15, not the 2^14 that take 4 MiB with their absolute values."""
+    fset = full_mubs(4)
+    tracemalloc.start()
+    try:
+        classical_optimum(fset, max_strategies=max_strategies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_classical_optimum_width_cap():

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,16 @@ def test_sweep_malformed_axis_is_module_error(capsys):
     error = json.loads(captured.err)
     assert error["error"] == "InvalidInputError"
     assert error["message"] == "--axis must be comma-separated numbers, got '1,a,0'"
+
+
+def test_sweep_on_an_axis_whose_norm_overflows_runs_without_a_warning(capsys):
+    argv = ["noise", "--labels", "k=2", "--channel", "dephasing", "--axis", "1e308,1e308,0",
+            "--grid-points", "3"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_huge_grid_is_module_error(capsys):

@@ -135,3 +135,20 @@ def test_every_function_set_is_a_mubs_at_widths_1_to_6(data):
     g = sign_matrix(FunctionSet.from_ints(n, labels))
     assert (g.sum(axis=0) == 0).all()
     assert (g.T @ g == (1 << n) * np.eye(len(labels))).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_translating_the_input_flips_each_column_by_a_character(data):
+    """g[x ^ a, y] = (-1)^popcount(a & y) g[x, y]: the symmetry that lets the
+    exact classical search fix the signs on a basis of the labels."""
+    n = data.draw(st.integers(1, 4), label="n")
+    m = 1 << n
+    labels = data.draw(
+        st.sets(st.integers(1, m - 1), min_size=1, max_size=m - 1), label="labels"
+    )
+    fset = FunctionSet.from_ints(n, labels)
+    g = sign_matrix(fset)
+    for a in range(m):
+        character = np.array([(-1) ** (a & y).bit_count() for y in fset.ints])
+        assert (g[np.arange(m) ^ a] == character * g).all()

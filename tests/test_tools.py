@@ -127,6 +127,17 @@ def test_worker_records_a_system_exits_code_and_stderr():
     assert done["exit"] == 0 and done["stdout"] == "MUBS: true\n" and done["artifact"]
 
 
+def test_ops_hold_the_rank_deficient_classical_ops_that_no_workload_runs():
+    """Width-4 sets of rank 2 and 3 at a limit past every optimum, where each
+    translation orbit of sign vectors holds repeats."""
+    todo = ops_diff.ops()
+    for op in (
+        ["classical", "--n", "4", "--labels", "0001,0010,0011", "--max-strategies", "1000"],
+        ["classical", "--n", "4", "--labels", "0011,0101,0110,1111", "--max-strategies", "1000"],
+    ):
+        assert todo.count(("extra", op)) == 1
+
+
 def test_ops_hold_the_eacc_ops_that_no_workload_runs():
     """The full width-4 set, settled by the embedded one-qubit optimum, the
     4->1 random access code, short of the bound, which falls back to the

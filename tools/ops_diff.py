@@ -69,6 +69,10 @@ EXTRA_OPS = (
     ["classical", "--n", "3", "--labels", "all", "--max-strategies", "1000"],
     ["classical", "--n", "4", "--labels", "all", "--max-strategies", "500"],
     ["classical", "--n", "4", "--labels", "0001,0010,0100,1000", "--max-strategies", "300"],
+    # rank-deficient width-4 sets at a limit past every optimum: with rank 2
+    # each translation orbit repeats every sign vector 4 times, with rank 3 twice
+    ["classical", "--n", "4", "--labels", "0001,0010,0011", "--max-strategies", "1000"],
+    ["classical", "--n", "4", "--labels", "0011,0101,0110,1111", "--max-strategies", "1000"],
     # a width-5 set, above the exact search's width: no classical start
     ["quantum", "--n", "5", "--labels", "00001,00010,00100,01000,10000,11111"],
     # a width-4 set whose `--max-iters 41` cap binds after the Newton finish

@@ -21,7 +21,7 @@ from .quantum import _MAX_ITERS, _game, _solve_points, _unit_axis
 DEPOLARIZING = "depolarizing"
 DEPHASING = "dephasing"
 DEFAULT_AXIS = (1.0, 0.0, 0.0)  # the dephasing axis when none is given
-REFINE_TOL = 1e-4  # a crossing window's default refinement tolerance, in lambda
+REFINE_TOL = 1e-4  # the crossing window's refinement tolerance, in lambda
 _SECTIONS = 8  # a window refinement round splits its bracket into this many cells
 MAX_GRID_POINTS = 10_001  # the most points `dephasing_grid` builds
 
@@ -123,6 +123,11 @@ class SweepResult:
             yield (lam, 1.0 - lam, val, c, rat)
 
 
+def _dephasing_matrices(grid, axis) -> np.ndarray:
+    """One dephasing matrix along the unit `axis` per strength in `grid`, each range-checked."""
+    return np.stack([BlochMap.dephasing(lam, axis).matrix() for lam in grid])
+
+
 def _sweep_inputs(axis, grid, restarts: int, seed: int):
     """Unit axis, grid (default `dephasing_grid()`) and one channel matrix per point.
 
@@ -137,7 +142,7 @@ def _sweep_inputs(axis, grid, restarts: int, seed: int):
     if not arr.size:
         raise InvalidInputError("the dephasing grid is empty")
     grid = tuple(float(g) for g in arr)
-    dmats = np.stack([BlochMap.dephasing(lam, axis).matrix() for lam in grid])
+    dmats = _dephasing_matrices(grid, axis)
     check_budget(restarts, _MAX_ITERS, seed)
     return axis, grid, dmats
 
@@ -186,7 +191,6 @@ def crossing_window(
     set_b: FunctionSet,
     axis=DEFAULT_AXIS,
     grid=None,
-    refine_tol: float = REFINE_TOL,
     restarts: int = 8,
     seed: int = 0,
 ) -> tuple[float, float]:
@@ -196,19 +200,18 @@ def crossing_window(
     `dephasing_grid()`); set_a leads at a point where it beats set_b by more
     than rounding (`_leads`), so a tie up to the last bits is no lead, and the
     first widest run of leads in lambda is the window.  Each end interior to
-    the grid is refined to refine_tol (in lambda) by rounds of 8-section
-    search.  Round j halves the bracket's cells three times (fewer once a cell
-    is within refine_tol), so each new point is one bisection would probe, and
-    solves the new points, ordered from the inside, as one sweep per set
-    (`quantum._solve_points`) seeded seed + 7919 j (plus one for set_b).  The
-    next bracket is the first cell from the inside whose far end set_a does
-    not lead, else the last cell; a round that leaves it unchanged ends the
-    refinement.  Raises NoCrossing when either curve dominates the whole grid
-    (or they tie everywhere).
+    the grid is refined to REFINE_TOL = 1e-4 (in lambda) by rounds of
+    8-section search.  Round j halves the bracket's cells three times (fewer
+    once a cell is within REFINE_TOL), so each new point is one bisection
+    would probe, and solves the new points, ordered from the inside, as one
+    sweep per set (`quantum._solve_points`) seeded seed + 7919 j (plus one
+    for set_b).  The next bracket is the first cell from the inside whose far
+    end set_a does not lead, else the last cell.  A round runs only while its
+    bracket is wider than REFINE_TOL, so its cells are at least REFINE_TOL/2
+    wide, far above the spacing of doubles in [0, 1/2], and each next bracket
+    is a strict sub-cell.  Raises NoCrossing when either curve dominates the
+    whole grid (or they tie everywhere).
     """
-    check_real("refine_tol", refine_tol)
-    if not (np.isfinite(refine_tol) and refine_tol > 0):
-        raise InvalidInputError(f"refine_tol must be finite and positive, got {refine_tol!r}")
     axis, grid, dmats = _sweep_inputs(axis, grid, restarts, seed)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError(f"a crossing window needs a strictly increasing grid, got {grid}")
@@ -238,19 +241,17 @@ def crossing_window(
     def refine(inside_i, outside_i):
         inside, outside = grid[inside_i], grid[outside_i]
         j = 0
-        while abs(outside - inside) > refine_tol:
+        while abs(outside - inside) > REFINE_TOL:
             pts = [inside, outside]
-            while len(pts) <= _SECTIONS and abs(pts[1] - pts[0]) > refine_tol:
+            while len(pts) <= _SECTIONS and abs(pts[1] - pts[0]) > REFINE_TOL:
                 pts = [p for a, b in zip(pts, pts[1:]) for p in (a, 0.5 * (a + b))] + [outside]
-            dmats = np.stack([BlochMap.dephasing(lam, axis).matrix() for lam in pts[1:-1]])
+            dmats = _dephasing_matrices(pts[1:-1], axis)
             j += 1
             positive = _leads(
                 _solve_points(game_a, dmats, restarts, seed + 7919 * j)[0],
                 _solve_points(game_b, dmats, restarts, seed + 7919 * j + 1)[0],
             )
             k = len(positive) if positive.all() else int(positive.argmin())
-            if (pts[k], pts[k + 1]) == (inside, outside):  # the points collapsed onto the ends
-                break
             inside, outside = pts[k], pts[k + 1]
         return 0.5 * (inside + outside)
 

@@ -327,16 +327,15 @@ class RACStrategy:
 
 
 def rac_value(rac: RACStrategy) -> Rational:
-    """Average success of a RAC strategy over uniform inputs and positions."""
+    """Average success of a RAC strategy over uniform inputs and positions.
+
+    bits[b, p] is bit p of input b, counted from the most significant, and
+    guess[b, p] is position p's decoding of the message b sends.
+    """
     k = rac.k
-    wins = 0
-    for b in range(1 << k):
-        omega = rac.encode(b)
-        for p in range(k):
-            bit = (b >> (k - 1 - p)) & 1
-            if rac.decoding[p][omega] == bit:
-                wins += 1
-    return Rational(wins, (1 << k) * k)
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    guess = np.array(rac.decoding)[np.arange(k), table_bits(rac.encoding, 1 << k)[:, None]]
+    return Rational(int((guess == bits).sum()), (1 << k) * k)
 
 
 def optimal_rac_strategy(k: int) -> RACStrategy:

@@ -180,16 +180,13 @@ def _cmd_noise(args) -> int:
     if args.window:
         if args.channel == DEPOLARIZING:
             raise InvalidInputError("a crossing window is always dephasing; drop --channel depolarizing")
-    elif args.channel == DEPHASING:
-        _refuse(args, "a dephasing sweep", "refine_tol")
-    else:
-        _refuse(args, "a depolarizing threshold", "axis", "grid_points", "refine_tol")
+    elif args.channel != DEPHASING:
+        _refuse(args, "a depolarizing threshold", "axis", "grid_points")
         lam = critical_depolarizing(fset, **opts)
         payload = {**_set_fields(fset), "channel": DEPOLARIZING, "lambda_crit": lam}
         _emit(args, payload, f"critical depolarizing noise: lambda = {lam:.5f}")
         return 0
-    # The sweep's result line echoes the axis as typed and the window
-    # artifact records its tolerance, so these two defaults are read here.
+    # The sweep's result line echoes the axis as typed, so its default is read here.
     axis_text = _DEFAULT_AXIS_TEXT if args.axis is None else args.axis
     try:
         axis = tuple(float(c) for c in axis_text.split(","))
@@ -198,10 +195,9 @@ def _cmd_noise(args) -> int:
     if args.grid_points is not None:
         opts["grid"] = dephasing_grid(args.grid_points)
     if args.window:
-        refine_tol = REFINE_TOL if args.refine_tol is None else args.refine_tol
         other = parse_label_spec(args.n, args.window)
-        low, high = crossing_window(fset, other, axis=axis, refine_tol=refine_tol, **opts)
-        payload = {"low": low, "high": high, "tol": refine_tol}
+        low, high = crossing_window(fset, other, axis=axis, **opts)
+        payload = {"low": low, "high": high, "tol": REFINE_TOL}
         _emit(args, payload, f"crossing window in 1-lambda: ({low:.4f}, {high:.4f})")
         return 0
     sweep = dephasing_sweep(fset, axis=axis, **opts)
@@ -237,7 +233,7 @@ def _cmd_eacc(args) -> int:
 
 def _cmd_tables(args) -> int:
     which = tuple(t.strip() for t in args.which.split(",") if t.strip())
-    reports = tables_mod.reproduce_tables(which, **_given(args, "seed"))
+    reports = tables_mod.reproduce_tables(which)
     payload = []
     status_lines = []
     text_lines = []
@@ -315,9 +311,6 @@ def _noise_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--axis", help=f"dephasing axis (default {_DEFAULT_AXIS_TEXT})")
     p.add_argument("--grid-points", type=int)
     p.add_argument("--window", metavar="LABELS", help="second set: report where --labels beats it")
-    p.add_argument(
-        "--refine-tol", type=float, help=f"window refinement tolerance (default {REFINE_TOL:g})"
-    )
     p.add_argument("--restarts", type=int)
 
 
@@ -329,7 +322,7 @@ def _eacc_args(p: argparse.ArgumentParser) -> None:
 
 
 def _tables_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p, labels=())
+    _add_common(p, labels=(), seed=False)
     p.add_argument("--which", default=",".join(tables_mod.TABLE_IDS))
 
 

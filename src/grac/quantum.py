@@ -108,13 +108,22 @@ def _channel_matrix(channel) -> np.ndarray:
     return mat
 
 
-def _as_unit(vec, what: str) -> tuple[float, float, float]:
-    arr = read_reals(f"a coordinate of {what}", vec)
+def _finite_vector(vec, what: str, coordinate: str) -> tuple[np.ndarray, float]:
+    """`vec` as a finite real 3-vector and its norm, inf when the norm overflows.
+
+    `what` names the vector and `coordinate` one of its entries in a refusal.
+    """
+    arr = read_reals(coordinate, vec)
     if arr.shape != (3,):
         raise InvalidInputError(f"{what} must be a 3-vector, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidInputError(f"{what} must be finite, got {arr.tolist()!r}")
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):
+        return arr, float(np.linalg.norm(arr))
+
+
+def _as_unit(vec, what: str) -> tuple[float, float, float]:
+    arr, norm = _finite_vector(vec, what, f"a coordinate of {what}")
     if abs(norm - 1.0) > _UNIT_TOL:
         raise InvalidInputError(f"{what} must be unit norm, got |v| = {norm!r}")
     return (float(arr[0]), float(arr[1]), float(arr[2]))
@@ -126,13 +135,7 @@ def _unit_axis(axis) -> tuple[float, float, float]:
     A vector whose norm overflows or nears underflow is first divided by
     its largest |entry|; every other vector is divided by its plain norm.
     """
-    arr = read_reals("an axis coordinate", axis)
-    if arr.shape != (3,):
-        raise InvalidInputError(f"axis must be a 3-vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError(f"axis must be finite, got {tuple(arr.tolist())}")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(arr))
+    arr, norm = _finite_vector(axis, "axis", "an axis coordinate")
     if not 1e-12 <= norm < np.inf:
         scale = np.abs(arr).max()
         if scale == 0:

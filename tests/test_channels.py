@@ -202,30 +202,6 @@ def _synthetic_difference(monkeypatch, set_a, diff) -> list[int]:
     return sizes
 
 
-def test_crossing_window_ends_at_any_refine_tol(monkeypatch):
-    """At a tolerance below the spacing of doubles the refinement still ends.
-
-    A 0.05 or 0.25 cell reaches adjacent doubles near lambda = 0.13 or 0.2
-    (2**-55 apart) in 17 or 18 rounds, and the next round, whose points
-    collapse onto the bracket's ends, leaves the bracket unchanged.  The
-    noiseless difference ends only by that rule.
-    """
-    sizes = _count_solves(monkeypatch)
-    quint, quad = representative_set(5), representative_set(4, "open")
-    low, high = crossing_window(
-        quint, quad, grid=dephasing_grid(11), refine_tol=1e-300, restarts=1
-    )
-    assert len(sizes) <= 2 + 2 * 20, sizes
-    assert low == 0.5
-    assert high == pytest.approx(0.871, abs=0.01)
-
-    sizes = _synthetic_difference(monkeypatch, quint, lambda lam: lam - 0.2)
-    low, high = crossing_window(quint, quad, grid=[0.0, 0.25, 0.5], refine_tol=1e-300)
-    assert len(sizes) <= 2 + 2 * 21, sizes
-    assert low == 0.5
-    assert high == pytest.approx(0.8, abs=1e-15)
-
-
 def test_crossing_window_refines_to_the_crossing_nearest_the_window(monkeypatch):
     """Inside one grid cell the difference crosses zero at 0.22 and again at 0.15.
 
@@ -237,10 +213,9 @@ def test_crossing_window_refines_to_the_crossing_nearest_the_window(monkeypatch)
     """
     quint, quad = representative_set(5), representative_set(4, "open")
     _synthetic_difference(monkeypatch, quint, lambda lam: lam * (lam - 0.15) * (lam - 0.22))
-    tol = 1e-4
-    low, high = crossing_window(quint, quad, grid=[0.0, 0.25, 0.5], refine_tol=tol)
+    low, high = crossing_window(quint, quad, grid=[0.0, 0.25, 0.5])
     assert low == 0.5
-    assert high == pytest.approx(1.0 - 0.22, abs=tol)
+    assert high == pytest.approx(1.0 - 0.22, abs=channels.REFINE_TOL)
 
 
 def test_depolarizing_linearity_of_optimized_value():
@@ -307,8 +282,6 @@ def _forbid_kernel(monkeypatch, what):
         lambda pair: crossing_window(pair, representative_set(3), axis=(1.0, 0.0, 0.0, 0.0)),
         lambda pair: BlochMap(channels.DEPOLARIZING, 0.1, (0.0, 0.0, 1.0)),
         lambda pair: BlochMap("bit flip", 0.1),
-        lambda pair: crossing_window(pair, representative_set(3), refine_tol="x"),
-        lambda pair: crossing_window(pair, representative_set(3), refine_tol=True),
         lambda pair: critical_depolarizing(pair, restarts=2.0),
         lambda pair: BlochMap.depolarizing(None),
         lambda pair: BlochMap.depolarizing(True),
@@ -320,15 +293,6 @@ def test_malformed_numbers_are_refused_before_any_kernel(monkeypatch, call):
     _forbid_kernel(monkeypatch, "the arguments were checked")
     with pytest.raises(InvalidInputError):
         call(representative_set(2))
-
-
-def test_crossing_window_checks_refine_tol_before_any_seesaw(monkeypatch):
-    _forbid_kernel(monkeypatch, "refine_tol was checked")
-    quint = representative_set(5)
-    quad = representative_set(4, "open")
-    for bad in (-1e-4, 0.0, np.nan, np.inf):
-        with pytest.raises(InvalidInputError, match="refine_tol"):
-            crossing_window(quint, quad, grid=[0.0, 0.25, 0.5], refine_tol=bad)
 
 
 def test_dephasing_sweep_checks_grid_range_before_any_seesaw(monkeypatch):
@@ -463,7 +427,7 @@ def test_dephasing_sweep_runs_one_classical_search(monkeypatch, points):
     assert len(calls) == 1
     calls.clear()
     try:
-        crossing_window(quint, quad, grid=dephasing_grid(points), refine_tol=0.05, restarts=2)
+        crossing_window(quint, quad, grid=dephasing_grid(points), restarts=2)
     except NoCrossingError:
         pass
     assert [args[0] for args in calls] == [quint, quad]

@@ -529,6 +529,30 @@ def test_lift_matches_per_input_loop(data):
     }
 
 
+def _rac_wins_by_loop(rac):
+    """Wins of a RAC strategy over every input and position, one at a time."""
+    k = rac.k
+    wins = 0
+    for b in range(1 << k):
+        omega = rac.encode(b)
+        for p in range(k):
+            bit = (b >> (k - 1 - p)) & 1
+            if rac.decoding[p][omega] == bit:
+                wins += 1
+    return wins
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rac_value_matches_per_input_loop(data):
+    k = data.draw(st.integers(1, 8), label="k")
+    bit = st.integers(0, 1)
+    encoding = data.draw(st.integers(0, (1 << (1 << k)) - 1), label="encoding")
+    decoding = data.draw(st.lists(st.tuples(bit, bit), min_size=k, max_size=k), label="decoding")
+    rac = RACStrategy(k, encoding, tuple(decoding))
+    assert rac_value(rac) == Rational(_rac_wins_by_loop(rac), k << k)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_best_lift_matches_a_scan_of_every_permutation(data):

@@ -89,14 +89,6 @@ def test_module_error_exit_code(capsys):
     assert set(payload) == {"error", "message"}
 
 
-def test_window_bad_refine_tol_is_module_error(capsys):
-    argv = ["noise", "--labels", "k=5", "--window", "k=4:open", "--refine-tol", "-1"]
-    assert cli.main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "InvalidInputError"
-
-
 def test_noise_malformed_axis_is_module_error(capsys):
     assert cli.main(["noise", "--axis", "1,a,0"]) == 1
     captured = capsys.readouterr()
@@ -140,9 +132,7 @@ def test_sweep_huge_grid_is_module_error(capsys):
     [
         ["--axis", "1,0,0"],
         ["--grid-points", "5"],
-        ["--refine-tol", "1e-3"],
-        ["--channel", "depolarizing", "--grid-points", "1", "--axis", "0,0,0", "--refine-tol", "-5"],
-        ["--channel", "dephasing", "--refine-tol", "1e-3"],
+        ["--channel", "depolarizing", "--grid-points", "1", "--axis", "0,0,0"],
         ["--window", "k=4:open", "--channel", "depolarizing"],
     ],
 )
@@ -310,7 +300,7 @@ def test_tables_pass_exit_zero(capsys, tmp_path):
 
 def test_tables_tolerance_failure_exit_two(monkeypatch, capsys):
     fake = TableReport("II", 0.0, (TableRow("row", 1.0, 2.0, -1.0),))
-    monkeypatch.setattr(cli.tables_mod, "reproduce_tables", lambda which, seed=0: [fake])
+    monkeypatch.setattr(cli.tables_mod, "reproduce_tables", lambda which: [fake])
     rc = cli.main(["tables", "--which", "II"])
     assert rc == 2
     assert "FAIL" in capsys.readouterr().out
@@ -403,6 +393,10 @@ def test_cli_forwards_only_the_options_given(monkeypatch, tmp_path):
         ["mubs", "--seed", "1"],
         ["quantum", "--tol", "1e-9"],
         ["eacc", "--tol", "1e-9"],
+        ["tables", "--seed", "1"],
+        ["noise", "--labels", "k=5", "--refine-tol", "1e-3"],
+        ["noise", "--labels", "k=5", "--window", "k=4:open", "--refine-tol", "1e-3"],
+        ["noise", "--labels", "k=5", "--channel", "dephasing", "--refine-tol", "1e-3"],
     ],
 )
 def test_ignored_flags_are_refused(argv, capsys):

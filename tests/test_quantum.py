@@ -1,6 +1,7 @@
 """Prepare-and-measure strategies, the see-saw driver, and its invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,13 @@ def test_pm_strategy_rejects_non_finite_vectors():
     good["measurements"]["1"] = [0.0, nan, 1.0]
     with pytest.raises(InvalidInputError, match="finite"):
         PMStrategy.from_dict(good)
+
+
+def test_pm_strategy_refuses_a_huge_vector_without_an_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="must be unit norm"):
+            PMStrategy(1, {0: (0, 0, 1), 1: (0, 0, -1)}, {1: (1e308, 1e308, 0)})
 
 
 def test_non_numeric_channels_and_axes_are_refused():

@@ -40,19 +40,19 @@ def test_table_two_exact():
 
 
 def test_table_q_within_tolerance():
-    report = table_q(seed=0)
+    report = table_q()
     assert report.tolerance == 1e-5
     assert report.passed, [(r.label, r.delta) for r in report.rows]
 
 
 def test_table_three_within_tolerance():
-    report = table_three(seed=0)
+    report = table_three()
     assert report.tolerance == 1e-4
     assert report.passed, [(r.label, r.delta) for r in report.rows]
 
 
 def test_table_four_within_tolerance():
-    report = table_four(seed=0)
+    report = table_four()
     assert report.tolerance == 1e-4
     assert len(report.rows) == 7  # six sets at local dimension 2, the open quadruple at 4
     assert report.passed, [(r.label, r.delta) for r in report.rows]
@@ -75,7 +75,7 @@ def test_a_spec_without_its_prefix_is_refused():
 def test_reproduce_tables_reads_a_bare_string_as_one_id(monkeypatch):
     assert [r.table_id for r in reproduce_tables("II")] == ["II"]
     # Table IV's see-saws are slow; only the id lookup is under test here.
-    monkeypatch.setattr(tables_mod, "table_four", lambda seed=0: TableReport("IV", 1e-4, ()))
+    monkeypatch.setattr(tables_mod, "table_four", lambda: TableReport("IV", 1e-4, ()))
     assert [r.table_id for r in reproduce_tables("IV")] == ["IV"]
     with pytest.raises(InvalidInputError, match="unknown table id 'V'"):
         reproduce_tables(("IV", "V"))

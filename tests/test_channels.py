@@ -282,6 +282,8 @@ def _forbid_kernel(monkeypatch, what):
         lambda pair: crossing_window(pair, representative_set(3), axis=(1.0, 0.0, 0.0, 0.0)),
         lambda pair: BlochMap(channels.DEPOLARIZING, 0.1, (0.0, 0.0, 1.0)),
         lambda pair: BlochMap("bit flip", 0.1),
+        lambda pair: crossing_window(pair, representative_set(3), restarts=2.0),
+        lambda pair: crossing_window(pair, representative_set(3), seed="0"),
         lambda pair: critical_depolarizing(pair, restarts=2.0),
         lambda pair: BlochMap.depolarizing(None),
         lambda pair: BlochMap.depolarizing(True),

@@ -132,7 +132,9 @@ def test_sweep_huge_grid_is_module_error(capsys):
     [
         ["--axis", "1,0,0"],
         ["--grid-points", "5"],
+        ["--channel", "depolarizing", "--axis", "1,0,0"],
         ["--channel", "depolarizing", "--grid-points", "1", "--axis", "0,0,0"],
+        ["--channel", "depolarizing", "--grid-points", "5"],
         ["--window", "k=4:open", "--channel", "depolarizing"],
     ],
 )

@@ -41,9 +41,14 @@ row _NEWTON_AFTER trips; at every k, a row still running then goes on only
 if it is among the _FINISH_ROWS best running rows of its point (the
 caller's `owner` says which point a row solves), and stops there otherwise.
 That is successive halving (Karnin, Koren and Somekh, ICML 2013) in one
-round: at k = 7 to 10 nearly every one of the 65 rows of a `seesaw` call is
-still running at trip 40, at k = 11 and 12 about half of them, and only the
-best row of a point is reported.  Up to k = 10 a kept row gets a
+round: at k = 7 to 12 about two thirds of the 65 rows of a `seesaw` call
+are still running at trip 25, and only the best row of a point is
+reported.  The hand-off comes early because the batch steps until its
+slowest row is done: moving it from 40 trips to 25 cut the kernel's loop
+trips per pass of the benchmark's pm_sweep workload from 1,223 to 875 and
+its row-trips from 12,647 to 11,077, while the finish's steps stayed about
+flat; at 20 trips a k = 11 to 15 point lost 3.1e-11 of its best value.
+Up to k = 10 a kept row gets a
 second-order finish, `newton_finish`, the costly stage, which takes
 saddle-free Riemannian Newton steps on (S^{N-1})^k
 (Absil, Mahony and Sepulchre, "Optimization Algorithms on Matrix
@@ -76,13 +81,12 @@ stays off above (N-1)k = _NEWTON_MAX_DIM = 20, k = 10 in R^3: there `polish`
 returns its rows unchanged, and the rows kept at the hand-off go back to the
 see-saw for the rest of max_iters, as a row the finish fails does.
 Measured on 2 cores (numpy 2.4, OpenBLAS at its default two threads):
-- trips: on the benchmark's width-4 census, the rows still running after
-  40 trips at k = 11 and 12 (34 to 44 of 65) need only 20 to 70 more
-  trips.  Lifting the cap alone made the 10 census solves at k >= 11 take
-  0.288 s against 0.213 s (sum of per-op medians, 3 alternated runs),
-  though each then met pm_upper_bound(k) within 1.1e-16 with a negative
-  top eigenvalue.  At k = 7 to 10, where rows run up to 550 trips, the
-  finish made most solves 15-35% faster;
+- trips: on the benchmark's width-4 census sample, run without the snap,
+  the rows still running after 25 trips at k = 11 and 12 (37 to 45 of 65)
+  need only 1 to 17 more trips.  Lifting the cap to (N-1)k = 24 made those
+  4 solves take 37 ms against 24 ms (sum of best-of-5 times).  At k = 7
+  to 10, where rows run up to 550 trips, the finish made most solves
+  15-35% faster;
 - eigh stalls above dimension 25, intermittently: numpy's eigh calls
   LAPACK syevd, which switches to divide and conquer there.  In 1 of 3
   in-process census passes with the cap lifted, eigh on (9, 26, 26)
@@ -111,11 +115,10 @@ _TOL = 1e-10  # every see-saw stops a restart whose trip gains less than this
 _BETA_START = 2.0  # extrapolation factor of a fresh row
 _BETA_GROW = 1.5  # beta multiplier after a taken candidate
 _BETA_MIN = 1.25  # floor of beta after a refused candidate halves it
-_NEWTON_AFTER = 40  # see-saw trips before the hand-off ranks the rows still running
+_NEWTON_AFTER = 25  # see-saw trips before the hand-off ranks the rows still running
 _NEWTON_STEPS = 20  # Newton steps a row may take before it counts as failed
 _FINISH_ROWS = 16  # running rows per point kept at the hand-off (`run_seesaw`)
 _GRAD_DONE = 1e-10  # tangent-gradient max-norm of a converged row
-_GRAD_STALL = 1e-6  # below this, a row that takes no step is converged too
 _THIN = 1e-6  # a row with some |D^T V_x| below this is left to the see-saw
 _NULL = 1e-9  # relative size below which a Hessian eigenvalue is null (`_non_null`)
 _HALVINGS = 12  # the finish tries steps 1, 1/2, ..., 2**-(_HALVINGS - 1)
@@ -421,9 +424,8 @@ def newton_finish(signs, dmat, r, v, value, max_steps):
     step also only tied, so that a row whose gains have fallen below the
     value's rounding still drives its gradient down, but a row on a flat
     ridge does not wander along it.  A row converges when its tangent gradient's
-    max-norm falls below _GRAD_DONE, or when no step is taken and that
-    max-norm is below _GRAD_STALL.  It fails when it is thin, when no step
-    is taken at a larger gradient, or when it is still stepping after
+    max-norm falls below _GRAD_DONE, and only then.  It fails when it is
+    thin, when no step is taken, or when it is still stepping after
     max_steps steps.
 
     r, v and value are (R, m, N), (R, k, N) and (R,) arrays with r Alice's
@@ -444,8 +446,7 @@ def newton_finish(signs, dmat, r, v, value, max_steps):
     tied = np.zeros(n_rows, dtype=bool)  # the row's last step only tied
     for it in range(int(budget.max()) + 1):
         r_l, norms, q, w, basis, grad = _slope(signs, d, r_l, v_l)
-        gmax = np.abs(grad).max(axis=1)
-        done = gmax < _GRAD_DONE
+        done = np.abs(grad).max(axis=1) < _GRAD_DONE
         thin = (norms < _THIN).any(axis=(1, 2))
         converged[live[done & ~thin]] = True
         go = ~(done | thin) & (budget[live] > it)
@@ -453,7 +454,7 @@ def newton_finish(signs, dmat, r, v, value, max_steps):
             break
         if not go.all():
             live, d, r_l, v_l, value_l = live[go], d[go], r_l[go], v_l[go], value_l[go]
-            norms, q, w, basis, grad, gmax = norms[go], q[go], w[go], basis[go], grad[go], gmax[go]
+            norms, q, w, basis, grad = norms[go], q[go], w[go], basis[go], grad[go]
             tied = tied[go]
         lam, vecs = np.linalg.eigh(_curvature(signs, d, v_l, norms, q, w, basis))
         keep = _non_null(lam, v_l, w)
@@ -468,7 +469,6 @@ def newton_finish(signs, dmat, r, v, value, max_steps):
         gains[rows] = np.minimum(gains[rows], (trial_value - value_l)[took])
         value[rows] = trial_value[took]
         steps[rows] += 1
-        converged[live[~took & (gmax < _GRAD_STALL)]] = True
         if not took.any():
             break
         live, d, tied = rows, d[took], tie[took]

@@ -225,17 +225,6 @@ def norm_cancellation_check(fset: FunctionSet, measurements) -> float:
     return float(np.einsum("xc,xc->", big_v, big_v))
 
 
-def classical_start_vectors(fset: FunctionSet, axis=_Z_AXIS) -> np.ndarray:
-    """Embed an optimal classical strategy as antipodal vectors along an axis.
-
-    With preparations (-1)^{ω(x)} a and measurements (-1)^{d_y} a, the guess
-    sign reproduces the best message-flip decoding, so seeding the see-saw
-    with these measurement vectors floors it at the classical optimum (the
-    axis matters under dephasing: vectors along the dephasing axis survive).
-    """
-    return _game(fset, axis).starts[-1]
-
-
 class _Game(NamedTuple):
     """A set's sign matrix, its classical optimum and classical starts from one
     exact search, and whether its labels form a Sidon set (`_is_sidon`)."""
@@ -249,10 +238,15 @@ class _Game(NamedTuple):
 def _game(fset: FunctionSet, axis=None, wide=False) -> _Game:
     """The one exact classical search of a prepare-and-measure solve.
 
-    One optimal strategy is embedded as in `classical_start_vectors` along z
-    and, when an axis is given, along that axis too.  A bad axis is refused
-    before the search, and the search refuses widths above ENUM_MAX_WIDTH,
-    where a wide game has no search, classical optimum or classical start.
+    One optimal strategy is embedded as antipodal measurement vectors along
+    z and, when an axis is given, along that axis too: with preparations
+    (-1)^{ω(x)} a and measurements (-1)^{d_y} a along an axis a, the guess
+    sign reproduces the best message-flip decoding, so seeding the see-saw
+    with these vectors floors it at the classical optimum (the axis matters
+    under dephasing: vectors along the dephasing axis survive).  A bad axis
+    is refused before the search, and the search refuses widths above
+    ENUM_MAX_WIDTH, where a wide game has no search, classical optimum or
+    classical start.
     """
     axes = [np.array(_unit_axis(a)) for a in (_Z_AXIS,) + (() if axis is None else (axis,))]
     s_c, starts = None, ()

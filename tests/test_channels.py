@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from grac import channels, eacc, quantum
+from grac import _seesaw, channels, eacc, quantum
 from grac import (
     BlochMap,
     FunctionSet,
@@ -357,6 +357,33 @@ def test_a_sweeps_last_point_is_the_classical_optimum(spec, axis):
     sweep = dephasing_sweep(fset, axis=axis, grid=dephasing_grid(11))
     assert sweep.lam[-1] == 0.5
     assert sweep.values[-1] == pytest.approx(classical_optimum(fset)[0].value, abs=1e-12)
+
+
+@pytest.mark.parametrize("finish", ["on", "off"])
+def test_the_hand_off_trip_does_not_move_sweep_values(monkeypatch, finish):
+    """Each 11-point sweep of the width-3 representatives on the x, z and an
+    oblique axis at seed 0 reads the same values, within 4 ulps, when the
+    kernel hands its slow rows on after twice as many trips.
+
+    With the Newton finish off (its cap at tangent dimension 0) every row
+    kept at the hand-off resumes its trips, and no point of these sweeps has
+    more than _FINISH_ROWS rows, so none stops there.  A hand-off that
+    stopped its running rows would leave them at whichever trip it came:
+    with the finish on, the polish of each point's best row hides that."""
+    if finish == "off":
+        monkeypatch.setattr(_seesaw, "_NEWTON_MAX_DIM", 0)
+    grid = dephasing_grid(11)
+    runs = []
+    for after in (_seesaw._NEWTON_AFTER, 2 * _seesaw._NEWTON_AFTER):
+        monkeypatch.setattr(_seesaw, "_NEWTON_AFTER", after)
+        runs.append([
+            dephasing_sweep(fset, axis=axis, grid=grid, seed=0).values
+            for axis in ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.48, -0.6, 0.64))
+            for fset in (representative_set(*s) if isinstance(s, tuple) else representative_set(s)
+                         for s in SPECS)
+        ])
+    here, late = np.array(runs)
+    assert np.all(np.abs(here - late) <= 4 * np.spacing(late))
 
 
 def test_open_quadruple_sweep_makes_few_kernel_calls(monkeypatch):

@@ -14,7 +14,6 @@ from grac import (
     PMStrategy,
     WidthMismatchError,
     classical_optimum,
-    classical_start_vectors,
     evaluate_pm,
     full_mubs,
     norm_cancellation_check,
@@ -110,7 +109,7 @@ def test_non_numeric_channels_and_axes_are_refused():
     with pytest.raises(InvalidInputError, match="channel matrix entry"):
         seesaw(full_mubs(2), restarts=1, channel=[["a"] * 3] * 3)
     with pytest.raises(InvalidInputError, match="axis coordinate"):
-        classical_start_vectors(full_mubs(2), axis=(True, 0.0, 0.0))
+        quantum._game(full_mubs(2), axis=(True, 0.0, 0.0)).starts[-1]
 
 
 def test_pm_strategy_roundtrip():
@@ -158,7 +157,7 @@ def test_norm_cancellation_identity():
 
 def test_classical_start_vectors_shape_and_axis():
     fset = full_mubs(3)
-    vecs = classical_start_vectors(fset, axis=(1.0, 0.0, 0.0))
+    vecs = quantum._game(fset, axis=(1.0, 0.0, 0.0)).starts[-1]
     assert vecs.shape == (7, 3)
     assert np.allclose(np.abs(vecs[:, 0]), 1.0)
     assert np.allclose(vecs[:, 1:], 0.0)
@@ -639,7 +638,7 @@ def _census_like_starts(rng, k, restarts=64):
     fset = FunctionSet.from_ints(4, labels)
     v0 = rng.standard_normal((restarts, k, 3))
     v0 /= np.linalg.norm(v0, axis=2, keepdims=True)
-    return sign_matrix(fset), np.concatenate((v0, classical_start_vectors(fset)[None]))
+    return sign_matrix(fset), np.concatenate((v0, quantum._game(fset).starts[-1][None]))
 
 
 def _stopped_at_hand_off(values, iters, converged, owner):
@@ -906,7 +905,7 @@ def test_classical_start_vectors_refuse_a_zero_or_nan_axis():
     fset = representative_set(3)
     for axis in ((0.0, 0.0, 0.0), (np.nan, 0.0, 1.0)):
         with pytest.raises(InvalidInputError, match="axis"):
-            classical_start_vectors(fset, axis)
+            quantum._game(fset, axis).starts[-1]
 
 
 # One set of each width-4 class that stays short of pm_upper_bound(k).

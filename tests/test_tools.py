@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+from grac import _seesaw
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -157,3 +159,13 @@ def test_ops_hold_the_eacc_ops_that_no_workload_runs():
          "--local-dim", "4", "--restarts", "2", "--seed", "690"],
     ):
         assert todo.count(("extra", op)) == 1
+
+
+def test_ops_hold_a_cap_one_past_the_newton_hand_off():
+    """The width-4 op whose `--max-iters` cap binds after the Newton finish
+    caps it one iteration past the hand-off."""
+    capped = [op for group, op in ops_diff.ops()
+              if group == "extra" and op[:5] == ["quantum", "--n", "4", "--labels",
+                                                 "0010,0101,0110,1000,1010,1110,1111"]]
+    assert len(capped) == 1
+    assert capped[0][5:] == ["--max-iters", str(_seesaw._NEWTON_AFTER + 1)]

@@ -75,8 +75,9 @@ EXTRA_OPS = (
     ["classical", "--n", "4", "--labels", "0011,0101,0110,1111", "--max-strategies", "1000"],
     # a width-5 set, above the exact search's width: no classical start
     ["quantum", "--n", "5", "--labels", "00001,00010,00100,01000,10000,11111"],
-    # a width-4 set whose `--max-iters 41` cap binds after the Newton finish
-    ["quantum", "--n", "4", "--labels", "0010,0101,0110,1000,1010,1110,1111", "--max-iters", "41"],
+    # a width-4 set whose `--max-iters` cap, one past the Newton hand-off
+    # (`grac._seesaw._NEWTON_AFTER` trips), binds after the Newton finish
+    ["quantum", "--n", "4", "--labels", "0010,0101,0110,1000,1010,1110,1111", "--max-iters", "26"],
     # a width-3 set whose snapped row the Newton polish still moves
     ["quantum", "--n", "3", "--labels", "010,011,100,101,111", "--restarts", "16", "--seed", "48259"],
     # the full width-4 set (k = 15) at local dimension 3, which the

@@ -44,16 +44,15 @@ That is successive halving (Karnin, Koren and Somekh, ICML 2013) in one
 round: at k = 7 to 12 about two thirds of the 65 rows of a `seesaw` call
 are still running at trip 25, and only the best row of a point is
 reported.  The hand-off comes early because the batch steps until its
-slowest row is done: moving it from 40 trips to 25 cut the kernel's loop
-trips per pass of the benchmark's pm_sweep workload from 1,223 to 875 and
-its row-trips from 12,647 to 11,077, while the finish's steps stayed about
-flat; at 20 trips a k = 11 to 15 point lost 3.1e-11 of its best value.
-Up to k = 10 a kept row gets a
-second-order finish, `newton_finish`, the costly stage, which takes
-saddle-free Riemannian Newton steps on (S^{N-1})^k
-(Absil, Mahony and Sepulchre, "Optimization Algorithms on Matrix
-Manifolds", 2008, ch. 6; Dauphin et al., "Identifying and attacking the
-saddle point problem", NeurIPS 2014).  `tangent_model` gives the gradient
+slowest row is done: at 25 trips a pass of the benchmark's pm_sweep
+workload takes 875 kernel loop trips and 11,077 row-trips, against 1,223
+and 12,647 at 40, for 912 Newton row-steps against 781; at 20 trips a
+k = 11 to 15 point lost 3.1e-11 of its best value.  Up to k = 10 a kept
+row gets a second-order finish, `newton_finish`, the costly stage, which
+takes saddle-free Riemannian Newton steps on (S^{N-1})^k (Absil, Mahony
+and Sepulchre, "Optimization Algorithms on Matrix Manifolds", 2008, ch. 6;
+Dauphin et al., "Identifying and attacking the saddle point problem",
+NeurIPS 2014).  `tangent_model` gives the gradient
 and Hessian of F(v) = sum_x |D^T V_x| in an (N-1)k-dimensional tangent basis;
 a step divides by |eigenvalue|, drops null (gauge) directions and
 backtracks so that no step lowers the value.  A row the finish converges

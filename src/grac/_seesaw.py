@@ -644,7 +644,12 @@ def run_seesaw(signs, dmat, v0, max_iters, tol, owner=None):
     )
     slow = np.flatnonzero(~converged & (iters < max_iters))
     if slow.size and owner is not None:
-        slow = _best_per_point(slow, values[slow], owner[slow], _FINISH_ROWS)
+        if owner.max() > owner.min() and (dim - 1) * k <= _NEWTON_MAX_DIM:
+            lead = np.zeros(n_restarts, dtype=bool)
+            lead[_best_per_point(np.arange(n_restarts), values, owner, 1)] = True
+            slow = slow[lead[slow]]
+        else:
+            slow = _best_per_point(slow, values[slow], owner[slow], _FINISH_ROWS)
     if slow.size:
         out = (values, iters, min_deltas, r, v, converged)
         for arr, new in zip(out, polish(signs, dmat[slow], [arr[slow] for arr in out], max_iters)):

@@ -124,8 +124,17 @@ class SweepResult:
 
 
 def _dephasing_matrices(grid, axis) -> np.ndarray:
-    """One dephasing matrix along the unit `axis` per strength in `grid`, each range-checked."""
-    return np.stack([BlochMap.dephasing(lam, axis).matrix() for lam in grid])
+    """One dephasing matrix along the unit `axis` per strength in `grid`, as
+    `BlochMap.dephasing(lam, axis).matrix()` builds it, bit for bit; each
+    strength is checked first, with `BlochMap`'s messages."""
+    for lam in grid:
+        check_real("noise strength", lam)
+        if not 0.0 <= lam <= 0.5:
+            raise InvalidInputError(f"dephasing strength must be in [0, 1/2], got {lam}")
+    n = np.asarray(_unit_axis(axis))
+    proj = np.outer(n, n)
+    shrink = 1.0 - 2.0 * np.asarray(grid, dtype=np.float64)
+    return proj + shrink[:, None, None] * (np.eye(3) - proj)
 
 
 def _sweep_inputs(axis, grid, restarts: int, seed: int):

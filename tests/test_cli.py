@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from grac import cli
@@ -225,6 +226,24 @@ def test_sweep_csv_header(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == 1.0
+
+
+def test_a_sweep_above_the_newton_cap_keeps_its_value(tmp_path):
+    """A k = 12 sweep, above the Newton cap, where each point's _FINISH_ROWS
+    best running rows resume their trips after the hand-off, reads
+    0.638902472825249 at lambda = 0.05 within 4 ulps.  Sending only each
+    point's leader on there too lost 5.0e-6: it read 0.6388974721."""
+    out = tmp_path / "sweep.json"
+    argv = ["noise", "--n", "4", "--labels",
+            "0001,0010,0011,0100,0101,0110,0111,1010,1011,1101,1110,1111",
+            "--channel", "dephasing",
+            "--axis=-1.2165884397663445,1.9181146289909743,-0.8309997636643557",
+            "--grid-points", "11", "--seed", "6", "--out", str(out)]
+    assert cli.main(argv) == 0
+    payload = json.loads(out.read_text())
+    want = 0.638902472825249
+    assert payload["lambda"][1] == 0.05
+    assert abs(payload["values"][1] - want) <= 4 * np.spacing(want)
 
 
 def test_window_artifact(tmp_path):

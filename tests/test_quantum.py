@@ -641,15 +641,20 @@ def _census_like_starts(rng, k, restarts=64):
     return sign_matrix(fset), np.concatenate((v0, quantum._game(fset).starts[-1][None]))
 
 
-def _stopped_at_hand_off(values, iters, converged, owner):
-    """The rows still running at the Newton hand-off that are not among their
-    point's _FINISH_ROWS best by value, ties going to the lower row."""
+def _stopped_at_hand_off(values, iters, converged, owner, k):
+    """The rows still running at the Newton hand-off that it stops.  Below the
+    Newton cap, in a call of several points, that is every running row but
+    its point's leader, the point's best row counting the converged ones;
+    else every running row outside its point's _FINISH_ROWS best running
+    rows.  Ties go to the lower row."""
     stopped = set()
-    for point in set(owner.tolist()):
-        running = [i for i in np.flatnonzero(owner == point) if not converged[i]]
+    points = set(owner.tolist())
+    leaders_only = len(points) > 1 and 2 * k <= _seesaw._NEWTON_MAX_DIM
+    for point in points:
+        mine = sorted(np.flatnonzero(owner == point), key=lambda i: (-values[i], i))
+        running = [i for i in mine if not converged[i]]
         assert all(iters[i] == _NEWTON_AFTER for i in running)
-        running.sort(key=lambda i: (-values[i], i))
-        stopped.update(running[_FINISH_ROWS:])
+        stopped.update(set(running) - set(mine[:1] if leaders_only else running[:_FINISH_ROWS]))
     return stopped
 
 
@@ -695,17 +700,18 @@ def test_the_hand_off_keeps_each_points_best_value_above_the_cap():
     ids=["k10", "k12"],
 )
 def test_the_hand_off_stops_rows_outside_their_points_best(k, channels):
-    """The rows stopped at the hand-off are exactly those outside their point's
-    _FINISH_ROWS best running rows, ranked per point, with or without the
-    finish after it.  They come back as the trips left them after
-    _NEWTON_AFTER trips, with converged False; every other row is the row of
-    a run without `owner`, bit for bit."""
+    """The rows stopped at the hand-off are exactly the running rows that are
+    not their point's leader at k = 10, where the finish runs, and those
+    outside their point's _FINISH_ROWS best running rows at k = 12, where it
+    does not.  They come back as the trips left them after _NEWTON_AFTER
+    trips, with converged False; every other row is the row of a run
+    without `owner`, bit for bit."""
     rng = np.random.default_rng(7)
     signs, v0 = _census_like_starts(rng, k)
     owner = np.arange(len(v0)) % 2  # two interleaved points of 33 and 32 rows
     dmat = np.stack(channels)[owner]
     hand_off = run_seesaw(signs, dmat, v0, _NEWTON_AFTER, 1e-10)
-    expected = _stopped_at_hand_off(hand_off[0], hand_off[1], hand_off[5], owner)
+    expected = _stopped_at_hand_off(hand_off[0], hand_off[1], hand_off[5], owner, k)
     assert {int(owner[i]) for i in expected} == {0, 1}  # both points stop rows
     ranked = run_seesaw(signs, dmat, v0, 10000, 1e-10, owner)
     every_row = run_seesaw(signs, dmat, v0, 10000, 1e-10)
@@ -719,10 +725,11 @@ def test_the_hand_off_stops_rows_outside_their_points_best(k, channels):
 
 def test_the_hand_off_ranks_a_small_point_on_its_own():
     """In a batch that mixes a 40-row noiseless point and a 3-row noisy one, whose
-    values rank below every row of the other, the small point's rows equal a
-    run of that point alone, bit for bit: all three still running at the
-    hand-off go on to the finish.  The noise shrinks every Bloch vector by
-    half, so it halves each row's advantage over 1/2 and keeps its path."""
+    values rank below every row of the other, the small point's leader at
+    the hand-off goes on to the finish and equals its row in a run of that
+    point alone, bit for bit; its other two rows stop there, as the trips
+    left them.  The noise shrinks every Bloch vector by half, so it halves
+    each row's advantage over 1/2 and keeps its path."""
     rng = np.random.default_rng(3)
     signs, v0 = _census_like_starts(rng, 10, restarts=43)
     v0 = v0[:43]  # random starts only
@@ -731,10 +738,37 @@ def test_the_hand_off_ranks_a_small_point_on_its_own():
     dmat = np.stack([np.eye(3), noisy])[owner]
     batch = run_seesaw(signs, dmat, v0, 10000, 1e-10, owner)
     alone = run_seesaw(signs, noisy, v0[40:], 10000, 1e-10, owner[40:])
+    hand_off = run_seesaw(signs, noisy, v0[40:], _NEWTON_AFTER, 1e-10)
     assert (alone[1] > _NEWTON_AFTER).all()  # none converged before the hand-off
     assert batch[0][40:].max() < batch[0][:40].min()
-    for got, want in zip(batch, alone, strict=True):
-        assert np.array_equal(np.asarray(got)[40:], np.asarray(want))
+    leader = int(np.argmax(hand_off[0]))
+    assert not batch[5][40:][np.arange(3) != leader].any()
+    for got, went_on, stopped in zip(batch, alone, hand_off, strict=True):
+        for i in range(3):
+            want = went_on if i == leader else stopped
+            assert np.array_equal(np.asarray(got)[40 + i], np.asarray(want)[i]), i
+
+
+def test_the_hand_off_sends_no_row_of_a_point_whose_leader_converged():
+    """In a two-point call at k = 8, below the Newton cap, the first point's
+    first row starts at the best optimum of 16 other starts, so it converges
+    within a few trips and leads its point at the hand-off: that point sends
+    no running row on, and each of its rows comes back as the trips left it.
+    The other point sends its leader on, and only that row."""
+    rng = np.random.default_rng(1)
+    signs, v0 = _census_like_starts(rng, 8, restarts=48)
+    solved = run_seesaw(signs, np.eye(3), v0[:16], 10000, 1e-10)
+    starts = np.concatenate((solved[4][np.argmax(solved[0])][None], v0[16:48]))
+    owner = np.array([0] * 17 + [1] * 16)
+    batch = run_seesaw(signs, np.eye(3), starts, 10000, 1e-10, owner)
+    hand_off = run_seesaw(signs, np.eye(3), starts, _NEWTON_AFTER, 1e-10)
+    assert hand_off[5][0] and hand_off[1][0] < _NEWTON_AFTER
+    assert hand_off[0][0] > hand_off[0][1:17].max()
+    assert (~hand_off[5][1:17]).sum() > 1  # the point has running rows to stop
+    went_on = np.flatnonzero(batch[1] > _NEWTON_AFTER)
+    assert went_on.tolist() == [17 + int(np.argmax(hand_off[0][17:]))]
+    for got, want in zip(batch, hand_off, strict=True):
+        assert np.array_equal(np.asarray(got)[:17], np.asarray(want)[:17])
 
 
 def test_climb_takes_the_largest_step_that_raises_else_ties():

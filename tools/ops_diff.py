@@ -98,6 +98,17 @@ EXTRA_OPS = (
     # reported value is the replay
     ["eacc", "--n", "4", "--labels", "0001,0010,0100,0110,0111,1010,1101", "--local-dim", "4",
      "--restarts", "2", "--seed", "690"],
+    # 11-point width-4 sweeps on either side of the Newton cap: at k = 12,
+    # above it, each point's `_FINISH_ROWS` best running rows resume their
+    # trips after the hand-off; at k = 10, on it, only each point's leader goes on
+    ["noise", "--n", "4", "--labels", "0001,0010,0011,0100,0101,0110,0111,1010,1011,1101,1110,1111",
+     "--channel", "dephasing",
+     "--axis=-1.2165884397663445,1.9181146289909743,-0.8309997636643557",
+     "--grid-points", "11", "--seed", "6"],
+    ["noise", "--n", "4", "--labels", "0010,0011,0100,0101,0111,1000,1100,1101,1110,1111",
+     "--channel", "dephasing",
+     "--axis=-0.11873451770367524,1.5872938352920927,1.1797120030718058",
+     "--grid-points", "26", "--seed", "36"],
     # the 7 width-3 representative sets swept on 3 axes (x, z and an
     # oblique one) on the default grid, seed and restarts: 21 sweeps
     *(["noise", "--labels", spec, "--channel", "dephasing", "--axis", axis]

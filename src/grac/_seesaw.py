@@ -37,17 +37,30 @@ effects.
 
 Near a degenerate optimum the alternation still converges only linearly,
 and one slow row holds up a whole batched call.  So `run_seesaw` gives each
-row _NEWTON_AFTER trips; at every k, a row still running then goes on only
-if it is among the _FINISH_ROWS best running rows of its point (the
-caller's `owner` says which point a row solves), and stops there otherwise.
-That is successive halving (Karnin, Koren and Somekh, ICML 2013) in one
-round: at k = 7 to 12 about two thirds of the 65 rows of a `seesaw` call
-are still running at trip 25, and only the best row of a point is
-reported.  The hand-off comes early because the batch steps until its
-slowest row is done: at 25 trips a pass of the benchmark's pm_sweep
-workload takes 875 kernel loop trips and 11,077 row-trips, against 1,223
-and 12,647 at 40, for 912 Newton row-steps against 781; at 20 trips a
-k = 11 to 15 point lost 3.1e-11 of its best value.  Up to k = 10 a kept
+row _NEWTON_AFTER trips, and then a hand-off decides which rows still
+running go on (the caller's `owner` says which point a row solves); the
+others stop there.  In a call of several points where the finish below
+runs, (N-1)k <= _NEWTON_MAX_DIM, only each point's leader goes on: the
+point's best row so far, counting rows that already converged, so a point
+whose leader converged sends no row on.  In a one-point call, and above the
+cap, each point's _FINISH_ROWS best running rows go on.  That is successive
+halving (Karnin, Koren and Somekh, ICML 2013) in one round: at k = 7 to 12
+about two thirds of the 65 rows of a `seesaw` call are still running at
+trip 25, and only the best row of a point is reported.  A call of several
+points is a sweep or window round of `grac.quantum._solve_points`, which
+polishes each point's best row and restarts points from their neighbours'
+optima, so one survivor per point is enough there.  One survivor in every
+call lowered a one-point k = 7 solve by 5.2e-10 and the k = 7 solve in R^5
+of an `eacc` op by 2.5e-9, and above the cap, where no finish polishes the
+survivor, a k = 12 sweep lost 5.0e-6.  The hand-off comes early because
+the batch steps until its slowest row is done: at 25 trips a pass of the
+benchmark's pm_sweep workload took 875 kernel loop trips and 11,077
+row-trips, against 1,223 and 12,647 at 40; at 20 trips a k = 11 to 15
+point lost 3.1e-11 of its best value.  Sending only the leaders on then
+cut the pass's Newton row-steps from 912 to 566 and its eigh calls from
+264 to 192, at 873 loop trips and 11,068 row-trips, and moved no value of
+the benchmark's ops by more than 1 ulp; at the cap, a k = 10 sweep moved
+by +4.3e-5 at one point and -1.7e-6 at another.  Up to k = 10 a kept
 row gets a second-order finish, `newton_finish`, the costly stage, which
 takes saddle-free Riemannian Newton steps on (S^{N-1})^k (Absil, Mahony
 and Sepulchre, "Optimization Algorithms on Matrix Manifolds", 2008, ch. 6;
@@ -116,7 +129,7 @@ _BETA_GROW = 1.5  # beta multiplier after a taken candidate
 _BETA_MIN = 1.25  # floor of beta after a refused candidate halves it
 _NEWTON_AFTER = 25  # see-saw trips before the hand-off ranks the rows still running
 _NEWTON_STEPS = 20  # Newton steps a row may take before it counts as failed
-_FINISH_ROWS = 16  # running rows per point kept at the hand-off (`run_seesaw`)
+_FINISH_ROWS = 16  # running rows per point kept by a one-point or above-cap hand-off
 _GRAD_DONE = 1e-10  # tangent-gradient max-norm of a converged row
 _THIN = 1e-6  # a row with some |D^T V_x| below this is left to the see-saw
 _NULL = 1e-9  # relative size below which a Hessian eigenvalue is null (`_non_null`)
@@ -575,13 +588,16 @@ def run_seesaw(signs, dmat, v0, max_iters, tol, owner=None):
     in the state too, so a row's arithmetic, and its result, do not depend
     on the batch.
 
-    At every k, the rows still running after _NEWTON_AFTER trips are
-    ranked at a hand-off: each point's _FINISH_ROWS best of them by value,
-    ties going to the lower row, go to `polish`, and its other running rows
-    stop there, with converged False.  A stopped row's value is no higher
-    than any kept row's of its point, and the finish and the trips only
-    raise values, so each point's best row is a kept row (or one that
-    converged earlier).  A kept row the finish does not converge resumes
+    The rows still running after _NEWTON_AFTER trips are ranked at a
+    hand-off, by value with ties going to the lower row.  When owner names
+    more than one point and (N - 1) k <= _NEWTON_MAX_DIM, a running row is
+    kept only if it is its point's leader, the point's best row counting
+    the rows that converged earlier; otherwise each point's _FINISH_ROWS
+    best running rows are kept.  Kept rows go to `polish`, and the other
+    running rows stop there, with converged False.  A stopped row's value
+    is no higher than its point's leader's, and the finish and the trips
+    only raise values, so each point's best row is a kept row or one that
+    converged earlier.  A kept row the finish does not converge resumes
     its trips for the rest of max_iters; where (N - 1) k > _NEWTON_MAX_DIM
     `polish` passes its rows as given, so every kept row resumes.
     Iterations count trips plus Newton steps, and min_deltas takes in the

@@ -26,6 +26,11 @@ _SECTIONS = 8  # a window refinement round splits its bracket into this many cel
 MAX_GRID_POINTS = 10_001  # the most points `dephasing_grid` builds
 
 
+def _check_dephasing_range(lam) -> None:
+    if not 0.0 <= lam <= 0.5:
+        raise InvalidInputError(f"dephasing strength must be in [0, 1/2], got {lam}")
+
+
 @dataclass(frozen=True)
 class BlochMap:
     """Linear action of a unital qubit channel on Bloch vectors."""
@@ -44,10 +49,7 @@ class BlochMap:
             if self.axis is not None:
                 raise InvalidInputError("depolarizing noise takes no axis")
         elif self.kind == DEPHASING:
-            if not 0.0 <= self.lam <= 0.5:
-                raise InvalidInputError(
-                    f"dephasing strength must be in [0, 1/2], got {self.lam}"
-                )
+            _check_dephasing_range(self.lam)
             if self.axis is None:
                 raise InvalidInputError("dephasing noise needs an axis")
             object.__setattr__(self, "axis", _unit_axis(self.axis))
@@ -129,8 +131,7 @@ def _dephasing_matrices(grid, axis) -> np.ndarray:
     strength is checked first, with `BlochMap`'s messages."""
     for lam in grid:
         check_real("noise strength", lam)
-        if not 0.0 <= lam <= 0.5:
-            raise InvalidInputError(f"dephasing strength must be in [0, 1/2], got {lam}")
+        _check_dephasing_range(lam)
     n = np.asarray(_unit_axis(axis))
     proj = np.outer(n, n)
     shrink = 1.0 - 2.0 * np.asarray(grid, dtype=np.float64)

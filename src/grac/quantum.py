@@ -303,9 +303,13 @@ def _solve_points(
     depolarizing threshold are one point, a dephasing sweep is its grid and
     a window's refinement round the points inside its bracket, all points
     batched into one kernel call per round, which is told each row's point
-    so that its Newton hand-off ranks rows point by point.  Round one runs, at each point
-    i, the `_pm_starts` set of `restarts` random starts at the first point
-    and one elsewhere, seeded seed + i, and the game's zero-padded starts.
+    so that its Newton hand-off ranks rows point by point.  In a call of
+    several points below the Newton cap only each point's leader, its best
+    row so far, goes on past the hand-off (`run_seesaw`): the round polishes
+    that row anyway, and the next round restarts the point from its
+    neighbours' optima.  Round one runs, at each point i, the `_pm_starts`
+    set of `restarts` random starts at the first point and one elsewhere,
+    seeded seed + i, and the game's zero-padded starts.
     Each later round restarts every point from the new best of each
     neighbour that improved (by more than the kernel's stopping tolerance
     `_seesaw._TOL`) in the round before, keeping only the rows whose start

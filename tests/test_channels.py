@@ -238,6 +238,20 @@ def test_dephasing_grid():
             dephasing_grid(huge)
 
 
+def test_a_grids_dephasing_matrices_are_each_points_bloch_map():
+    """`channels._dephasing_matrices` builds a grid's matrices as one array
+    expression, bit for bit as one `BlochMap` per point does, on random axes,
+    unit or not, and grids of 2 to 101 points; it names the first bad point."""
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        axis = tuple(rng.standard_normal(3) * 10.0 ** rng.integers(-3, 4))
+        for grid in (dephasing_grid(int(rng.integers(2, 102))), list(rng.uniform(0.0, 0.5, 7))):
+            want = np.stack([BlochMap.dephasing(lam, axis).matrix() for lam in grid])
+            assert np.array_equal(channels._dephasing_matrices(grid, axis), want)
+    with pytest.raises(InvalidInputError, match=r"got 0\.7$"):
+        channels._dephasing_matrices([0.1, 0.7, -0.2], (1.0, 0.0, 0.0))
+
+
 def test_bad_axis_and_empty_grid_are_rejected():
     for axis in ((np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), (1.0, -np.inf, 0.0), "abc"):
         with pytest.raises(InvalidInputError, match="axis"):

@@ -112,7 +112,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -179,6 +179,39 @@ class SeesawReport:
     tangent_grad: float | None = None
     top_hessian_eig: float | None = None
     meets_bound: bool | None = None
+
+
+class Rows(NamedTuple):
+    """The one-qubit kernel's per-row arrays, one row per restart or point.
+
+    `run_seesaw`, `polish`, `snap` and `grac.quantum._solve_points` return
+    one.  converged has one other meaning: `snap` puts there whether the
+    row's residuals reached rounding.
+
+    values : (R,) final objective per row
+    iters : (R,) iterations used: trips plus Newton or snap steps
+    min_deltas : (R,) smallest half-step or step improvement seen
+        (monotonicity check)
+    r : (R, m, N) final preparations
+    v : (R, k, N) final measurement vectors
+    converged : (R,) bool
+    """
+
+    values: np.ndarray
+    iters: np.ndarray
+    min_deltas: np.ndarray
+    r: np.ndarray
+    v: np.ndarray
+    converged: np.ndarray
+
+    def take(self, idx) -> Rows:
+        """Rows idx of every array, as a new `Rows`."""
+        return Rows(*(arr[idx] for arr in self))
+
+    def put(self, idx, rows: Rows) -> None:
+        """Write rows into rows idx of every array, in place."""
+        for arr, new in zip(self, rows):
+            arr[idx] = new
 
 
 def check_budget(restarts: int, max_iters: int, seed: int) -> None:
@@ -489,24 +522,28 @@ def newton_finish(signs, dmat, r, v, value, max_steps):
 
 
 def polish(signs, dmat, rows, max_iters):
-    """`newton_finish` on some rows of `run_seesaw`'s six arrays, at most
-    _NEWTON_STEPS steps each within what is left of max_iters: the steps are
-    added to iters, the gains folded into min_deltas and the convergence OR-ed
-    in.  r, v and values are written in place.  Above (N - 1) k =
-    _NEWTON_MAX_DIM rows pass as given, and `run_seesaw` resumes their trips."""
+    """`newton_finish` on some `Rows` of `run_seesaw`, at most _NEWTON_STEPS
+    steps each within what is left of max_iters: the steps are added to
+    iters, the gains folded into min_deltas and the convergence OR-ed in.
+    r, v and values are written in place.  Above (N - 1) k = _NEWTON_MAX_DIM
+    rows pass as given, and `run_seesaw` resumes their trips."""
     values, iters, min_deltas, r, v, converged = rows
     if (v.shape[2] - 1) * v.shape[1] > _NEWTON_MAX_DIM:
         return rows
     budget = np.minimum(_NEWTON_STEPS, max_iters - iters)
     steps, gains, finished = newton_finish(signs, dmat, r, v, values, budget)
-    return values, iters + steps, np.minimum(min_deltas, gains), r, v, converged | finished
+    return rows._replace(
+        iters=iters + steps,
+        min_deltas=np.minimum(min_deltas, gains),
+        converged=converged | finished,
+    )
 
 
 def snap(signs, dmat, rows, max_iters):
-    """Damped Gauss-Newton steps of some rows of `run_seesaw`'s six arrays onto
-    the ceiling 1/2(1 + 1/sqrt(k)), at most _SNAP_STEPS each within what is
-    left of max_iters, then Alice's best reply at each row's orthogonal
-    channel dmat.
+    """Damped Gauss-Newton steps of some `Rows` of `run_seesaw` onto the
+    ceiling 1/2(1 + 1/sqrt(k)), at most _SNAP_STEPS each within what is left
+    of max_iters, then Alice's best reply at each row's orthogonal channel
+    dmat.
 
     The ceiling is met exactly when every |V_x|^2 = k with unit v_y, where
     V_x = sum_y g[x,y] v_y (module docstring of `grac.quantum`), so each step
@@ -519,8 +556,8 @@ def snap(signs, dmat, rows, max_iters):
     the common rotations of every v_y keep below N k, so mu is _SNAP_DAMP
     times its mean diagonal.  A row stops once its largest residual is below
     _SNAP_DONE times k, at rounding.  Then v is normalized and scored with
-    Alice's best reply.  Returns the six arrays with the scores as values,
-    the steps added to iters, the score less the row's value folded into
+    Alice's best reply.  Returns `Rows` with the scores as values, the
+    steps added to iters, the score less the row's value folded into
     min_deltas, and in place of converged whether the row's residuals
     reached rounding.  Nothing here checks the score: the caller accepts a
     row by its value.
@@ -554,7 +591,7 @@ def snap(signs, dmat, rows, max_iters):
         steps[live] += 1
     v, _ = _unit_rows(v, v0)
     r, score = best_reply(signs, dmat, v, r)
-    return score, iters + steps, np.minimum(min_deltas, score - values), r, v, done
+    return Rows(score, iters + steps, np.minimum(min_deltas, score - values), r, v, done)
 
 
 def _best_per_point(rows, values, owner, count):
@@ -612,24 +649,22 @@ def run_seesaw(signs, dmat, v0, max_iters, tol, owner=None):
     max_iters : iteration cap per restart
     tol : stop a restart once its per-iteration improvement drops below tol
     owner : (R,) the point each row solves, for the hand-off's ranking; when
-        not given each row is its own point, so no row is stopped and each
-        row's result does not depend on the batch
+        not given it is np.arange(R), each row its own point and so its own
+        leader: no row is stopped and each row's result does not depend on
+        the batch
 
     Returns
     -------
-    values : (R,) final objective per restart
-    iters : (R,) iterations actually used, trips plus Newton steps
-    min_deltas : (R,) smallest half-step or Newton-step improvement seen
-        (monotonicity check)
-    rvecs : (R, m, N) final preparations
-    vvecs : (R, k, N) final measurement vectors
-    converged : (R,) bool, False for a row stopped at the hand-off
+    `Rows`, one per restart; converged is False for a row stopped at the
+    hand-off
     """
     signs = np.ascontiguousarray(signs, dtype=np.float64)
     v = np.array(v0, dtype=np.float64, copy=True)
     if v.ndim == 2:
         v = v[None]
     n_restarts, k, dim = v.shape
+    if owner is None:
+        owner = np.arange(n_restarts)
     m = signs.shape[0]
     scale = 1.0 / (2.0 * m * k)
     signs_t = np.ascontiguousarray(signs.T)
@@ -658,8 +693,9 @@ def run_seesaw(signs, dmat, v0, max_iters, tol, owner=None):
     values, iters, min_deltas, converged = alternate(
         step, state, min(max_iters, _NEWTON_AFTER), tol
     )
+    rows = Rows(values, iters, min_deltas, r, v, converged)
     slow = np.flatnonzero(~converged & (iters < max_iters))
-    if slow.size and owner is not None:
+    if slow.size:
         if owner.max() > owner.min() and (dim - 1) * k <= _NEWTON_MAX_DIM:
             lead = np.zeros(n_restarts, dtype=bool)
             lead[_best_per_point(np.arange(n_restarts), values, owner, 1)] = True
@@ -667,18 +703,16 @@ def run_seesaw(signs, dmat, v0, max_iters, tol, owner=None):
         else:
             slow = _best_per_point(slow, values[slow], owner[slow], _FINISH_ROWS)
     if slow.size:
-        out = (values, iters, min_deltas, r, v, converged)
-        for arr, new in zip(out, polish(signs, dmat[slow], [arr[slow] for arr in out], max_iters)):
-            arr[slow] = new
+        rows.put(slow, polish(signs, dmat[slow], rows.take(slow), max_iters))
         back = slow[~converged[slow] & (iters[slow] < max_iters)]
         if back.size:
             rest = tuple(arr[back] for arr in state)
             values_b, iters_b, min_deltas_b, converged[back] = alternate(
                 step, rest, max_iters - iters[back], tol, values[back]
             )
-            for arr, rows in zip(state, rest):
-                arr[back] = rows
+            for arr, resumed in zip(state, rest):
+                arr[back] = resumed
             values[back] = values_b
             iters[back] += iters_b
             min_deltas[back] = np.minimum(min_deltas[back], min_deltas_b)
-    return values, iters, min_deltas, r, v, converged
+    return rows

@@ -87,7 +87,7 @@ def critical_depolarizing(fset: FunctionSet, restarts: int = 8, seed: int = 0) -
     check_budget(restarts, _MAX_ITERS, seed)
     game = _game(fset)
     s_c = game.classical.value
-    s_q = float(_solve_points(game, np.eye(3)[None], restarts, seed)[0][0])
+    s_q = float(_solve_points(game, np.eye(3)[None], restarts, seed).values[0])
     if s_q <= s_c:
         return 0.0
     return 1.0 - (s_c - 0.5) / (s_q - 0.5)
@@ -179,7 +179,7 @@ def dephasing_sweep(
     """
     axis, grid, dmats = _sweep_inputs(axis, grid, restarts, seed)
     game = _game(fset, axis)
-    values = _solve_points(game, dmats, restarts, seed)[0]
+    values = _solve_points(game, dmats, restarts, seed).values
     return SweepResult(grid, tuple(float(v) for v in values), game.classical)
 
 
@@ -227,8 +227,8 @@ def crossing_window(
         raise InvalidInputError(f"a crossing window needs a strictly increasing grid, got {grid}")
     game_a, game_b = _game(set_a, axis), _game(set_b, axis)
     positive = _leads(
-        _solve_points(game_a, dmats, restarts, seed)[0],
-        _solve_points(game_b, dmats, restarts, seed)[0],
+        _solve_points(game_a, dmats, restarts, seed).values,
+        _solve_points(game_b, dmats, restarts, seed).values,
     )
     if not positive.any():
         raise NoCrossingError("the second set dominates (or ties) everywhere on the grid")
@@ -258,8 +258,8 @@ def crossing_window(
             dmats = _dephasing_matrices(pts[1:-1], axis)
             j += 1
             positive = _leads(
-                _solve_points(game_a, dmats, restarts, seed + 7919 * j)[0],
-                _solve_points(game_b, dmats, restarts, seed + 7919 * j + 1)[0],
+                _solve_points(game_a, dmats, restarts, seed + 7919 * j).values,
+                _solve_points(game_b, dmats, restarts, seed + 7919 * j + 1).values,
             )
             k = len(positive) if positive.all() else int(positive.argmin())
             inside, outside = pts[k], pts[k + 1]

@@ -553,14 +553,12 @@ def eacc_optimum(
         if _meets_bound(value, k):
             return SeesawReport(value, 0, 0, True, strategy, seed, 0.0, meets_bound=True)
     game = _game(fset, wide=True)
-    value, iters, min_delta, r, v, conv = _solve_points(
-        game, np.eye(dim)[None], restarts, seed, max_iters
-    )
-    r, v = (np.array([_safe_unit(row) for row in vecs[0]]) for vecs in (r, v))
+    solved = _solve_points(game, np.eye(dim)[None], restarts, seed, max_iters)
+    r, v = (np.array([_safe_unit(row) for row in vecs[0]]) for vecs in (solved.r, solved.v))
     strategy = _clifford_embed(fset, r, v, local_dim)
     best = SeesawReport(
-        evaluate_eacc(strategy, fset), int(iters[0]), restarts + len(game.starts), bool(conv[0]),
-        strategy, seed, float(min_delta[0]),
+        evaluate_eacc(strategy, fset), int(solved.iters[0]), restarts + len(game.starts),
+        bool(solved.converged[0]), strategy, seed, float(solved.min_deltas[0]),
     )
     if not _meets_bound(best.value, k):
         report = eacc_seesaw(fset, local_dim, restarts, max_iters, seed)

@@ -51,6 +51,7 @@ import numpy as np
 
 from ._seesaw import (
     _TOL,
+    Rows,
     SeesawReport,
     _best_per_point,
     _unit_rows,
@@ -296,8 +297,8 @@ def _meets_bound(values, k: int) -> np.ndarray:
 
 def _solve_points(
     game: _Game, dmats: np.ndarray, restarts: int, seed: int, max_iters=_MAX_ITERS
-) -> tuple[np.ndarray, ...]:
-    """`run_seesaw`'s six arrays at each N x N channel of dmats, one row per point: its best row.
+) -> Rows:
+    """The best row of each N x N channel of dmats, one point each, as `_seesaw.Rows`.
 
     Every one-qubit prepare-and-measure solve is this call: `seesaw` and a
     depolarizing threshold are one point, a dephasing sweep is its grid and
@@ -354,15 +355,15 @@ def _solve_points(
     short = k > dim and game.sidon  # proved short of the bound (module docstring)
     if n_points == 1 and off <= _UNIT_TOL and max_iters > _SNAP_AFTER and not short:
         trips = run_seesaw(signs, dmats[owner], starts, _SNAP_AFTER, _TOL, owner)
-        top = _best_per_point(np.arange(len(owner)), trips[0], owner, _SNAP_ROWS)
-        snapped = snap(signs, dmats[owner[top]], [row[top] for row in trips], max_iters)
-        accepted = np.flatnonzero(_meets_bound(snapped[0], k))
+        top = _best_per_point(np.arange(len(owner)), trips.values, owner, _SNAP_ROWS)
+        snapped = snap(signs, dmats[owner[top]], trips.take(top), max_iters)
+        accepted = np.flatnonzero(_meets_bound(snapped.values, k))
         if accepted.size:
             # a row the snap took to rounding first, then the higher value, then the first
-            j = max(accepted, key=lambda j: (snapped[5][j], snapped[0][j]))
-            chosen = (*(row[j : j + 1] for row in snapped[:5]), np.ones(1, dtype=bool))
+            j = max(accepted, key=lambda j: (snapped.converged[j], snapped.values[j]))
+            chosen = snapped.take([j])._replace(converged=np.ones(1, dtype=bool))
             return polish(signs, dmats, chosen, max_iters)
-    best = (
+    best = Rows(
         np.full(n_points, -np.inf),
         np.zeros(n_points, dtype=np.int64),
         np.zeros(n_points),
@@ -370,27 +371,25 @@ def _solve_points(
         np.zeros((n_points, k, dim)),
         np.zeros(n_points, dtype=bool),
     )
-    best_value, best_v = best[0], best[4]  # updated in place with the rest of best
     points = np.arange(n_points)
     while True:
         rows = run_seesaw(signs, dmats[owner], starts, max_iters, _TOL, owner)
-        before = best_value.copy()
+        before = best.values.copy()
         winner = np.zeros(n_points, dtype=np.int64)  # each point's best row this round
-        for j, (i, value) in enumerate(zip(owner.tolist(), rows[0].tolist())):
-            if value > best_value[i]:
-                best_value[i], winner[i] = value, j
-        new = np.flatnonzero(best_value > before)
+        for j, (i, value) in enumerate(zip(owner.tolist(), rows.values.tolist())):
+            if value > best.values[i]:
+                best.values[i], winner[i] = value, j
+        new = np.flatnonzero(best.values > before)
         if new.size:
-            polished = polish(signs, dmats[new], [row[winner[new]] for row in rows], max_iters)
-            for mine, theirs in zip(best, polished):
-                mine[new] = theirs
-        improved = best_value - before > _TOL  # smaller gains are the kernel's own convergence noise
+            best.put(new, polish(signs, dmats[new], rows.take(winner[new]), max_iters))
+        # smaller gains are the kernel's own convergence noise
+        improved = best.values - before > _TOL
         # point i + 1 restarts from point i's new best, and point i from point i + 1's
         owner = np.concatenate((points[1:][improved[:-1]], points[:-1][improved[1:]]))
         source = np.concatenate((points[:-1][improved[:-1]], points[1:][improved[1:]]))
-        starts = best_v[source]
+        starts = best.v[source]
         _, start_values = best_reply(signs, dmats[owner], starts, np.zeros(dim))
-        near = start_values >= best_value[owner] - _WARM_MARGIN
+        near = start_values >= best.values[owner] - _WARM_MARGIN
         if not near.any():
             return best
         owner, starts = owner[near], starts[near]
@@ -422,23 +421,23 @@ def seesaw(
     check_budget(restarts, max_iters, seed)
     dmat = _channel_matrix(channel)[None]
     game = _game(fset, wide=True)
-    value, iters, min_delta, r, v, conv = _solve_points(game, dmat, restarts, seed, max_iters)
-    grad, eig = certificate(game.signs, dmat, r, v)
+    best = _solve_points(game, dmat, restarts, seed, max_iters)
+    grad, eig = certificate(game.signs, dmat, best.r, best.v)
     m = 1 << fset.n
     strategy = PMStrategy(
         fset.n,
-        {x: _safe_unit(r[0, x]) for x in range(m)},
-        {lab.r: _safe_unit(v[0, j]) for j, lab in enumerate(fset)},
+        {x: _safe_unit(best.r[0, x]) for x in range(m)},
+        {lab.r: _safe_unit(best.v[0, j]) for j, lab in enumerate(fset)},
     )
     return SeesawReport(
-        value=float(value[0]),
-        iterations=int(iters[0]),
+        value=float(best.values[0]),
+        iterations=int(best.iters[0]),
         restarts_used=restarts + len(game.starts),
-        converged=bool(conv[0]),
+        converged=bool(best.converged[0]),
         best_strategy=strategy,
         seed=seed,
-        min_step_delta=float(min_delta[0]),
+        min_step_delta=float(best.min_deltas[0]),
         tangent_grad=float(grad[0]),
         top_hessian_eig=None if np.isnan(eig[0]) else float(eig[0]),
-        meets_bound=bool(_meets_bound(value[0], len(fset))),
+        meets_bound=bool(_meets_bound(best.values[0], len(fset))),
     )

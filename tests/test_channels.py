@@ -195,7 +195,11 @@ def _synthetic_difference(monkeypatch, set_a, diff) -> list[int]:
         sizes.append(len(dmats))
         assert len(sizes) <= 200, "the refinement did not end"
         lam = (1.0 - dmats[:, 1, 1]) / 2.0  # the x-axis channel shrinks y by 1 - 2 lam
-        return (diff(lam) if game is set_a else np.zeros(len(lam)),)
+        n = len(lam)
+        values = diff(lam) if game is set_a else np.zeros(n)
+        empty = np.zeros((n, 0, 3))  # a window reads only the values
+        return _seesaw.Rows(values, np.zeros(n, dtype=np.int64), np.zeros(n), empty, empty,
+                            np.ones(n, dtype=bool))
 
     monkeypatch.setattr(channels, "_game", lambda fset, axis: fset)
     monkeypatch.setattr(channels, "_solve_points", synthetic)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grac import (
@@ -769,6 +769,64 @@ def test_the_hand_off_sends_no_row_of_a_point_whose_leader_converged():
     assert went_on.tolist() == [17 + int(np.argmax(hand_off[0][17:]))]
     for got, want in zip(batch, hand_off, strict=True):
         assert np.array_equal(np.asarray(got)[:17], np.asarray(want)[:17])
+
+
+@st.composite
+def _kernel_batches(draw):
+    """A width-2 to 6 set of up to 12 labels, up to 24 rows, a budget past
+    _NEWTON_AFTER and a seed: k <= 10 runs the Newton finish, k > 10 does not."""
+    n = draw(st.integers(2, 6), label="n")
+    labels = draw(
+        st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=min(12, (1 << n) - 1)),
+        label="labels",
+    )
+    rows = draw(st.integers(1, 24) | st.integers(17, 24), label="rows")  # often > _FINISH_ROWS
+    max_iters = draw(st.integers(_NEWTON_AFTER + 1, 300), label="max_iters")
+    return n, tuple(sorted(labels)), rows, max_iters, draw(st.integers(0, 2**32 - 1), label="seed")
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=_kernel_batches())
+# 24 rows at k = 10 and k = 12: more than _FINISH_ROWS of them still run at the hand-off
+@example(batch=(4, tuple(range(1, 11)), 24, 300, 0))
+@example(batch=(4, tuple(range(1, 13)), 24, 300, 0))
+def test_a_kernel_call_without_owner_makes_each_row_its_own_point(batch):
+    """owner=None is owner=np.arange(R), array for array, and stops no row:
+    every row ends converged or at max_iters."""
+    n, labels, rows, max_iters, seed = batch
+    signs = sign_matrix(FunctionSet.from_ints(n, labels))
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal((rows, len(labels), 3))
+    v0 /= np.linalg.norm(v0, axis=2, keepdims=True)
+    unowned = run_seesaw(signs, np.eye(3), v0, max_iters, 1e-10)
+    own_points = run_seesaw(signs, np.eye(3), v0, max_iters, 1e-10, np.arange(rows))
+    for got, want in zip(unowned, own_points, strict=True):
+        assert np.array_equal(got, want)
+    assert (unowned.converged | (unowned.iters == max_iters)).all()
+
+
+def test_the_kernel_rows_keep_their_field_order():
+    """`_seesaw.Rows` holds the kernel's arrays in one order, and `run_seesaw`,
+    `polish`, `snap` and `quantum._solve_points` each return one; position 1
+    is iters, which `perfbench/tracing.py` reads as the trip counts."""
+    assert _seesaw.Rows._fields == ("values", "iters", "min_deltas", "r", "v", "converged")
+    fset = representative_set(3)
+    signs = sign_matrix(fset)
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal((4, len(fset), 3))
+    v0 /= np.linalg.norm(v0, axis=2, keepdims=True)
+    trips = run_seesaw(signs, np.eye(3), v0, 2, 1e-10)
+    dmats = np.repeat(np.eye(3)[None], 4, axis=0)
+    results = (
+        trips,
+        _seesaw.polish(signs, dmats, trips.take(np.arange(4)), 100),
+        _seesaw.snap(signs, dmats, trips.take(np.arange(4)), 100),
+        quantum._solve_points(quantum._game(fset), np.eye(3)[None], 2, 0),
+    )
+    for result in results:
+        assert isinstance(result, _seesaw.Rows)
+        assert result[1] is result.iters
+        assert result.iters.dtype == np.int64 and result.converged.dtype == bool
 
 
 def test_climb_takes_the_largest_step_that_raises_else_ties():

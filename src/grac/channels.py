@@ -126,13 +126,15 @@ class SweepResult:
 
 
 def _dephasing_matrices(grid, axis) -> np.ndarray:
-    """One dephasing matrix along the unit `axis` per strength in `grid`, as
+    """One dephasing matrix along `axis` per strength in `grid`, as
     `BlochMap.dephasing(lam, axis).matrix()` builds it, bit for bit; each
-    strength is checked first, with `BlochMap`'s messages."""
+    strength is checked first, with `BlochMap`'s messages.  axis is taken
+    as given, a unit axis from `_unit_axis` (`_sweep_inputs`): a second
+    division by its norm may move its last bits."""
     for lam in grid:
         check_real("noise strength", lam)
         _check_dephasing_range(lam)
-    n = np.asarray(_unit_axis(axis))
+    n = np.asarray(axis)
     proj = np.outer(n, n)
     shrink = 1.0 - 2.0 * np.asarray(grid, dtype=np.float64)
     return proj + shrink[:, None, None] * (np.eye(3) - proj)
@@ -141,7 +143,9 @@ def _dephasing_matrices(grid, axis) -> np.ndarray:
 def _sweep_inputs(axis, grid, restarts: int, seed: int):
     """Unit axis, grid (default `dephasing_grid()`) and one channel matrix per point.
 
-    Every input is checked here, before any work: the grid must be a
+    The axis is normalized here, once, by `_unit_axis`, as `BlochMap` does;
+    the matrices and `quantum._game`'s start along the axis use that unit
+    axis as it is.  Every input is checked here, before any work: the grid must be a
     nonempty flat list of real numbers (no bool or string), and each point
     is range-checked.
     """

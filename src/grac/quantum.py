@@ -244,12 +244,13 @@ def _game(fset: FunctionSet, axis=None, wide=False) -> _Game:
     (-1)^{ω(x)} a and measurements (-1)^{d_y} a along an axis a, the guess
     sign reproduces the best message-flip decoding, so seeding the see-saw
     with these vectors floors it at the classical optimum (the axis matters
-    under dephasing: vectors along the dephasing axis survive).  A bad axis
-    is refused before the search, and the search refuses widths above
+    under dephasing: vectors along the dephasing axis survive).  The axis
+    is a unit axis from `_unit_axis`, used as given (`channels._sweep_inputs`
+    normalizes and checks it).  The search refuses widths above
     ENUM_MAX_WIDTH, where a wide game has no search, classical optimum or
     classical start.
     """
-    axes = [np.array(_unit_axis(a)) for a in (_Z_AXIS,) + (() if axis is None else (axis,))]
+    axes = [np.array(a, dtype=np.float64) for a in (_Z_AXIS,) + (() if axis is None else (axis,))]
     s_c, starts = None, ()
     if fset.n <= ENUM_MAX_WIDTH or not wide:
         s_c, strategies = classical_optimum(fset, max_strategies=1)

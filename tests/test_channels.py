@@ -244,16 +244,36 @@ def test_dephasing_grid():
 
 def test_a_grids_dephasing_matrices_are_each_points_bloch_map():
     """`channels._dephasing_matrices` builds a grid's matrices as one array
-    expression, bit for bit as one `BlochMap` per point does, on random axes,
-    unit or not, and grids of 2 to 101 points; it names the first bad point."""
+    expression, bit for bit as one `BlochMap` per point does, on the unit
+    axes of random axes, unit or not, and grids of 2 to 101 points; it names
+    the first bad point."""
     rng = np.random.default_rng(5)
     for _ in range(40):
         axis = tuple(rng.standard_normal(3) * 10.0 ** rng.integers(-3, 4))
+        unit = channels._unit_axis(axis)
         for grid in (dephasing_grid(int(rng.integers(2, 102))), list(rng.uniform(0.0, 0.5, 7))):
             want = np.stack([BlochMap.dephasing(lam, axis).matrix() for lam in grid])
-            assert np.array_equal(channels._dephasing_matrices(grid, axis), want)
+            assert np.array_equal(channels._dephasing_matrices(grid, unit), want)
     with pytest.raises(InvalidInputError, match=r"got 0\.7$"):
         channels._dephasing_matrices([0.1, 0.7, -0.2], (1.0, 0.0, 0.0))
+
+
+def test_a_sweep_normalizes_its_axis_once():
+    """A sweep's matrices and its classical start along the axis both use the
+    axis `BlochMap` keeps, bit for bit, on random axes: `_unit_axis` is not
+    idempotent, so a second normalization would move last bits of about a
+    third of them."""
+    rng = np.random.default_rng(39)
+    fset = representative_set(3)
+    grid = dephasing_grid(5)
+    for _ in range(200):
+        axis = tuple(rng.standard_normal(3))
+        maps = [BlochMap.dephasing(lam, axis) for lam in grid]
+        unit, _, dmats = channels._sweep_inputs(axis, grid, 8, 0)
+        assert unit == maps[0].axis
+        assert np.array_equal(dmats, np.stack([ch.matrix() for ch in maps]))
+        start = quantum._game(fset, unit).starts[-1]
+        assert np.array_equal(np.abs(start), np.abs(np.outer(np.ones(len(fset)), unit)))
 
 
 def test_bad_axis_and_empty_grid_are_rejected():

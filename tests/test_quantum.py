@@ -30,7 +30,7 @@ from grac._seesaw import (
     newton_finish,
     tangent_model,
 )
-from grac.channels import BlochMap
+from grac.channels import BlochMap, dephasing_sweep
 from grac.eacc import eacc_seesaw
 from grac.quantum import run_seesaw
 from grac.tables import representative_set
@@ -109,7 +109,7 @@ def test_non_numeric_channels_and_axes_are_refused():
     with pytest.raises(InvalidInputError, match="channel matrix entry"):
         seesaw(full_mubs(2), restarts=1, channel=[["a"] * 3] * 3)
     with pytest.raises(InvalidInputError, match="axis coordinate"):
-        quantum._game(full_mubs(2), axis=(True, 0.0, 0.0)).starts[-1]
+        dephasing_sweep(full_mubs(2), axis=(True, 0.0, 0.0))
 
 
 def test_pm_strategy_roundtrip():
@@ -993,11 +993,13 @@ def test_a_fully_depolarized_seesaw_reads_one_half():
     assert set(report.best_strategy.preparations.values()) == {(0.0, 0.0, 1.0)}
 
 
-def test_classical_start_vectors_refuse_a_zero_or_nan_axis():
+def test_classical_start_vectors_refuse_a_zero_or_nan_axis(monkeypatch):
+    """A sweep refuses the axis of its classical start before the search."""
     fset = representative_set(3)
+    monkeypatch.setattr(quantum, "classical_optimum", None)  # the search must not run
     for axis in ((0.0, 0.0, 0.0), (np.nan, 0.0, 1.0)):
         with pytest.raises(InvalidInputError, match="axis"):
-            quantum._game(fset, axis).starts[-1]
+            dephasing_sweep(fset, axis=axis)
 
 
 # One set of each width-4 class that stays short of pm_upper_bound(k).

@@ -7,7 +7,8 @@ half-step improvement and convergence, and freezes a restart once its
 improvement over a full step falls below tol.  A frozen restart is no longer
 stepped: the half-steps see only the rows still running, so they must not
 capture the batch size, and per-row constants ride in the state.  Each row's
-final state lands in the caller's arrays when that row freezes.
+final state lands in the caller's arrays when that row freezes, and
+`resume` steps some of those rows on from there after a hand-off.
 `run_seesaw` (prepare and measure) and `grac.eacc.eacc_seesaw`
 (entanglement-assisted) supply only their half-steps, and both return a
 `SeesawReport`.
@@ -78,6 +79,27 @@ of `grac.quantum._solve_points`.  `certificate` reads the same model at a
 point: its gradient max-norm and top non-gauge Hessian eigenvalue, which
 certify a strict local maximum when the first is ~0 and the second negative.
 
+`grac.eacc.eacc_seesaw` has no finish, but it takes the same hand-off, in
+one round of successive halving (Karnin, Koren and Somekh, as above;
+Jamieson and Talwalkar, AISTATS 2016) and through the same `resume`: after
+_PRUNE_AFTER = 8 trips it ranks the rows still running (all one point) and
+resumes only the _PRUNE_ROWS = 4 best; the others stop there, with
+converged False.  Its constants are its own because its rows settle
+sooner: on the open quadruple at 16 restarts, at most 4 of the 17 rows
+still run at trip 25, where every random restart still runs at trip 8.
+Times of that call at local dimensions 2 and 3 (seed 0, best of 9 in
+process, 2 cores with OPENBLAS_NUM_THREADS=1, numpy 2.4), by
+(_PRUNE_AFTER, _PRUNE_ROWS): no hand-off 25-27 and 58-60 ms; (8, 4)
+15-16 and 27-28 ms; (12, 4) 17 and 31 ms; (8, 8) 18 and 33 ms; (25, 16)
+and (25, 4) 25-26 and 56-59 ms, no gain.  The best row survives because
+the restarts that end in the best basin already lead at trip 8 (on the
+open quadruple at local dimension 4, 64 restarts, seeds 0-2), and a
+stopped row's value is below every kept row's, which trips only raise.
+On the 8 width-4 classes short of the ceiling with one qubit, at local
+dimensions 2, 3 and 4, 8 and 16 restarts and seeds 0 and 1 (96 runs),
+the best value was at most 1.3e-9 below the one found when every running
+row resumes, and the runs took 54% less time.
+
 `snap` is the other second-stage move, for the noiseless one-point solves
 of `grac.quantum._solve_points` only: damped Gauss-Newton steps that take a
 row onto the ceiling 1/2(1 + 1/sqrt(k)) (`grac.quantum`'s module
@@ -130,6 +152,8 @@ _BETA_MIN = 1.25  # floor of beta after a refused candidate halves it
 _NEWTON_AFTER = 25  # see-saw trips before the hand-off ranks the rows still running
 _NEWTON_STEPS = 20  # Newton steps a row may take before it counts as failed
 _FINISH_ROWS = 16  # running rows per point kept by a one-point or above-cap hand-off
+_PRUNE_AFTER = 8  # `grac.eacc.eacc_seesaw` trips before its hand-off ranks the rows still running
+_PRUNE_ROWS = 4  # running rows `grac.eacc.eacc_seesaw`'s hand-off resumes
 _GRAD_DONE = 1e-10  # tangent-gradient max-norm of a converged row
 _THIN = 1e-6  # a row with some |D^T V_x| below this is left to the see-saw
 _NULL = 1e-9  # relative size below which a Hessian eigenvalue is null (`_non_null`)
@@ -308,6 +332,32 @@ def alternate(step, state, max_iters, tol, start=None):
         min_delta = min_delta[keep]
 
     return values, iters, min_deltas, converged
+
+
+def resume(step, state, trips, back, max_iters, tol):
+    """Resume the trips of rows back of a batch that `alternate` stopped at a
+    hand-off, for the rest of max_iters, in place.
+
+    state is the batch's state and trips the four arrays `alternate` returned
+    for it.  The rows' state is sliced out, stepped by `alternate` from their
+    values (its start) and written back; their trips are added to iters,
+    their smallest improvement is folded into min_deltas, and their values
+    and convergence are replaced.  Since a row's arithmetic does not depend
+    on its batch, a resumed row ends exactly as it would have without the
+    stop.  Both see-saws resume their rows here.
+    """
+    if not back.size:
+        return
+    values, iters, min_deltas, converged = trips
+    rest = tuple(arr[back] for arr in state)
+    values_b, iters_b, min_deltas_b, converged[back] = alternate(
+        step, rest, max_iters - iters[back], tol, values[back]
+    )
+    for arr, resumed in zip(state, rest):
+        arr[back] = resumed
+    values[back] = values_b
+    iters[back] += iters_b
+    min_deltas[back] = np.minimum(min_deltas[back], min_deltas_b)
 
 
 def _unit_rows(x, fallback):
@@ -690,9 +740,8 @@ def run_seesaw(signs, dmat, v0, max_iters, tol, owner=None):
         )
 
     state = (r, v, beta, dmat, dmat_t)
-    values, iters, min_deltas, converged = alternate(
-        step, state, min(max_iters, _NEWTON_AFTER), tol
-    )
+    trips = alternate(step, state, min(max_iters, _NEWTON_AFTER), tol)
+    values, iters, min_deltas, converged = trips
     rows = Rows(values, iters, min_deltas, r, v, converged)
     slow = np.flatnonzero(~converged & (iters < max_iters))
     if slow.size:
@@ -705,14 +754,5 @@ def run_seesaw(signs, dmat, v0, max_iters, tol, owner=None):
     if slow.size:
         rows.put(slow, polish(signs, dmat[slow], rows.take(slow), max_iters))
         back = slow[~converged[slow] & (iters[slow] < max_iters)]
-        if back.size:
-            rest = tuple(arr[back] for arr in state)
-            values_b, iters_b, min_deltas_b, converged[back] = alternate(
-                step, rest, max_iters - iters[back], tol, values[back]
-            )
-            for arr, resumed in zip(state, rest):
-                arr[back] = resumed
-            values[back] = values_b
-            iters[back] += iters_b
-            min_deltas[back] = np.minimum(min_deltas[back], min_deltas_b)
+        resume(step, state, trips, back, max_iters, tol)
     return rows

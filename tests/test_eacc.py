@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grac import _seesaw, eacc
 from grac import (
     BooleanFn,
     ClassicalStrategy,
@@ -287,9 +288,11 @@ def test_evaluate_matches_explicit_sum_on_povms_and_mixed_states(fset, d):
         )
 
 
-# Recorded with the safeguarded joint step.  The last column is the value the
-# plain step reached on the same run (in 3, 13, 2, 35, 39, 22 and 58
-# iterations), a floor for the joint step.  The test ids leave it out.
+# Recorded with the safeguarded joint step and, in the last row, the hand-off
+# after `_PRUNE_AFTER` trips (before it: 0.7414814565366101 in 31
+# iterations).  The last column is the value the plain step reached on the
+# same run (in 3, 13, 2, 35, 39, 22 and 58 iterations), a floor for the joint
+# step.  The test ids leave it out.
 _PINNED_RUNS = [
     (2, None, 2, 4, 0.853553390593274, 3, 0.853553390593274),
     (3, None, 2, 4, 0.788675134593716, 9, 0.7886751345929698),
@@ -297,7 +300,7 @@ _PINNED_RUNS = [
     (5, None, 2, 4, 0.7236067977382437, 15, 0.7236067976358458),
     (6, None, 2, 4, 0.7041241452160444, 17, 0.7041241450239994),
     (7, None, 2, 4, 0.6889822364892423, 16, 0.6889822364525146),
-    (4, "open", 3, 16, 0.7414814565366101, 31, 0.7414814563409956),
+    (4, "open", 3, 16, 0.7414814565357013, 21, 0.7414814563409956),
 ]
 
 
@@ -388,3 +391,69 @@ def test_eacc_open_quadruple_needs_dimension_four():
     validate_strategy(strat)
     rep = eacc_to_bell(strat, fset)
     assert rep.bell_value == pytest.approx(rep.eacc_value, abs=1e-10)
+
+
+# The 8 width-4 classes whose one-qubit optimum is short of the bound.
+_SHORT_W4 = (
+    (1, 2, 3, 4),
+    (1, 2, 4, 8),
+    (1, 2, 3, 4, 8),
+    (1, 2, 4, 8, 15),
+    (1, 2, 3, 4, 8, 12),
+    (1, 2, 3, 4, 5, 8, 10),
+    (1, 2, 3, 4, 5, 6, 7, 8),
+    (1, 2, 3, 4, 5, 8, 9, 14),
+)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_the_hand_off_keeps_the_best_value_on_the_short_width_4_classes(monkeypatch, d):
+    """Resuming only the `_PRUNE_ROWS` best rows still running after
+    `_PRUNE_AFTER` trips loses at most 2e-9 of the value found when every
+    running row resumes."""
+    def run(fset):
+        return eacc_seesaw(fset, local_dim=d, restarts=8, seed=0).value
+
+    sets = [FunctionSet.from_ints(4, labels) for labels in _SHORT_W4]
+    pruned = [run(fset) for fset in sets]
+    monkeypatch.setattr(eacc, "_PRUNE_ROWS", 10**6)
+    for labels, fset, value in zip(_SHORT_W4, sets, pruned):
+        assert value >= run(fset) - 2e-9, labels
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_hand_off_keeps_the_open_quadruples_optimum_at_dimension_four(seed):
+    report = eacc_seesaw(representative_set(4, "open"), local_dim=4, restarts=64, seed=seed)
+    assert report.value == pytest.approx(0.75, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "k, qclass, d, restarts, seed",
+    [(4, "open", 2, 4, 0), (4, "open", 3, 3, 1), (4, "open", 4, 4, 2), (7, None, 2, 4, 0),
+     (5, None, 3, 2, 3)],
+)
+def test_the_hand_off_resumes_its_rows_exactly(monkeypatch, k, qclass, d, restarts, seed):
+    """With at most `_PRUNE_ROWS` rows running after `_PRUNE_AFTER` trips,
+    every one resumes, and the report equals, bit for bit, a run with no
+    hand-off: stopping and resuming a row does not change its arithmetic."""
+    fset = representative_set(k, qclass)
+
+    def run():
+        return eacc_seesaw(fset, local_dim=d, restarts=restarts, seed=seed)
+
+    resumed = []
+
+    def record(step, state, trips, back, max_iters, tol):
+        resumed.append(back)
+        _seesaw.resume(step, state, trips, back, max_iters, tol)
+
+    monkeypatch.setattr(eacc, "resume", record)
+    handed = run()
+    assert 0 < len(resumed[0]) <= _seesaw._PRUNE_ROWS
+    monkeypatch.setattr(eacc, "_PRUNE_AFTER", 10**6)
+    plain = run()
+    assert handed.iterations > _seesaw._PRUNE_AFTER
+    for field in ("value", "iterations", "converged", "min_step_delta"):
+        assert getattr(handed, field) == getattr(plain, field), field
+    for part in ("state", "alice", "bob"):
+        assert np.array_equal(getattr(handed.best_strategy, part), getattr(plain.best_strategy, part))

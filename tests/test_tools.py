@@ -145,7 +145,8 @@ def test_ops_hold_the_eacc_ops_that_no_workload_runs():
     4->1 random access code, short of the bound, which falls back to the
     see-saw, and at local dimension 4 a k = 8 class that the solve in R^5
     settles, the k = 7 class it leaves short, and a k = 7 set where the
-    see-saw fallback wins and reports its replayed value."""
+    see-saw fallback wins and reports its replayed value; at local dimension
+    3, the k = 7 class, whose fallback the see-saw's hand-off speeds up."""
     todo = ops_diff.ops()
     for op in (
         ["eacc", "--n", "4", "--labels", "all", "--local-dim", "3"],
@@ -157,6 +158,8 @@ def test_ops_hold_the_eacc_ops_that_no_workload_runs():
          "--local-dim", "4", "--restarts", "8"],
         ["eacc", "--n", "4", "--labels", "0001,0010,0100,0110,0111,1010,1101",
          "--local-dim", "4", "--restarts", "2", "--seed", "690"],
+        ["eacc", "--n", "4", "--labels", "0001,0010,0011,0100,0101,1000,1010",
+         "--local-dim", "3"],
     ):
         assert todo.count(("extra", op)) == 1
 

@@ -93,6 +93,9 @@ EXTRA_OPS = (
     # the solve in R^5 ends short, above the see-saw it falls back to
     ["eacc", "--n", "4", "--labels", "0001,0010,0011,0100,0101,1000,1010", "--local-dim", "4",
      "--restarts", "8"],
+    # the same k = 7 class at local dimension 3 and the default restarts: the
+    # see-saw fallback, with its hand-off after `grac._seesaw._PRUNE_AFTER` trips
+    ["eacc", "--n", "4", "--labels", "0001,0010,0011,0100,0101,1000,1010", "--local-dim", "3"],
     # a k = 7 width-4 set at local dimension 4 where the see-saw fallback
     # wins, and its own value is one ulp above its strategy's replay: the
     # reported value is the replay

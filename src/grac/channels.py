@@ -145,9 +145,9 @@ def _sweep_inputs(axis, grid, restarts: int, seed: int):
 
     The axis is normalized here, once, by `_unit_axis`, as `BlochMap` does;
     the matrices and `quantum._game`'s start along the axis use that unit
-    axis as it is.  Every input is checked here, before any work: the grid must be a
-    nonempty flat list of real numbers (no bool or string), and each point
-    is range-checked.
+    axis as it is.  Every input is checked here, before any work: the grid
+    must be a nonempty flat list of real numbers (no bool or string), and
+    each point is range-checked.
     """
     axis = _unit_axis(axis)
     arr = read_reals("a dephasing grid point", dephasing_grid() if grid is None else grid)

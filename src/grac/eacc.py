@@ -481,12 +481,12 @@ def eacc_seesaw(
             (*halves, np.maximum(halves[-1], v_e)),
         )
 
-    state = (psi, a0, b0, np.full(n_restarts, _BETA_START))
-    trips = alternate(step, state, min(max_iters, _PRUNE_AFTER), _TOL)
+    batch = (psi, a0, b0, np.full(n_restarts, _BETA_START))
+    trips = alternate(step, batch, min(max_iters, _PRUNE_AFTER), _TOL)
     values, iters, min_deltas, converged = trips
     slow = np.flatnonzero(~converged & (iters < max_iters))
     keep = _best_per_point(slow, values[slow], np.zeros(slow.size, dtype=np.int64), _PRUNE_ROWS)
-    resume(step, state, trips, keep, max_iters, _TOL)
+    resume(step, batch, trips, keep, max_iters, _TOL)
     best = int(np.argmax(values))
     state = np.outer(psi[best], psi[best].conj())
     # The projector products leave ~1e-18 imaginary parts on the diagonal.

@@ -250,7 +250,7 @@ def _game(fset: FunctionSet, axis=None, wide=False) -> _Game:
     ENUM_MAX_WIDTH, where a wide game has no search, classical optimum or
     classical start.
     """
-    axes = [np.array(a, dtype=np.float64) for a in (_Z_AXIS,) + (() if axis is None else (axis,))]
+    axes = np.array((_Z_AXIS,) if axis is None else (_Z_AXIS, axis), dtype=np.float64)
     s_c, starts = None, ()
     if fset.n <= ENUM_MAX_WIDTH or not wide:
         s_c, strategies = classical_optimum(fset, max_strategies=1)

@@ -288,11 +288,11 @@ def test_evaluate_matches_explicit_sum_on_povms_and_mixed_states(fset, d):
         )
 
 
-# Recorded with the safeguarded joint step and, in the last row, the hand-off
-# after `_PRUNE_AFTER` trips (before it: 0.7414814565366101 in 31
-# iterations).  The last column is the value the plain step reached on the
-# same run (in 3, 13, 2, 35, 39, 22 and 58 iterations), a floor for the joint
-# step.  The test ids leave it out.
+# Recorded with the safeguarded joint step and the hand-off after
+# `_PRUNE_AFTER` trips, which stops rows only in the last run.  The last
+# column is the value the plain step reached on the same run (in 3, 13, 2,
+# 35, 39, 22 and 58 iterations), a floor for the joint step.  The test ids
+# leave it out.
 _PINNED_RUNS = [
     (2, None, 2, 4, 0.853553390593274, 3, 0.853553390593274),
     (3, None, 2, 4, 0.788675134593716, 9, 0.7886751345929698),
